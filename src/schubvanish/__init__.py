@@ -2,9 +2,11 @@
 
 The package decides, in polynomial time and exact arithmetic, sufficient
 conditions for a Schubert intersection number of the complete flag variety
-to vanish, and emits certificates a reader can check by hand.  A
-brute-force polynomial oracle and three classical rival tests are included
-for cross-validation at small rank.
+to vanish, and emits certificates a reader can check by hand.  One
+max-flow on the filling network (``filling_or_cut``) decides every
+Schubitope verdict: it returns a filling, or the min cut as one violated
+subset inequality.  A brute-force polynomial oracle and three classical
+rival tests are included for cross-validation at small rank.
 """
 
 from .permcore import (
@@ -24,12 +26,10 @@ from .permcore import (
 )
 from .schubitope import (
     DegreeMismatchError,
-    FarkasCertificate,
-    FeasiblePoint,
     Filling,
     InfeasibleSubset,
     enumerate_tab,
-    lp_feasible,
+    filling_or_cut,
     schubitope_membership,
     theta,
 )

@@ -8,18 +8,21 @@ Input is line oriented:
 Permutations are comma-separated; each word is either a contiguous digit
 string (rank <= 9) or space-separated values.  Blank lines and ``#``
 comments are skipped.  Output is text or JSON lines, one record per
-problem, in input order.  Exit codes: 0 clean, 1 internal error, 2 any
-input error.
+problem, in input order.  A line that fails to parse, or a problem that
+raises while it is evaluated, becomes an error record at its position; every
+other record still prints.  Exit codes: 0 clean; 2 when any line failed to
+parse or the arguments or input file are bad; otherwise 1 when any problem
+raised while it was evaluated (an internal error or a limit of a selected
+test, such as the root game's rank cap).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+import traceback
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, TextIO
 
@@ -46,10 +49,8 @@ class Options:
     force_oracle: bool = False
     flexible_samples: int = 0
     seed: int = 0
-    compress: bool = False
     stable: bool = False
     fmt: str = "text"
-    jobs: int = 1
 
 
 @dataclass
@@ -168,14 +169,10 @@ def run_problem(
 
     if "schubitope" in options.tests:
         if problem.mode == "symmetric":
-            verdict = vanishing.symmetric_test(
-                embedded.factors, compress=options.compress
-            )
+            verdict = vanishing.symmetric_test(embedded.factors)
             _record_verdict(record, "schubitope_symmetric", verdict)
         else:
-            verdict = vanishing.asymmetric_test(
-                embedded.factors, embedded.target, compress=options.compress
-            )
+            verdict = vanishing.asymmetric_test(embedded.factors, embedded.target)
             _record_verdict(record, "schubitope_asymmetric", verdict)
 
     if (
@@ -189,7 +186,6 @@ def run_problem(
             embedded.target,
             samples=options.flexible_samples,
             seed=seed,
-            compress=options.compress,
         )
         _record_verdict(record, "flexible", verdict)
 
@@ -227,16 +223,17 @@ def run_problem(
 
 def run_batch(
     lines: Sequence[str], options: Options
-) -> tuple[list[object], bool]:
+) -> tuple[list[object], int]:
     """Parse and evaluate every input line; order preserving.
 
     Returns the records (results interleaved with error records at their
-    input positions) and whether any line failed to parse.
+    input positions) and the exit code: 2 when any line failed to parse,
+    else 1 when any problem raised while it was evaluated, else 0.
     """
-    jobs: list[tuple[int, str, SchubertProblem]] = []
-    records: dict[int, object] = {}
-    had_error = False
-    problem_index = 0
+    records: list[object] = []
+    parse_failed = False
+    run_failed = False
+    index = 0
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
@@ -245,25 +242,19 @@ def run_batch(
         try:
             problem = parse_problem_line(text)
         except ValueError as exc:
-            had_error = True
-            records[lineno] = ErrorRecord(record_id, lineno, str(exc))
+            parse_failed = True
+            records.append(ErrorRecord(record_id, lineno, str(exc)))
             continue
-        jobs.append((lineno, record_id, problem))
-        problem_index += 1
-
-    def evaluate(job: tuple[int, str, SchubertProblem], index: int) -> None:
-        lineno, record_id, problem = job
-        records[lineno] = run_problem(problem, record_id, options, index)
-
-    if options.jobs > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=options.jobs) as pool:
-            list(pool.map(lambda pair: evaluate(pair[1], pair[0]), enumerate(jobs)))
-    else:
-        for index, job in enumerate(jobs):
-            evaluate(job, index)
-
-    ordered = [records[k] for k in sorted(records)]
-    return ordered, had_error
+        try:
+            records.append(run_problem(problem, record_id, options, index))
+        except Exception as exc:  # one failing problem must not end the batch
+            traceback.print_exc()
+            run_failed = True
+            records.append(
+                ErrorRecord(record_id, lineno, f"{type(exc).__name__}: {exc}")
+            )
+        index += 1
+    return records, 2 if parse_failed else 1 if run_failed else 0
 
 
 def _emit_text(record: object, out: TextIO) -> None:
@@ -276,15 +267,11 @@ def _emit_text(record: object, out: TextIO) -> None:
         out.write(f"  {key}: {record.verdicts[key]}\n")
         cert = record.certificates.get(key)
         if cert is not None:
-            if cert["kind"] == "subset":
-                rows = ",".join(str(r) for r in cert["rows"])
-                out.write(
-                    f"    certificate: rows {{{rows}}} give "
-                    f"{cert['lhs']} > {cert['rhs']}\n"
-                )
-            else:
-                out.write("    certificate: LP multipliers "
-                          f"(content {' '.join(cert['content'])})\n")
+            rows = ",".join(str(r) for r in cert["rows"])
+            out.write(
+                f"    certificate: rows {{{rows}}} give "
+                f"{cert['lhs']} > {cert['rhs']}\n"
+            )
         detail = record.details.get(key)
         if detail:
             out.write(f"    note: {detail}\n")
@@ -332,22 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--flexible-samples", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--compress",
-        action="store_true",
-        help="drop all-empty diagram columns before the LP (same decisions)",
-    )
-    parser.add_argument(
         "--stable",
         action="store_true",
         help="zero the timing fields so output is byte-reproducible",
     )
     parser.add_argument("--format", dest="fmt", choices=("text", "jsonlines"), default="text")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=max(1, os.cpu_count() or 1),
-        help="worker pool size (default: available parallelism)",
-    )
     parser.add_argument(
         "--selfcheck",
         action="store_true",
@@ -367,10 +343,8 @@ def options_from_args(args: argparse.Namespace) -> Options:
         force_oracle=args.force_oracle,
         flexible_samples=args.flexible_samples,
         seed=args.seed,
-        compress=args.compress,
         stable=args.stable,
         fmt=args.fmt,
-        jobs=max(1, args.jobs),
     )
 
 
@@ -393,13 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        records, had_error = run_batch(lines, options)
-        emit_records(records, options, sys.stdout)
-    except Exception as exc:  # internal failure, not an input problem
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
-    return 2 if had_error else 0
+    records, code = run_batch(lines, options)
+    emit_records(records, options, sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -213,31 +213,3 @@ def check_integer_decomposition(p: GPermutahedron, q: GPermutahedron) -> bool:
     lq = q.lattice_points()
     sums = {tuple(a + b for a, b in zip(x, y)) for x in lp for y in lq}
     return sums == set((p + q).lattice_points())
-
-
-def is_hull_vertex(
-    point: Sequence[Rational], points: Iterable[Sequence[Rational]]
-) -> bool:
-    """True if point is a vertex of the convex hull of points (exact test).
-
-    Decides whether point lies in the convex hull of the other points via
-    exact LP feasibility.
-    """
-    from . import exactlp
-
-    others = [tuple(q) for q in points if tuple(q) != tuple(point)]
-    if not others:
-        return True
-    dim = len(point)
-    nvars = len(others)
-    rows = [
-        exactlp.LinearRow(
-            tuple((k, others[k][i]) for k in range(nvars)), exactlp.EQ, point[i]
-        )
-        for i in range(dim)
-    ]
-    rows.append(
-        exactlp.LinearRow(tuple((k, 1) for k in range(nvars)), exactlp.EQ, 1)
-    )
-    res = exactlp.solve_feasibility(nvars, [1] * nvars, rows)
-    return isinstance(res, exactlp.InfeasibleResult)

@@ -122,16 +122,16 @@ def case_polytope_of_21543() -> list[str]:
     by_scan = {
         a for a in schubpoly.compositions(4, 5) if ineqs.contains(a)
     }
-    by_lp = {
+    by_flow = {
         a
         for a in schubpoly.compositions(4, 5)
-        if isinstance(schubitope.lp_feasible(d, a), schubitope.FeasiblePoint)
+        if isinstance(schubitope.filling_or_cut(d, a), schubitope.Filling)
     }
     support = set(schubpoly.support(schubpoly.schubert_polynomial(w)))
     if by_scan != SUPPORT_21543:
         failures.append(f"inequality scan found {len(by_scan)} points, expected 13")
-    if by_lp != SUPPORT_21543:
-        failures.append(f"LP enumeration found {len(by_lp)} points, expected 13")
+    if by_flow != SUPPORT_21543:
+        failures.append(f"max-flow enumeration found {len(by_flow)} points, expected 13")
     if support != SUPPORT_21543:
         failures.append("polynomial support differs from the pinned 13 monomials")
     points = schubitope.schubitope_gpermutahedron(d).lattice_points()

@@ -1,4 +1,4 @@
-"""The Schubitope of a diagram: subset inequalities, fillings, and exact LP.
+"""The Schubitope of a diagram: subset inequalities, fillings, and max-flow.
 
 For a diagram D inside [n] x [m] and a row subset S, each column is read
 top to bottom into a word over { ( , ) , * }:
@@ -11,22 +11,24 @@ theta_D(S) adds, over all columns, the number of matched "()" pairs plus
 the number of stars.  The Schubitope S_D consists of the nonnegative alpha
 with sum(alpha) = #D and sum_{i in S} alpha_i <= theta_D(S) for all proper
 subsets S.  Its lattice points are exactly the contents of the column-strict
-flag-bounded fillings of D, and emptiness of that filling set is decided by
-an exact rational LP over a 0/1-bounded matrix.
+flag-bounded fillings of D.  ``filling_or_cut`` decides membership by one
+integral max-flow and returns either such a filling or one violated subset
+inequality (the min cut); ``lp_feasible`` restates that cut as multipliers
+of the relaxation LP.  The 2^n subset scan (``SchubitopeInequalities``)
+and the filling enumeration (``enumerate_tab``) are the references that
+tests compare it against.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from . import exactlp
 from .gpermutahedron import GPermutahedron, SubmodularFn
 from .permcore import Cell, Diagram
-
-Rational = Union[int, Fraction]
 
 LPAREN = "("
 RPAREN = ")"
@@ -127,7 +129,7 @@ class SchubitopeInequalities:
         n = d.n_rows
         if n > SUBSET_SCAN_MAX_ROWS:
             raise ValueError(
-                f"subset scan needs n_rows <= {SUBSET_SCAN_MAX_ROWS}; use the LP path"
+                f"subset scan needs n_rows <= {SUBSET_SCAN_MAX_ROWS}; use filling_or_cut"
             )
         self.diagram = d
         self.n = n
@@ -185,23 +187,22 @@ def _mask_rows(mask: int) -> tuple[int, ...]:
 def schubitope_membership(
     d: Diagram, alpha: Sequence[int]
 ) -> tuple[bool, Optional[InfeasibleSubset]]:
-    """Decide alpha in S_D by the direct subset-inequality scan.
+    """Decide alpha in S_D by the max-flow of ``filling_or_cut``.
 
-    Returns (True, None) for members.  Otherwise returns (False, cert) where
-    cert is the first violated subset inequality, or (False, None) when only
-    the degree equality sum(alpha) = #D fails (no single subset witnesses
-    that).  Refuses diagrams with more than 22 rows; the LP path scales.
+    Returns (True, None) for members and (False, cert) with the min-cut
+    inequality for non-members of the right degree.  When the degree
+    equality sum(alpha) = #D fails, returns (False, None): no single subset
+    inequality witnesses that.
     """
-    ineqs = SchubitopeInequalities(d)
     if len(alpha) != d.n_rows:
         raise ValueError("content vector length must equal n_rows")
     if any(a < 0 for a in alpha):
         raise ValueError("content entries must be nonnegative")
-    violation = ineqs.first_violation(alpha)
-    if violation is not None:
-        return False, violation
     if sum(alpha) != d.cell_count:
         return False, None
+    found = filling_or_cut(d, alpha)
+    if isinstance(found, InfeasibleSubset):
+        return False, found
     return True, None
 
 
@@ -314,120 +315,22 @@ def enumerate_tab(d: Diagram, alpha: Sequence[int]) -> list[Filling]:
     return found
 
 
-def filling_to_relaxation_point(f: Filling) -> tuple[tuple[int, ...], ...]:
-    """The 0/1 matrix with entry (i, j) = 1 iff label i sits in column j."""
-    d = f.diagram
-    matrix = [[0] * d.n_cols for _ in range(d.n_rows)]
-    for (r, c), l in f.labels:
-        matrix[l - 1][c - 1] = 1
-    return tuple(tuple(row) for row in matrix)
+def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, InfeasibleSubset]:
+    """Decide alpha in S_D by an integral max-flow on the filling network.
 
+    The network runs source -> label i (capacity alpha_i) -> pair (i, column
+    j) (capacity 1) -> cell (r, j) with r >= i (capacity 1) -> sink.  A flow
+    that fills every cell puts distinct labels i <= r into each column;
+    sorted down the column they form the filling returned.  Otherwise the
+    labels reachable from the source in the residual graph form the unique
+    inclusion-minimal min cut S, whatever the augmenting order.  Its capacity
+    alpha([n] - S) + theta_D(S) is below #D = sum(alpha), so S is returned
+    as the violated inequality alpha(S) > theta_D(S).  Requires
+    sum(alpha) = #D; anything else is a caller error.
 
-def relaxation_point_valid(
-    matrix: Sequence[Sequence[Rational]], d: Diagram, alpha: Sequence[int]
-) -> bool:
-    """Check constraints (I) box, (II) row sums, (III) column prefix bounds."""
-    n, m = d.n_rows, d.n_cols
-    if len(matrix) != n or any(len(row) != m for row in matrix):
-        return False
-    for row in matrix:
-        for v in row:
-            if v < 0 or v > 1:
-                return False
-    for i in range(n):
-        if sum(matrix[i]) != alpha[i]:
-            return False
-    for j in range(1, m + 1):
-        cells = d.column_cells(j)
-        seen = 0
-        prefix: Rational = 0
-        r_prev = 0
-        for r in cells:
-            for i in range(r_prev, r):
-                prefix += matrix[i][j - 1]
-            r_prev = r
-            seen += 1
-            if prefix < seen:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
-class FeasiblePoint:
-    """A rational point of the relaxation polytope, as an n x m matrix."""
-
-    matrix: tuple[tuple[Rational, ...], ...]
-
-    def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
-        return relaxation_point_valid(self.matrix, d, alpha)
-
-
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """Multipliers proving the relaxation polytope empty.
-
-    content[i-1] multiplies the row-sum equality of label i; each entry of
-    prefix multiplies the column prefix inequality at (row s, column j).
-    columns records which diagram columns carried variables (all of them
-    unless the LP was built with empty columns compressed away).
-    """
-
-    content: tuple[Rational, ...]
-    prefix: tuple[tuple[tuple[int, int], Rational], ...]
-    columns: tuple[int, ...]
-
-    def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
-        """Replay the multipliers against the constraint system."""
-        nvars, upper, rows, _ = _relaxation_lp(d, alpha, self.columns)
-        y = list(self.content) + [mult for _, mult in self.prefix]
-        if len(y) != len(rows):
-            return False
-        return exactlp.verify_infeasibility_certificate(nvars, upper, rows, y)
-
-
-FeasibilityCertificate = Union[FeasiblePoint, FarkasCertificate, InfeasibleSubset]
-
-
-def _relaxation_lp(
-    d: Diagram, alpha: Sequence[int], columns: Sequence[int]
-) -> tuple[int, list, list[exactlp.LinearRow], dict[tuple[int, int], int]]:
-    """Build the relaxation LP over the given diagram columns.
-
-    Variables are the matrix entries, boxed in [0, 1].  Rows come in the
-    fixed order: content equalities for rows 1..n, then the column prefix
-    inequalities.  Only the binding prefix rows are generated (one per cell,
-    at s = that cell's row); the remaining prefix inequalities are implied,
-    so the polytope is unchanged and omitted rows carry multiplier zero.
-    """
-    n = d.n_rows
-    var_of: dict[tuple[int, int], int] = {}
-    for j in columns:
-        for i in range(1, n + 1):
-            var_of[(i, j)] = len(var_of)
-    nvars = len(var_of)
-    rows: list[exactlp.LinearRow] = []
-    for i in range(1, n + 1):
-        coeffs = tuple((var_of[(i, j)], 1) for j in columns)
-        rows.append(exactlp.LinearRow(coeffs, exactlp.EQ, alpha[i - 1]))
-    for j in columns:
-        cells = d.column_cells(j)
-        for t, s in enumerate(cells, start=1):
-            coeffs = tuple((var_of[(i, j)], 1) for i in range(1, s + 1))
-            rows.append(exactlp.LinearRow(coeffs, exactlp.GE, t))
-    upper = [1] * nvars
-    return nvars, upper, rows, var_of
-
-
-def lp_feasible(
-    d: Diagram, alpha: Sequence[int], compress: bool = False
-) -> Union[FeasiblePoint, FarkasCertificate]:
-    """Decide whether the relaxation polytope of (D, alpha) is nonempty.
-
-    Runs the exact phase-1 simplex.  Requires sum(alpha) = #D; anything else
-    is a caller error, reported loudly rather than as a verdict.  With
-    compress=True the all-empty columns are dropped first; under the degree
-    precondition their entries are forced to zero, so the decision is the
-    same either way.
+    >>> from schubvanish.permcore import rothe_diagram
+    >>> filling_or_cut(rothe_diagram((2, 1, 5, 4, 3)), (4, 0, 0, 0, 0))
+    InfeasibleSubset(rows=(1,), lhs=4, rhs=3)
     """
     n = d.n_rows
     if len(alpha) != n:
@@ -438,23 +341,143 @@ def lp_feasible(
         raise DegreeMismatchError(
             f"sum(alpha) = {sum(alpha)} but the diagram has {d.cell_count} cells"
         )
-    if compress:
-        columns = d.nonempty_columns()
-    else:
-        columns = tuple(range(1, d.n_cols + 1))
-    nvars, upper, rows, var_of = _relaxation_lp(d, alpha, columns)
-    result = exactlp.solve_feasibility(nvars, upper, rows)
-    if isinstance(result, exactlp.FeasibleResult):
-        matrix = [[0] * d.n_cols for _ in range(n)]
-        for (i, j), k in var_of.items():
-            matrix[i - 1][j - 1] = result.x[k]
-        return FeasiblePoint(tuple(tuple(row) for row in matrix))
-    y = result.row_multipliers
-    content = tuple(y[:n])
+    columns = [d.column_cells(j) for j in d.nonempty_columns()]
+    # owner[c][r]: label in row r of the c-th nonempty column, 0 when free;
+    # where[c][i]: row holding label i in that column, 0 when unused
+    owner = [dict.fromkeys(rows, 0) for rows in columns]
+    where = [[0] * (n + 1) for _ in columns]
+    used = [0] * (n + 1)
+    # BFS tree of one round.  label -> column of the pair that gave it back,
+    # None for the source; (label, column) -> None when entered from its
+    # label, else (k, r): pair (k, column) takes over cell r from it
+    label_parent: dict[int, Optional[int]] = {}
+    pair_parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {}
+    queue: collections.deque[tuple[int, int]] = collections.deque()
+
+    def reach_label(i: int, via: Optional[int]) -> None:
+        label_parent[i] = via
+        for c, rows in enumerate(columns):
+            if not where[c][i] and rows[-1] >= i:
+                pair_parent[(i, c)] = None
+                queue.append((i, c))
+
+    while True:
+        label_parent.clear()
+        pair_parent.clear()
+        queue.clear()
+        for i in range(1, n + 1):
+            if used[i] < alpha[i - 1]:
+                reach_label(i, None)
+        end = None
+        while queue and end is None:
+            i, c = queue.popleft()
+            mine = where[c][i]
+            if mine and i not in label_parent:
+                reach_label(i, c)
+            for r in columns[c]:
+                if r < i or r == mine:
+                    continue
+                k = owner[c][r]
+                if not k:
+                    end = (i, c, r)
+                    break
+                if (k, c) not in pair_parent:
+                    pair_parent[(k, c)] = (i, r)
+                    queue.append((k, c))
+        if end is None:
+            break
+        i, c, r = end
+        while True:
+            where[c][i] = r
+            owner[c][r] = i
+            parent = pair_parent[(i, c)]
+            if parent is None:
+                via = label_parent[i]
+                if via is None:
+                    used[i] += 1
+                    break
+                # label i leaves column via; the pair that displaced it
+                # takes over its cell there
+                c = via
+                where[c][i] = 0
+                parent = pair_parent[(i, c)]
+            i, r = parent
+    if label_parent:
+        rows_in_s = tuple(sorted(label_parent))
+        lhs = sum(alpha[i - 1] for i in rows_in_s)
+        rhs = theta(d, rows_in_s)
+        if lhs <= rhs:
+            raise RuntimeError(f"min cut {rows_in_s} is not a violated inequality")
+        return InfeasibleSubset(rows_in_s, lhs, rhs)
+    labels = {}
+    for j, c_owner in zip(d.nonempty_columns(), owner):
+        for r, i in zip(sorted(c_owner), sorted(c_owner.values())):
+            labels[(r, j)] = i
+    return Filling.from_dict(d, labels)
+
+
+@dataclass(frozen=True)
+class FarkasCertificate:
+    """LP multipliers proving the relaxation polytope of (D, alpha) empty.
+
+    The relaxation has a variable x_ij in [0, 1] for each label i and each
+    column j in ``columns``, the equalities sum_j x_ij = alpha_i and, for the
+    t-th cell (s, j) of a column, the prefix inequality sum_{i <= s} x_ij >= t.
+    content[i-1] multiplies the equality of label i; prefix lists
+    ((s, j), multiplier >= 0) for the prefix inequalities used.
+    """
+
+    content: tuple[Fraction, ...]
+    prefix: tuple[tuple[tuple[int, int], Fraction], ...]
+    columns: tuple[int, ...]
+
+    def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
+        """Check that the combined row's maximum over the box is below its right side."""
+        n = d.n_rows
+        columns = set(self.columns)
+        if len(self.content) != n or len(alpha) != n or len(columns) != len(self.columns):
+            return False
+        if not set(d.nonempty_columns()) <= columns <= set(range(1, d.n_cols + 1)):
+            return False
+        weight: dict[tuple[int, int], Fraction] = {}
+        rhs = sum(y * a for y, a in zip(self.content, alpha))
+        for (s, j), mult in self.prefix:
+            cells = d.column_cells(j)
+            if mult < 0 or s not in cells or (s, j) in weight:
+                return False
+            weight[(s, j)] = mult
+            rhs += mult * (cells.index(s) + 1)
+        lhs = 0
+        for j in columns:
+            z = 0  # multipliers of the prefix rows of column j at rows >= i
+            for i in range(n, 0, -1):
+                z += weight.get((i, j), 0)
+                lhs += max(0, self.content[i - 1] + z)
+        return lhs < rhs
+
+
+def lp_feasible(d: Diagram, alpha: Sequence[int]) -> Union[Filling, FarkasCertificate]:
+    """Decide the relaxation LP of (D, alpha) by ``filling_or_cut``.
+
+    A filling is an integral point.  A min cut S becomes LP multipliers: -1
+    on the equality of each label outside S and, in each column, 1 on the
+    prefix row where t - #(S within rows 1..s) peaks above 0.  The box
+    maximum of the combined row then falls short of its right side by
+    alpha(S) - theta_D(S), since theta of a column is its cell count less
+    that peak.
+    """
+    found = filling_or_cut(d, alpha)
+    if isinstance(found, Filling):
+        return found
+    in_s = set(found.rows)
     prefix = []
-    pos = n
-    for j in columns:
-        for s in d.column_cells(j):
-            prefix.append(((s, j), y[pos]))
-            pos += 1
-    return FarkasCertificate(content, tuple(prefix), tuple(columns))
+    for j in d.nonempty_columns():
+        peak, peak_row = 0, 0
+        for t, s in enumerate(d.column_cells(j), start=1):
+            short = t - sum(1 for i in in_s if i <= s)
+            if short > peak:
+                peak, peak_row = short, s
+        if peak:
+            prefix.append(((peak_row, j), Fraction(1)))
+    content = tuple(Fraction(0 if i in in_s else -1) for i in range(1, d.n_rows + 1))
+    return FarkasCertificate(content, tuple(prefix), tuple(range(1, d.n_cols + 1)))

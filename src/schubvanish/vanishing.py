@@ -3,11 +3,11 @@
 The symmetric test concatenates all factor diagrams and asks whether the
 staircase content (n-1, ..., 1, 0) fits; the asymmetric test concatenates
 all but the last factor and asks for the code of the target.  Either way an
-empty filling set forces the intersection number to zero, and emptiness is
-decided by the exact LP.  A Vanishes verdict always carries a certificate a
-reader can replay by hand: preferably one violated subset inequality, else
-the LP multipliers.  The tests are one-sided; a feasible point only means
-"inconclusive".
+empty filling set forces the intersection number to zero.  Every verdict is
+one max-flow (``schubitope.filling_or_cut``): a Vanishes verdict carries the
+min cut, one violated subset inequality a reader can replay by hand at any
+rank, and an Inconclusive one carries the filling the flow found.  The tests
+are one-sided; a filling only means "inconclusive".
 """
 
 from __future__ import annotations
@@ -15,17 +15,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import permcore, schubitope
 from .permcore import Diagram, Perm
-from .schubitope import (
-    FarkasCertificate,
-    FeasiblePoint,
-    Filling,
-    InfeasibleSubset,
-    SUBSET_SCAN_MAX_ROWS,
-)
+from .schubitope import Filling, InfeasibleSubset
 
 
 class Outcome(str, Enum):
@@ -37,16 +31,12 @@ class Outcome(str, Enum):
         return self.value
 
 
-Certificate = Union[InfeasibleSubset, FarkasCertificate]
-Witness = Union[FeasiblePoint, Filling]
-
-
 @dataclass(frozen=True)
 class VanishingVerdict:
     outcome: Outcome
     method: str
-    certificate: Optional[Certificate] = None
-    witness: Optional[Witness] = None
+    certificate: Optional[InfeasibleSubset] = None
+    witness: Optional[Filling] = None
     detail: str = ""
 
 
@@ -95,9 +85,7 @@ def staircase(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, -1, -1))
 
 
-def symmetric_test(
-    factors: Sequence[Perm], compress: bool = False
-) -> VanishingVerdict:
+def symmetric_test(factors: Sequence[Perm]) -> VanishingVerdict:
     """Vanishing test for the intersection number of the factor list.
 
     Well-posed when the lengths sum to n(n-1)/2; otherwise the verdict is
@@ -114,12 +102,10 @@ def symmetric_test(
             detail="factor lengths do not sum to n(n-1)/2",
         )
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
-    return _lp_verdict(d, staircase(n), method, compress)
+    return _verdict(d, staircase(n), method)
 
 
-def asymmetric_test(
-    factors: Sequence[Perm], target: Perm, compress: bool = False
-) -> VanishingVerdict:
+def asymmetric_test(factors: Sequence[Perm], target: Perm) -> VanishingVerdict:
     """Vanishing test for the multiplicity of the target class.
 
     Concatenates the factor diagrams only and uses the code of the target
@@ -137,14 +123,13 @@ def asymmetric_test(
             detail="factor lengths do not sum to the target length",
         )
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
-    return _lp_verdict(d, permcore.code(target_n), method, compress)
+    return _verdict(d, permcore.code(target_n), method)
 
 
 def flexible_test(
     factors: Sequence[Perm],
     target: Perm,
     alpha: Sequence[int],
-    compress: bool = False,
 ) -> VanishingVerdict:
     """Asymmetric test with the content replaced by a chosen monomial.
 
@@ -175,7 +160,7 @@ def flexible_test(
             detail="factor lengths do not sum to the content total",
         )
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
-    verdict = _lp_verdict(d, alpha, method, compress)
+    verdict = _verdict(d, alpha, method)
     return VanishingVerdict(
         verdict.outcome,
         method,
@@ -185,38 +170,23 @@ def flexible_test(
     )
 
 
-def _lp_verdict(
-    d: Diagram, alpha: Sequence[int], method: str, compress: bool
-) -> VanishingVerdict:
-    result = schubitope.lp_feasible(d, alpha, compress=compress)
-    if isinstance(result, FeasiblePoint):
-        return VanishingVerdict(Outcome.INCONCLUSIVE, method, witness=result)
-    cert = vanishing_certificate(d, alpha, lp_result=result)
-    return VanishingVerdict(Outcome.VANISHES, method, certificate=cert)
+def _verdict(d: Diagram, alpha: Sequence[int], method: str) -> VanishingVerdict:
+    found = schubitope.filling_or_cut(d, alpha)
+    if isinstance(found, Filling):
+        return VanishingVerdict(Outcome.INCONCLUSIVE, method, witness=found)
+    return VanishingVerdict(Outcome.VANISHES, method, certificate=found)
 
 
-def vanishing_certificate(
-    d: Diagram,
-    alpha: Sequence[int],
-    lp_result: Optional[Union[FeasiblePoint, FarkasCertificate]] = None,
-) -> Certificate:
+def vanishing_certificate(d: Diagram, alpha: Sequence[int]) -> InfeasibleSubset:
     """A human-checkable certificate that alpha misses the Schubitope.
 
-    Prefers a single violated subset inequality (found by scanning subsets
-    in cardinality-then-lexicographic order) whenever the row count permits;
-    falls back to the LP multipliers.  Calling this on a feasible instance
-    is an error.
+    The violated subset inequality of the min cut, at any row count.
+    Calling this on a feasible instance is an error.
     """
-    if lp_result is None:
-        lp_result = schubitope.lp_feasible(d, alpha)
-    if isinstance(lp_result, FeasiblePoint):
+    found = schubitope.filling_or_cut(d, alpha)
+    if isinstance(found, Filling):
         raise ValueError("certificate requested for a feasible instance")
-    if d.n_rows <= SUBSET_SCAN_MAX_ROWS:
-        ineqs = schubitope.SchubitopeInequalities(d)
-        violation = ineqs.first_violation(alpha)
-        if violation is not None:
-            return violation
-    return lp_result
+    return found
 
 
 def sample_schubitope_point(
@@ -256,7 +226,6 @@ def flexible_test_sampled(
     target: Perm,
     samples: int = 32,
     seed: int = 0,
-    compress: bool = False,
 ) -> VanishingVerdict:
     """Randomized driver: try the target's code, then sampled contents.
 
@@ -275,7 +244,7 @@ def flexible_test_sampled(
         if alpha in tried:
             continue
         tried.add(alpha)
-        verdict = flexible_test(factors, target, alpha, compress=compress)
+        verdict = flexible_test(factors, target, alpha)
         if verdict.outcome is Outcome.DEGREE_MISMATCH:
             return verdict
         if verdict.outcome is Outcome.VANISHES:

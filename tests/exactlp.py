@@ -1,11 +1,12 @@
-"""Exact linear-programming feasibility over the rationals.
+"""Exact linear-programming feasibility over the rationals, for tests.
 
-Phase-1 simplex with Bland's smallest-index pivot rule on a dense tableau.
+An independent exact oracle beside the test suite: the generalized
+permutahedron tests decide convex-hull membership with it.  Phase-1 simplex with Bland's smallest-index pivot rule on a dense tableau.
 Every variable has lower bound zero and an optional upper bound; the upper
 bounds are handled implicitly (bounded-variable simplex) so box constraints
 never enter the tableau.  All arithmetic is int/Fraction, never float.
 Entries stay plain ints as long as pivots are +-1, which they usually are
-for the near-unimodular systems this package builds.
+for near-unimodular systems.
 
 An infeasible outcome carries one multiplier per input row.  The sign
 convention: multipliers are >= 0 on ``>=`` rows, <= 0 on ``<=`` rows and

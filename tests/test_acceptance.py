@@ -24,6 +24,13 @@ from schubvanish import vanishing as vn
 from schubvanish.refsuite import SUPPORT_21543, THETA_21543
 from schubvanish.vanishing import Outcome
 
+# A vanishing symmetric triple at rank 23, above the old subset-scan cap.
+RANK_23_VANISHING = (
+    "11 6 4 3 2 15 8 10 12 1 5 22 18 16 13 7 23 21 9 17 20 19 14",
+    "7 5 9 4 6 12 1 11 3 2 17 19 10 16 15 18 8 13 23 22 14 21 20",
+    "9 15 8 7 18 6 4 2 1 16 23 14 5 13 12 3 22 21 20 19 17 11 10",
+)
+
 S5_SAMPLE_SIZE = 500
 S5_SEED = 20250811
 
@@ -47,6 +54,11 @@ class SweepRow:
     cert_count: int = 0
 
 
+def _replays(cert, d, alpha):
+    """A subset certificate whose two sides recompute from scratch via theta."""
+    return isinstance(cert, sb.InfeasibleSubset) and cert.validate(d, alpha)
+
+
 def _evaluate_triple(u, v, w):
     """All five verdicts plus the oracle for one ordered symmetric triple."""
     n = len(u)
@@ -62,12 +74,12 @@ def _evaluate_triple(u, v, w):
     certificates_ok = True
     if sym.outcome is Outcome.VANISHES:
         d = pc.concat_diagrams([pc.rothe_diagram(x) for x in (u, v, w)])
-        certificates_ok &= sym.certificate.validate(d, vn.staircase(n))
+        certificates_ok &= _replays(sym.certificate, d, vn.staircase(n))
         cert_count += 1
     if asym.outcome is Outcome.VANISHES:
         d = pc.concat_diagrams([pc.rothe_diagram(x) for x in (u, v)])
         target = pc.multiply(longest, w)
-        certificates_ok &= asym.certificate.validate(d, pc.code(target))
+        certificates_ok &= _replays(asym.certificate, d, pc.code(target))
         cert_count += 1
     return SweepRow(
         (u, v, w), sym, asym, bruhat, dc, root, oracle,
@@ -136,22 +148,27 @@ def test_criterion_02_polytope_data_of_21543():
     ) and sb.theta(d, (1, 2, 3, 4, 5)) == 4 == d.cell_count
     ineqs = sb.SchubitopeInequalities(d)
     by_scan = {a for a in sp.compositions(4, 5) if ineqs.contains(a)}
-    by_lp = {
-        a
-        for a in sp.compositions(4, 5)
-        if isinstance(sb.lp_feasible(d, a), sb.FeasiblePoint)
-    }
+    by_flow = set()
+    evidence_ok = True
+    for a in sp.compositions(4, 5):
+        found = sb.filling_or_cut(d, a)
+        if isinstance(found, sb.Filling):
+            by_flow.add(a)
+            evidence_ok &= found.is_valid(a)
+        else:
+            evidence_ok &= found.validate(d, a)
     support = set(sp.support(sp.schubert_polynomial(w)))
     ok = (
         theta_ok
+        and evidence_ok
         and by_scan == SUPPORT_21543
-        and by_lp == SUPPORT_21543
+        and by_flow == SUPPORT_21543
         and support == SUPPORT_21543
     )
     report(
         "C2 polytope of 21543",
         ok,
-        f"13 lattice points two ways, 8 inequality values exact",
+        "13 lattice points by scan, flow and polynomial, 8 inequality values exact",
     )
 
 
@@ -203,8 +220,12 @@ def test_criterion_04_equivalence_triangle():
             cases += 1
             has_tab = bool(sb.enumerate_tab(d, alpha))
             member = ineqs.contains(alpha)
-            feasible = isinstance(sb.lp_feasible(d, alpha), sb.FeasiblePoint)
-            if not (has_tab == member == feasible):
+            found = sb.filling_or_cut(d, alpha)
+            if isinstance(found, sb.Filling):
+                feasible, evidence_ok = True, found.is_valid(alpha)
+            else:
+                feasible, evidence_ok = False, found.validate(d, alpha)
+            if not (has_tab == member == feasible and evidence_ok):
                 violations += 1
     report(
         "C4 equivalence triangle",
@@ -328,19 +349,24 @@ def test_criterion_08_code_complement_staircase_s7():
 def test_criterion_09_certificate_integrity(s4_sweep, s5_sweep):
     total = sum(row.cert_count for row in s4_sweep + s5_sweep)
     bad = [row.factors for row in s4_sweep + s5_sweep if not row.certificates_ok]
-    # plus the large pinned instances
+    # plus pinned instances, two of them above the old 22-row scan cap
     ws = tuple(pc.parse_permutation(s) for s in ("3256147", "2143657", "4632175"))
     verdict = vn.symmetric_test(ws)
     d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
-    extra_ok = verdict.certificate.validate(d, vn.staircase(7))
-    farkas = sb.lp_feasible(d, vn.staircase(7))
-    extra_ok &= isinstance(farkas, sb.FarkasCertificate) and farkas.validate(
-        d, vn.staircase(7)
+    extra_ok = _replays(verdict.certificate, d, vn.staircase(7))
+    one_cell = pc.diagram([(1, 1)], 23, 1)
+    alpha = (0, 1) + (0,) * 21
+    extra_ok &= _replays(vn.vanishing_certificate(one_cell, alpha), one_cell, alpha)
+    big = tuple(pc.parse_permutation(s) for s in RANK_23_VANISHING)
+    verdict = vn.symmetric_test(big)
+    d = pc.concat_diagrams([pc.rothe_diagram(w) for w in big])
+    extra_ok &= verdict.outcome is Outcome.VANISHES and _replays(
+        verdict.certificate, d, vn.staircase(23)
     )
     report(
         "C9 certificate integrity",
         not bad and extra_ok and total > 0,
-        f"{total} sweep certificates + LP multipliers replayed",
+        f"{total} sweep certificates + 3 pinned ones (two at 23 rows) replayed",
     )
 
 

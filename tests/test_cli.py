@@ -18,8 +18,8 @@ BATCH = [
 
 def run(lines, **kwargs):
     options = cli.Options(**kwargs)
-    records, had_error = cli.run_batch(lines, options)
-    return records, had_error, options
+    records, code = cli.run_batch(lines, options)
+    return records, code, options
 
 
 def emit(records, options):
@@ -119,6 +119,42 @@ def test_error_records_and_continue():
     assert isinstance(records[2], cli.ResultRecord)
 
 
+RANK_13 = " ".join(str(i) for i in range(13, 0, -1))
+IDENTITY_13 = " ".join(str(i) for i in range(1, 14))
+MIXED_BATCH = [
+    "sym: 1423, 1423, 1423",
+    f"sym: {RANK_13}, {IDENTITY_13}, {IDENTITY_13}",
+]
+
+
+def test_failing_problem_becomes_one_error_record(tmp_path, capsys):
+    # the root game refuses rank 13; the rank-4 record must still come out
+    src = tmp_path / "mixed.txt"
+    src.write_text("\n".join(MIXED_BATCH) + "\n", encoding="utf-8")
+    rc = cli.main([str(src), "--stable", "--format=jsonlines", "--tests=schubitope,root_game"])
+    captured = capsys.readouterr()
+    first, second = [json.loads(line) for line in captured.out.splitlines()]
+    assert rc == 1
+    assert first["id"] == "L1"
+    assert first["verdicts"] == {"schubitope_symmetric": "VANISHES", "root_game": "VANISHES"}
+    assert second == {
+        "id": "L2", "line": 2, "error": "ValueError: filter enumeration capped at n = 12"
+    }
+    assert "Traceback" in captured.err
+    # a parse error alongside still gives exit code 2
+    src.write_text("\n".join(MIXED_BATCH + ["broken"]) + "\n", encoding="utf-8")
+    assert cli.main([str(src), "--stable", "--tests=schubitope,root_game"]) == 2
+    assert len(capsys.readouterr().out.strip().split("\n\n")) == 3
+
+
+@pytest.mark.parametrize("flag", ["--compress", "--jobs=2"])
+def test_removed_flags_are_unknown(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--stable", flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_json_round_trip():
     records, _, options = run(BATCH, stable=True, fmt="jsonlines")
     text = emit(records, options)
@@ -131,12 +167,6 @@ def test_stable_output_is_deterministic():
     records1, _, options = run(BATCH, stable=True, fmt="jsonlines", seed=7)
     records2, _, _ = run(BATCH, stable=True, fmt="jsonlines", seed=7)
     assert emit(records1, options) == emit(records2, options)
-
-
-def test_parallel_matches_serial():
-    serial, _, options = run(BATCH, stable=True, fmt="jsonlines")
-    parallel, _, _ = run(BATCH, stable=True, fmt="jsonlines", jobs=4)
-    assert emit(serial, options) == emit(parallel, options)
 
 
 def test_text_output_mentions_certificates():

@@ -1,6 +1,6 @@
 import doctest
 
-import schubvanish.exactlp
+import exactlp
 import schubvanish.gpermutahedron
 import schubvanish.permcore
 import schubvanish.schubitope
@@ -14,7 +14,7 @@ def test_module_doctests():
         schubvanish.schubpoly,
         schubvanish.schubitope,
         schubvanish.gpermutahedron,
-        schubvanish.exactlp,
+        exactlp,
     ):
         result = doctest.testmod(module)
         failures += result.failed

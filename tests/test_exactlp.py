@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubvanish import exactlp as lp
+import exactlp as lp
 
 
 def solve(nvars, upper, rows):

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import exactlp
 from schubvanish import permcore as pc
 from schubvanish import schubpoly as sp
 from schubvanish.gpermutahedron import (
     GPermutahedron,
     SubmodularFn,
     check_integer_decomposition,
-    is_hull_vertex,
     standard_permutahedron,
 )
 from schubvanish.schubitope import schubitope_gpermutahedron
@@ -22,6 +22,30 @@ SUPPORT_21543 = {
     (1, 1, 2, 0, 0), (1, 2, 1, 0, 0), (1, 2, 0, 1, 0), (1, 0, 2, 1, 0),
     (1, 1, 1, 1, 0),
 }
+
+
+def is_hull_vertex(point, points):
+    """True if point is a vertex of the convex hull of points (exact test).
+
+    Decides whether point lies in the convex hull of the other points via
+    exact LP feasibility.
+    """
+    others = [tuple(q) for q in points if tuple(q) != tuple(point)]
+    if not others:
+        return True
+    dim = len(point)
+    nvars = len(others)
+    rows = [
+        exactlp.LinearRow(
+            tuple((k, others[k][i]) for k in range(nvars)), exactlp.EQ, point[i]
+        )
+        for i in range(dim)
+    ]
+    rows.append(
+        exactlp.LinearRow(tuple((k, 1) for k in range(nvars)), exactlp.EQ, 1)
+    )
+    res = exactlp.solve_feasibility(nvars, [1] * nvars, rows)
+    return isinstance(res, exactlp.InfeasibleResult)
 
 
 @st.composite

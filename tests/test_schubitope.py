@@ -73,11 +73,23 @@ def test_membership_examples():
     empty = pc.diagram([], 5, 5)
     ok, cert = sb.schubitope_membership(empty, (0, 0, 0, 0, 0))
     assert ok and cert is None
-    # degree failure alone yields no subset witness
-    ok, cert = sb.schubitope_membership(empty, (0,) * 4 + (0,))
-    assert ok
-    ok, cert = sb.schubitope_membership(d, (1, 1, 0, 0, 0))
-    assert not ok and cert is None
+    # above the old 22-row scan cap the flow still decides
+    wide = pc.diagram([(1, 1)], 23, 1)
+    ok, cert = sb.schubitope_membership(wide, (0, 1) + (0,) * 21)
+    assert not ok and cert == sb.InfeasibleSubset((2,), 1, 0)
+    assert sb.schubitope_membership(wide, (1,) + (0,) * 22) == (True, None)
+
+
+def test_membership_degree_edge_cases():
+    # a failed degree equality alone yields no subset witness, on either side
+    d = pc.rothe_diagram((2, 1, 5, 4, 3))
+    assert d.cell_count == 4
+    assert sb.schubitope_membership(d, (1, 1, 0, 0, 0)) == (False, None)
+    assert sb.schubitope_membership(d, (3, 1, 1, 0, 0)) == (False, None)
+    # also when a proper subset inequality fails too: {1} gives 5 > 3
+    assert sb.schubitope_membership(d, (5, 0, 0, 0, 0)) == (False, None)
+    empty = pc.diagram([], 5, 5)
+    assert sb.schubitope_membership(empty, (0, 0, 1, 0, 0)) == (False, None)
 
 
 def test_membership_guards():
@@ -114,93 +126,78 @@ def test_enumerate_tab_seven_letter_emptiness():
     assert sb.enumerate_tab(d, (6, 5, 4, 3, 2, 1, 0)) == []
 
 
-def test_filling_round_trip_to_relaxation_point():
-    d = pc.rothe_diagram((2, 1, 5, 4, 3))
-    alpha = (1, 0, 2, 1, 0)
-    fillings = sb.enumerate_tab(d, alpha)
-    assert fillings
-    for f in fillings:
-        assert f.is_valid(alpha)
-        matrix = sb.filling_to_relaxation_point(f)
-        assert all(v in (0, 1) for row in matrix for v in row)
-        assert sb.relaxation_point_valid(matrix, d, alpha)
-    # distinct fillings give distinct matrices (the map is injective)
-    matrices = {sb.filling_to_relaxation_point(f) for f in fillings}
-    assert len(matrices) == len(fillings)
-
-
-def test_relaxation_point_of_empty_filling():
-    empty = pc.diagram([], 2, 3)
-    f = sb.Filling.from_dict(empty, {})
-    assert sb.filling_to_relaxation_point(f) == ((0, 0, 0), (0, 0, 0))
-
-
 def test_lp_feasible_trivial_and_degree_guard():
+    # the max-flow decides the relaxation LP, whose polytope is integral
     empty = pc.diagram([], 3, 2)
-    res = sb.lp_feasible(empty, (0, 0, 0))
-    assert isinstance(res, sb.FeasiblePoint)
-    assert all(v == 0 for row in res.matrix for v in row)
+    res = sb.filling_or_cut(empty, (0, 0, 0))
+    assert isinstance(res, sb.Filling) and res.labels == ()
     with pytest.raises(sb.DegreeMismatchError):
-        sb.lp_feasible(empty, (1, 0, 0))
+        sb.filling_or_cut(empty, (1, 0, 0))
     with pytest.raises(ValueError):
-        sb.lp_feasible(empty, (0, 0))
-
-
-def test_lp_seven_letter_infeasible_with_farkas():
-    d = seven_letter_diagram()
-    alpha = (6, 5, 4, 3, 2, 1, 0)
-    res = sb.lp_feasible(d, alpha)
-    assert isinstance(res, sb.FarkasCertificate)
-    assert res.validate(d, alpha)
-    compressed = sb.lp_feasible(d, alpha, compress=True)
-    assert isinstance(compressed, sb.FarkasCertificate)
-    assert compressed.validate(d, alpha)
+        sb.filling_or_cut(empty, (0, 0))
+    with pytest.raises(ValueError):
+        sb.filling_or_cut(empty, (1, -1, 0))
 
 
 def test_lp_feasible_member():
     d = pc.rothe_diagram((2, 1, 5, 4, 3))
-    res = sb.lp_feasible(d, (3, 1, 0, 0, 0))
-    assert isinstance(res, sb.FeasiblePoint)
-    assert res.validate(d, (3, 1, 0, 0, 0))
-    assert sb.enumerate_tab(d, (3, 1, 0, 0, 0))
+    res = sb.filling_or_cut(d, (3, 1, 0, 0, 0))
+    assert isinstance(res, sb.Filling)
+    assert res.is_valid((3, 1, 0, 0, 0))
+    assert res in sb.enumerate_tab(d, (3, 1, 0, 0, 0))
+
+
+def test_flow_seven_letter_cut():
+    d = seven_letter_diagram()
+    alpha = (6, 5, 4, 3, 2, 1, 0)
+    res = sb.filling_or_cut(d, alpha)
+    assert isinstance(res, sb.InfeasibleSubset)
+    assert res.validate(d, alpha)
+    # the cut is the unique inclusion-minimal most violated subset
+    ineqs = sb.SchubitopeInequalities(d)
+    excess = {
+        rows: sum(alpha[i - 1] for i in rows) - ineqs.table[sum(1 << (i - 1) for i in rows)]
+        for k in range(8)
+        for rows in itertools.combinations(range(1, 8), k)
+    }
+    best = max(excess.values())
+    assert excess[res.rows] == best
+    assert all(set(res.rows) <= set(rows) for rows, v in excess.items() if v == best)
+
+
+def assert_flow_agrees(d, alpha, ineqs):
+    """The flow agrees with the subset scan and returns checkable evidence."""
+    res = sb.filling_or_cut(d, alpha)
+    member = ineqs.contains(alpha)
+    if isinstance(res, sb.Filling):
+        assert member and res.is_valid(alpha), (d, alpha)
+    else:
+        assert not member and res.validate(d, alpha), (d, alpha, res)
+    return member
 
 
 def test_equivalence_triangle_s3():
-    # filling enumeration, subset inequalities and the LP agree everywhere
+    # filling enumeration, subset inequalities and the flow agree everywhere
     for w in pc.all_perms(3):
         d = pc.rothe_diagram(w)
         ineqs = sb.SchubitopeInequalities(d)
         for alpha in sp.compositions(pc.length(w), 3):
             has_tab = bool(sb.enumerate_tab(d, alpha))
-            member = ineqs.contains(alpha)
-            feasible = isinstance(
-                sb.lp_feasible(d, alpha), sb.FeasiblePoint
-            )
-            assert has_tab == member == feasible, (w, alpha)
-
-
-def test_compress_decisions_identical():
-    perms = pc.all_perms(3)
-    for u, v in itertools.product(perms, perms):
-        d = pc.concat_diagrams([pc.rothe_diagram(u), pc.rothe_diagram(v)])
-        total = d.cell_count
-        for alpha in sp.compositions(total, 3):
-            plain = isinstance(sb.lp_feasible(d, alpha), sb.FeasiblePoint)
-            packed = isinstance(
-                sb.lp_feasible(d, alpha, compress=True), sb.FeasiblePoint
-            )
-            assert plain == packed, (u, v, alpha)
+            assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
 
 def test_feasible_points_admit_integral_fillings():
-    # whenever the LP is feasible at matching degree, an integral filling
-    # exists as well (no rounding gap)
+    # every filling the flow returns is one of the enumerated fillings, and
+    # the flow finds one whenever the enumeration does
     for w in pc.all_perms(4):
         d = pc.rothe_diagram(w)
         for alpha in sp.compositions(pc.length(w), 4):
-            res = sb.lp_feasible(d, alpha)
-            if isinstance(res, sb.FeasiblePoint):
-                assert sb.enumerate_tab(d, alpha), (w, alpha)
+            res = sb.filling_or_cut(d, alpha)
+            fillings = sb.enumerate_tab(d, alpha)
+            if isinstance(res, sb.Filling):
+                assert res in fillings, (w, alpha)
+            else:
+                assert not fillings, (w, alpha)
 
 
 def test_schubitope_gpermutahedron_total():
@@ -221,9 +218,7 @@ def test_equivalence_triangle_sampled_rank5():
         ineqs = sb.SchubitopeInequalities(d)
         alpha = rng.choice(list(sp.compositions(pc.length(w), 5)))
         has_tab = bool(sb.enumerate_tab(d, alpha))
-        member = ineqs.contains(alpha)
-        feasible = isinstance(sb.lp_feasible(d, alpha), sb.FeasiblePoint)
-        assert has_tab == member == feasible, (w, alpha)
+        assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
 
 def test_lp_matches_scan_on_random_concatenations():
@@ -238,13 +233,7 @@ def test_lp_matches_scan_on_random_concatenations():
         alpha = rng.choice(
             list(sp.compositions(pc.length(u) + pc.length(v), 4))
         )
-        member = ineqs.contains(alpha)
-        res = sb.lp_feasible(d, alpha)
-        assert member == isinstance(res, sb.FeasiblePoint), (u, v, alpha)
-        if isinstance(res, sb.FeasiblePoint):
-            assert res.validate(d, alpha)
-        else:
-            assert res.validate(d, alpha)
+        assert_flow_agrees(d, alpha, ineqs)
 
 
 def test_certificate_validation_rejects_tampering():
@@ -257,3 +246,54 @@ def test_certificate_validation_rejects_tampering():
     assert not sb.InfeasibleSubset((2,), 4, 3).validate(d, alpha)  # wrong rows
     assert not sb.InfeasibleSubset((1, 1), 8, 3).validate(d, alpha)  # dupes
     assert not sb.InfeasibleSubset((9,), 4, 3).validate(d, alpha)  # range
+
+
+def replay_with_exactlp(d, alpha, cert):
+    """Replay the multipliers on the relaxation system built independently."""
+    import exactlp
+
+    n = d.n_rows
+    var = {(i, j): k for k, (i, j) in enumerate(
+        (i, j) for j in range(1, d.n_cols + 1) for i in range(1, n + 1))}
+    rows = [exactlp.LinearRow(tuple((var[(i, j)], 1) for j in range(1, d.n_cols + 1)),
+                              exactlp.EQ, alpha[i - 1]) for i in range(1, n + 1)]
+    y = list(cert.content)
+    weight = dict(cert.prefix)
+    for j in range(1, d.n_cols + 1):
+        for t, s in enumerate(d.column_cells(j), start=1):
+            rows.append(exactlp.LinearRow(tuple((var[(i, j)], 1) for i in range(1, s + 1)),
+                                          exactlp.GE, t))
+            y.append(weight.get((s, j), 0))
+    return exactlp.verify_infeasibility_certificate(len(var), [1] * len(var), rows, y)
+
+
+def test_lp_feasible_farkas_multipliers_replay():
+    import random
+    from dataclasses import replace
+
+    rng = random.Random(31)
+    perms = pc.all_perms(4)
+    infeasible = 0
+    for _ in range(150):
+        u, v = rng.choice(perms), rng.choice(perms)
+        d = pc.concat_diagrams([pc.rothe_diagram(u), pc.rothe_diagram(v)])
+        alpha = rng.choice(list(sp.compositions(d.cell_count, 4)))
+        res = sb.lp_feasible(d, alpha)
+        if isinstance(res, sb.Filling):
+            assert res.is_valid(alpha)
+            continue
+        infeasible += 1
+        assert isinstance(res, sb.FarkasCertificate)
+        assert res.validate(d, alpha), (d, alpha, res)
+        assert replay_with_exactlp(d, alpha, res)
+        # the row-by-row filling is a point, so no certificate may refute it
+        assert not res.validate(d, d.row_counts())
+        dropped = d.nonempty_columns()[0]
+        kept = tuple(j for j in res.columns if j != dropped)
+        assert not replace(res, columns=kept).validate(d, alpha)
+        assert not replace(res, content=res.content[1:]).validate(d, alpha)
+        if res.prefix:
+            (cell, mult), *rest = res.prefix
+            assert not replace(res, prefix=((cell, -mult), *rest)).validate(d, alpha)
+            assert not replace(res, prefix=(((99, cell[1]), mult), *rest)).validate(d, alpha)
+    assert infeasible > 20

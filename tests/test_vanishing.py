@@ -38,11 +38,12 @@ def test_symmetric_degree_guard():
 def test_symmetric_inconclusive_has_witness():
     verdict = vn.symmetric_test(perms("1234", "1234", "4321"))
     assert verdict.outcome is Outcome.INCONCLUSIVE
-    assert isinstance(verdict.witness, sb.FeasiblePoint)
+    assert isinstance(verdict.witness, sb.Filling)
     d = pc.concat_diagrams(
         [pc.rothe_diagram(w) for w in perms("1234", "1234", "4321")]
     )
-    assert verdict.witness.validate(d, (3, 2, 1, 0))
+    assert verdict.witness.diagram == d
+    assert verdict.witness.is_valid((3, 2, 1, 0))
 
 
 def test_asymmetric_examples():
@@ -205,13 +206,15 @@ def test_vanishing_certificate_feasible_instance_errors():
         vn.vanishing_certificate(d, (3, 1, 0, 0, 0))
 
 
-def test_vanishing_certificate_falls_back_to_lp_beyond_scan_limit():
-    # 23 rows exceed the subset-scan cap, so the LP multipliers come back
+def test_vanishing_certificate_beyond_scan_limit():
+    # 23 rows exceed the subset-scan cap; the min cut is still one subset
     d = pc.diagram([(1, 1)], 23, 1)
     alpha = (0, 1) + (0,) * 21
     cert = vn.vanishing_certificate(d, alpha)
-    assert isinstance(cert, sb.FarkasCertificate)
+    assert cert == sb.InfeasibleSubset((2,), 1, 0)
     assert cert.validate(d, alpha)
+    with pytest.raises(sb.DegreeMismatchError):
+        vn.vanishing_certificate(d, (0,) * 23)
 
 
 def test_flexible_pads_short_contents():
