@@ -13,7 +13,7 @@ raises while it is evaluated, becomes an error record at its position; every
 other record still prints.  Exit codes: 0 clean; 2 when any line failed to
 parse or the arguments or input file are bad; otherwise 1 when any problem
 raised while it was evaluated (an internal error or a limit of a selected
-test, such as the root game's rank cap).
+test, such as the size cap on a descent-cycling class).
 """
 
 from __future__ import annotations

@@ -99,7 +99,7 @@ def case_seven_letter_triple() -> list[str]:
         d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
         if not verdict.certificate.validate(d, vanishing.staircase(7)):
             failures.append("certificate failed to revalidate")
-    dc = rivals.dc_trivial(rivals.Triple(*ws))
+    dc = rivals.dc_trivial(ws)
     if dc:
         failures.append("triple unexpectedly has a common ascent")
     if schubpoly.intersection_number(ws) != 0:
@@ -205,7 +205,7 @@ def case_descent_cycling_and_root_game_win() -> list[str]:
     failures: list[str] = []
     u, v, w = pp("1423"), pp("1423"), pp("1342")
     t = rivals.Triple(u, v, w)
-    if not rivals.dc_trivial(t):
+    if not rivals.dc_trivial(t.factors):
         failures.append("triple should have a common ascent")
     _check_verdict("descent_cycling", rivals.dc_test(t), Outcome.VANISHES, failures)
     _check_verdict(
@@ -241,7 +241,7 @@ def case_class_of_nine() -> list[str]:
     t = rivals.Triple(*ws)
     cls = rivals.dc_class(t)
     found = frozenset(
-        tuple(permcore.format_permutation(x) for x in m.factors) for m in cls
+        tuple(permcore.format_permutation(x) for x in m) for m in cls
     )
     if found != DC_CLASS_OF_NINE:
         failures.append(f"dc class has {len(found)} members, expected the pinned 9")

@@ -16,6 +16,8 @@ from . import permcore
 from .permcore import Perm
 from .vanishing import Outcome, VanishingVerdict
 
+Factors = tuple[Perm, Perm, Perm]
+
 
 class ClassSizeExceeded(RuntimeError):
     """Descent-cycling closure grew past the configured cap."""
@@ -30,27 +32,24 @@ class Triple:
     w: Perm
 
     def __post_init__(self) -> None:
-        u, v, w = permcore.common_embed([self.u, self.v, self.w])
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "w", w)
-        n = len(u)
-        total = sum(map(permcore.length, (u, v, w)))
-        if total != n * (n - 1) // 2:
-            raise ValueError(
-                f"triple lengths sum to {total}, expected {n * (n - 1) // 2}"
-            )
+        embedded = _well_posed((self.u, self.v, self.w))
+        if embedded is None:
+            raise ValueError("triple lengths do not sum to n(n-1)/2")
+        object.__setattr__(self, "u", embedded[0])
+        object.__setattr__(self, "v", embedded[1])
+        object.__setattr__(self, "w", embedded[2])
 
     @property
     def n(self) -> int:
         return len(self.u)
 
     @property
-    def factors(self) -> tuple[Perm, Perm, Perm]:
+    def factors(self) -> Factors:
         return (self.u, self.v, self.w)
 
 
 def _well_posed(ws: Sequence[Perm]) -> Optional[list[Perm]]:
+    """The words embedded in a common S_n; None unless lengths sum to n(n-1)/2."""
     ws = permcore.common_embed(ws)
     n = len(ws[0]) if ws else 0
     if sum(permcore.length(w) for w in ws) != n * (n - 1) // 2:
@@ -88,51 +87,64 @@ def bruhat_vanishing_test(ws: Sequence[Perm]) -> VanishingVerdict:
     return VanishingVerdict(Outcome.INCONCLUSIVE, method)
 
 
-def dc_trivial(t: Triple) -> bool:
-    """True when some position is an ascent of u, v and w simultaneously."""
-    asc_u = set(permcore.ascents(t.u))
-    asc_v = set(permcore.ascents(t.v))
-    asc_w = set(permcore.ascents(t.w))
-    return bool(asc_u & asc_v & asc_w)
+def dc_trivial(factors: Factors) -> bool:
+    """True when some position is an ascent of u, v and w simultaneously.
+
+    The words must lie in a common S_n, as the factors of a Triple and the
+    members of its descent-cycling class do.
+    """
+    u, v, w = factors
+    return any(
+        u[i - 1] < u[i] and v[i - 1] < v[i] and w[i - 1] < w[i]
+        for i in range(1, len(u))
+    )
 
 
-def _dc_neighbors(t: Triple) -> Iterator[Triple]:
-    """All descent-cycling moves from t.
+def _swap(x: Perm, i: int) -> Perm:
+    """x * s_i: the entries at positions i and i + 1 exchanged."""
+    return x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
+
+
+def _dc_neighbors(factors: Factors) -> Iterator[Factors]:
+    """All descent-cycling moves from a factor tuple.
 
     For each position i, whenever exactly one of the three words has a
     descent at i, the reflection s_i may be shuffled between that word and
-    either of the other two; the intersection number is preserved.
+    either of the other two; the intersection number and the total length
+    are preserved, so the neighbours need no revalidation.
     """
-    u, v, w = t.u, t.v, t.w
-    for i in range(1, t.n):
+    u, v, w = factors
+    for i in range(1, len(u)):
         du = u[i - 1] > u[i]
         dv = v[i - 1] > v[i]
         dw = w[i - 1] > w[i]
-        us = permcore.right_mult_s(u, i)
-        vs = permcore.right_mult_s(v, i)
-        ws = permcore.right_mult_s(w, i)
-        if not du and not dv and dw:
-            yield Triple(us, v, ws)
-            yield Triple(u, vs, ws)
-        elif du and not dv and not dw:
-            yield Triple(us, v, ws)
-            yield Triple(us, vs, w)
-        elif dv and not du and not dw:
-            yield Triple(u, vs, ws)
-            yield Triple(us, vs, w)
+        if du + dv + dw != 1:
+            continue
+        us, vs, ws = _swap(u, i), _swap(v, i), _swap(w, i)
+        if dw:
+            yield (us, v, ws)
+            yield (u, vs, ws)
+        elif du:
+            yield (us, v, ws)
+            yield (us, vs, w)
+        else:
+            yield (u, vs, ws)
+            yield (us, vs, w)
 
 
-def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Triple]:
-    """Closure of t under descent-cycling moves (breadth first).
+def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
+    """Factor tuples of the closure of t under descent-cycling moves.
 
-    Every member has the same intersection number.  Raises
-    ClassSizeExceeded beyond the cap.
+    Breadth first over raw (u, v, w) tuples, starting from t.factors; t was
+    validated when it was built, and every move keeps the words in S_n and
+    the total length, so no member is revalidated.  Every member has the
+    same intersection number.  Raises ClassSizeExceeded beyond the cap.
     """
-    seen = {t}
-    queue = deque([t])
+    start = t.factors
+    seen = {start}
+    queue = deque([start])
     while queue:
-        cur = queue.popleft()
-        for nxt in _dc_neighbors(cur):
+        for nxt in _dc_neighbors(queue.popleft()):
             if nxt not in seen:
                 if len(seen) >= cap:
                     raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
@@ -142,14 +154,17 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Triple]:
 
 
 def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
-    """Vanishes when some member of the closure has a common ascent."""
+    """Vanishes when some member of the closure has a common ascent.
+
+    Reports the first such member in sorted order of factor tuples.
+    """
     method = "descent_cycling"
     cls = dc_class(t, cap=cap)
-    for member in sorted(cls, key=lambda m: m.factors):
+    for member in sorted(cls):
         if dc_trivial(member):
             detail = (
                 "dc-trivial member "
-                + ",".join(permcore.format_permutation(x) for x in member.factors)
+                + ",".join(permcore.format_permutation(x) for x in member)
                 + f" in a class of {len(cls)}"
             )
             return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
@@ -193,7 +208,8 @@ def upper_order_filters(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     a' <= a and b <= b', with top element alpha_{1,n}.  A filter meets row a
     in a suffix {b : b >= cut_a}, and up-closure forces the cuts to be
     nondecreasing, so filters match lattice paths and are counted by the
-    Catalan numbers.  Emitted in lexicographic cut order.
+    Catalan numbers.  Emitted in lexicographic cut order.  is_doomed does
+    not scan them; this enumeration is the reference it is tested against.
     """
     if n < 2:
         yield frozenset()
@@ -221,17 +237,49 @@ def is_doomed(
 ) -> tuple[bool, Optional[frozenset[tuple[int, int]]]]:
     """Whether some upper order filter holds more tokens than its size.
 
-    Returns the first witness filter in enumeration order.  The filter
-    count is Catalan in n, so this refuses n > 12.
+    The roots alpha_{a,b} are ordered by containment of intervals, with top
+    element alpha_{1,n}.  An up-closed filter meets row a in a suffix
+    {b : b >= cut_a} with a + 1 <= cut_a <= n + 1, and up-closure forces
+    the cuts to be nondecreasing.  Row a contributes
+    gain_a(c) = sum over b >= c of (tokens(a, b) - 1) to the filter's excess
+    of tokens over size, so a dynamic program over rows from the bottom,
+    best_a(c) = max over c' >= max(c, a + 1) of gain_a(c') + best_{a+1}(c'),
+    finds the largest excess in O(n^2) steps; the position is doomed iff
+    best_1(2) > 0.  The witness is the filter whose cut sequence is
+    lexicographically first among the overloaded ones: row by row, the
+    smallest cut that can still be completed to a positive excess.
     """
-    if pos.n > 12:
-        raise ValueError("filter enumeration capped at n = 12")
+    n = pos.n
     tokens = pos.token_map()
-    for filt in upper_order_filters(pos.n):
-        inside = sum(tokens.get(root, 0) for root in filt)
-        if inside > len(filt):
-            return True, filt
-    return False, None
+    # gains[a][c] for rows a = 1..n-1 and cuts c = a+1..n+1 (other c unused)
+    gains = [[0] * (n + 2) for _ in range(n + 1)]
+    for a in range(1, n):
+        for c in range(n, a, -1):
+            gains[a][c] = gains[a][c + 1] + tokens.get((a, c), 0) - 1
+    # best[a][c] for c >= a: the largest excess of rows a..n-1 with
+    # cut_a >= max(c, a+1); an empty row (cut n+1) adds 0, and best[n] = 0
+    best = [[0] * (n + 2) for _ in range(n + 1)]
+    for a in range(n - 1, 0, -1):
+        row, below = best[a], best[a + 1]
+        for c in range(n, a, -1):
+            row[c] = max(row[c + 1], gains[a][c] + below[c])
+        row[a] = row[a + 1]
+    if n < 2 or best[1][2] <= 0:
+        return False, None
+    cuts: list[int] = []
+    total, lo = 0, 2
+    for a in range(1, n):
+        cut = next(
+            c
+            for c in range(max(lo, a + 1), n + 2)
+            if total + gains[a][c] + best[a + 1][c] > 0
+        )
+        cuts.append(cut)
+        total += gains[a][cut]
+        lo = cut
+    return True, frozenset(
+        (a, b) for a in range(1, n) for b in range(cuts[a - 1], n + 1)
+    )
 
 
 def root_game_test(ws: Sequence[Perm]) -> VanishingVerdict:

@@ -137,29 +137,41 @@ def flexible_test(
     exponent of an actual monomial of the target's polynomial; anything
     else would make the conclusion unsound and is rejected with ValueError.
     """
-    ws = permcore.common_embed(list(factors) + [target])
-    target_n = ws[-1]
-    ws = ws[:-1]
-    method = "flexible"
+    target_d, d = _flexible_diagrams(factors, target)
     alpha = tuple(alpha)
-    if len(alpha) < len(target_n):
-        alpha = alpha + (0,) * (len(target_n) - len(alpha))
-    if len(alpha) != len(target_n):
+    n = target_d.n_rows
+    if len(alpha) < n:
+        alpha = alpha + (0,) * (n - len(alpha))
+    if len(alpha) != n:
         raise ValueError("content vector length must match the embedded rank")
-    member, _ = schubitope.schubitope_membership(
-        permcore.rothe_diagram(target_n), alpha
-    )
+    return _flexible_verdict(target_d, d, alpha)
+
+
+def _flexible_diagrams(
+    factors: Sequence[Perm], target: Perm
+) -> tuple[Diagram, Diagram]:
+    """The target's Rothe diagram and the factors' concatenated one, in S_n."""
+    ws = permcore.common_embed(list(factors) + [target])
+    d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
+    return permcore.rothe_diagram(ws[-1]), d
+
+
+def _flexible_verdict(
+    target_d: Diagram, d: Diagram, alpha: tuple[int, ...]
+) -> VanishingVerdict:
+    """flexible_test for a content of full length, on prebuilt diagrams."""
+    method = "flexible"
+    member, _ = schubitope.schubitope_membership(target_d, alpha)
     if not member:
         raise ValueError(
             f"{alpha} is not in the target's Schubitope; the test would be unsound"
         )
-    if sum(permcore.length(w) for w in ws) != sum(alpha):
+    if d.cell_count != sum(alpha):
         return VanishingVerdict(
             Outcome.DEGREE_MISMATCH,
             method,
             detail="factor lengths do not sum to the content total",
         )
-    d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
     verdict = _verdict(d, alpha, method)
     return VanishingVerdict(
         verdict.outcome,
@@ -190,19 +202,17 @@ def vanishing_certificate(d: Diagram, alpha: Sequence[int]) -> InfeasibleSubset:
 
 
 def sample_schubitope_point(
-    w: Perm, rng: Optional[random.Random] = None
+    d: Diagram, rng: Optional[random.Random] = None
 ) -> tuple[int, ...]:
-    """The content of a random column-strict filling of the diagram of w.
+    """The content of a random column-strict, flag-bounded filling of d.
 
     Per column with cell rows r_1 < ... < r_z, picks labels
     x_1 < ... < x_z with x_t <= r_t; valid choices always exist because the
     rows are distinct positive integers (r_t >= t).  With rng=None the
-    smallest labels are taken, giving a deterministic point.  The result is
-    always a lattice point of the Schubitope of w.
+    smallest labels are taken, giving a deterministic point.  For the Rothe
+    diagram of w the result is always a lattice point of the Schubitope of w.
     """
-    d = permcore.rothe_diagram(w)
-    n = len(w)
-    counts = [0] * n
+    counts = [0] * d.n_rows
     for c in d.nonempty_columns():
         rows = d.column_cells(c)
         z = len(rows)
@@ -210,7 +220,7 @@ def sample_schubitope_point(
         for t in range(z - 2, -1, -1):
             caps[t] = min(caps[t], caps[t + 1] - 1)
         if any(cap < t + 1 for t, cap in enumerate(caps)):
-            raise RuntimeError(f"no admissible labels for column {c} of {w}")
+            raise RuntimeError(f"no admissible labels for column {c}")
         prev = 0
         for t in range(z):
             lo = prev + 1
@@ -230,21 +240,21 @@ def flexible_test_sampled(
     """Randomized driver: try the target's code, then sampled contents.
 
     Distinct sampled points only; returns the first Vanishes verdict, else
-    Inconclusive with the number of distinct contents tried.
+    Inconclusive with the number of distinct contents tried.  Both diagrams
+    are built once and shared by every content.
     """
-    ws = permcore.common_embed(list(factors) + [target])
-    target_n = ws[-1]
+    target_d, d = _flexible_diagrams(factors, target)
     rng = random.Random(seed)
     tried: set[tuple[int, ...]] = set()
-    candidates = [permcore.code(target_n)]
+    candidates = [target_d.row_counts()]
     for _ in range(samples):
-        candidates.append(sample_schubitope_point(target_n, rng))
+        candidates.append(sample_schubitope_point(target_d, rng))
     last: Optional[VanishingVerdict] = None
     for alpha in candidates:
         if alpha in tried:
             continue
         tried.add(alpha)
-        verdict = flexible_test(factors, target, alpha)
+        verdict = _flexible_verdict(target_d, d, alpha)
         if verdict.outcome is Outcome.DEGREE_MISMATCH:
             return verdict
         if verdict.outcome is Outcome.VANISHES:

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from schubvanish import cli
+from schubvanish import cli, rivals
 from schubvanish.vanishing import SchubertProblem
 
 BATCH = [
@@ -127,8 +127,23 @@ MIXED_BATCH = [
 ]
 
 
-def test_failing_problem_becomes_one_error_record(tmp_path, capsys):
-    # the root game refuses rank 13; the rank-4 record must still come out
+def test_root_game_has_no_rank_cap():
+    records, code, _ = run(MIXED_BATCH, tests=("schubitope", "root_game"), stable=True)
+    assert code == 0
+    # w0 puts one token on every root, so no filter is overloaded
+    assert records[1].verdicts["root_game"] == "INCONCLUSIVE"
+
+
+def test_failing_problem_becomes_one_error_record(tmp_path, capsys, monkeypatch):
+    # a rival that raises on the rank-13 line; the rank-4 record must still come out
+    root_game_test = rivals.root_game_test
+
+    def refuse_rank_13(ws):
+        if len(ws[0]) == 13:
+            raise ValueError("refused rank 13")
+        return root_game_test(ws)
+
+    monkeypatch.setattr(rivals, "root_game_test", refuse_rank_13)
     src = tmp_path / "mixed.txt"
     src.write_text("\n".join(MIXED_BATCH) + "\n", encoding="utf-8")
     rc = cli.main([str(src), "--stable", "--format=jsonlines", "--tests=schubitope,root_game"])
@@ -138,7 +153,7 @@ def test_failing_problem_becomes_one_error_record(tmp_path, capsys):
     assert first["id"] == "L1"
     assert first["verdicts"] == {"schubitope_symmetric": "VANISHES", "root_game": "VANISHES"}
     assert second == {
-        "id": "L2", "line": 2, "error": "ValueError: filter enumeration capped at n = 12"
+        "id": "L2", "line": 2, "error": "ValueError: refused rank 13"
     }
     assert "Traceback" in captured.err
     # a parse error alongside still gives exit code 2

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
@@ -11,6 +12,74 @@ from schubvanish.vanishing import Outcome
 
 def perm(text):
     return pc.parse_permutation(text)
+
+
+def well_posed_triples(n):
+    """Every ordered triple of S_n whose lengths sum to n(n-1)/2."""
+    perms = pc.all_perms(n)
+    top = n * (n - 1) // 2
+    return [
+        (u, v, w)
+        for u, v, w in itertools.product(perms, repeat=3)
+        if pc.length(u) + pc.length(v) + pc.length(w) == top
+    ]
+
+
+def reference_dc_class(t):
+    """Descent-cycling closure that builds and validates a Triple per neighbour."""
+
+    def neighbors(t):
+        u, v, w = t.factors
+        for i in range(1, t.n):
+            du, dv, dw = u[i - 1] > u[i], v[i - 1] > v[i], w[i - 1] > w[i]
+            us, vs, ws = (pc.right_mult_s(x, i) for x in (u, v, w))
+            if not du and not dv and dw:
+                yield from (rv.Triple(us, v, ws), rv.Triple(u, vs, ws))
+            elif du and not dv and not dw:
+                yield from (rv.Triple(us, v, ws), rv.Triple(us, vs, w))
+            elif dv and not du and not dw:
+                yield from (rv.Triple(u, vs, ws), rv.Triple(us, vs, w))
+
+    seen = {t}
+    queue = deque([t])
+    while queue:
+        for nxt in neighbors(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return seen
+
+
+def reference_dc_detail(cls):
+    """dc_test's detail string, from Triples and sets of ascents."""
+    for member in sorted(cls, key=lambda m: m.factors):
+        if set.intersection(*(set(pc.ascents(x)) for x in member.factors)):
+            words = ",".join(pc.format_permutation(x) for x in member.factors)
+            return f"dc-trivial member {words} in a class of {len(cls)}"
+    return f"class of {len(cls)}, none dc-trivial"
+
+
+def assert_dc_matches_reference(triples):
+    reference = {}
+    for factors in triples:
+        t = rv.Triple(*factors)
+        if t not in reference:
+            cls = reference_dc_class(t)
+            detail = reference_dc_detail(cls)
+            for member in cls:
+                reference[member] = (cls, detail)
+        cls, detail = reference[t]
+        assert rv.dc_class(t) == {m.factors for m in cls}, factors
+        assert rv.dc_test(t).detail == detail, factors
+
+
+def reference_is_doomed(pos):
+    """The first overloaded filter in enumeration order, by scanning them all."""
+    tokens = pos.token_map()
+    for filt in rv.upper_order_filters(pos.n):
+        if sum(tokens.get(root, 0) for root in filt) > len(filt):
+            return True, filt
+    return False, None
 
 
 def test_triple_construction():
@@ -45,21 +114,17 @@ def test_bruhat_soundness_exhaustive_s3():
 
 
 def test_dc_trivial_examples():
-    assert rv.dc_trivial(rv.Triple(perm("1423"), perm("1423"), perm("1342")))
-    assert not rv.dc_trivial(
-        rv.Triple(perm("3256147"), perm("2143657"), perm("4632175"))
-    )
+    assert rv.dc_trivial((perm("1423"), perm("1423"), perm("1342")))
+    assert not rv.dc_trivial((perm("3256147"), perm("2143657"), perm("4632175")))
     # common ascent impossible when one factor is the longest element
-    assert not rv.dc_trivial(
-        rv.Triple((1, 2, 3, 4), (1, 2, 3, 4), (4, 3, 2, 1))
-    )
+    assert not rv.dc_trivial(((1, 2, 3, 4), (1, 2, 3, 4), (4, 3, 2, 1)))
 
 
 def test_dc_class_of_nine():
     t = rv.Triple(perm("3216547"), perm("3216547"), perm("4261573"))
     cls = rv.dc_class(t)
     words = {
-        tuple(pc.format_permutation(x) for x in m.factors) for m in cls
+        tuple(pc.format_permutation(x) for x in m) for m in cls
     }
     assert words == {
         ("3216574", "3261547", "4216537"),
@@ -72,7 +137,7 @@ def test_dc_class_of_nine():
         ("3216547", "3261574", "4216537"),
         ("3216547", "3261547", "4216573"),
     }
-    assert t in cls
+    assert t.factors in cls
     assert rv.dc_test(t).outcome is Outcome.INCONCLUSIVE
 
 
@@ -80,7 +145,7 @@ def test_dc_class_from_any_member_is_the_same():
     t = rv.Triple(perm("3216547"), perm("3216547"), perm("4261573"))
     cls = rv.dc_class(t)
     for member in cls:
-        assert rv.dc_class(member) == cls
+        assert rv.dc_class(rv.Triple(*member)) == cls
 
 
 def test_dc_moves_are_reversible():
@@ -95,8 +160,8 @@ def test_dc_moves_are_reversible():
             continue
         t = rv.Triple(u, v, rng.choice(candidates))
         tried += 1
-        for neighbor in rv._dc_neighbors(t):
-            assert t in set(rv._dc_neighbors(neighbor))
+        for neighbor in rv._dc_neighbors(t.factors):
+            assert t.factors in set(rv._dc_neighbors(neighbor))
 
 
 def test_dc_class_without_trivial_member_in_s6():
@@ -181,8 +246,48 @@ def test_is_doomed_examples():
         (perm("3216547"), perm("3216547"), perm("1652473"))
     )
     assert rv.is_doomed(pos7) == (False, None)
-    with pytest.raises(ValueError):
-        rv.is_doomed(rv.RootGamePosition(13, ()))
+    # no rank cap: an empty board overloads no filter, while two tokens on
+    # the top root alpha_{1,13} overload the one-root filter {alpha_{1,13}}
+    assert rv.is_doomed(rv.RootGamePosition(13, ())) == (False, None)
+    assert rv.is_doomed(rv.RootGamePosition(13, (((1, 13), 2),))) == (
+        True,
+        frozenset({(1, 13)}),
+    )
+
+
+def perm_from_code(code):
+    free = list(range(1, len(code) + 1))
+    return tuple(free.pop(c) for c in code)
+
+
+def random_perm_of_length(rng, n, ell):
+    code = [0] * n
+    for _ in range(ell):
+        code[rng.choice([i for i in range(n) if code[i] < n - 1 - i])] += 1
+    return perm_from_code(code)
+
+
+def test_is_doomed_matches_filter_enumeration():
+    # well-posed triples and boards of 0/1 tokens with up to three 2s give
+    # both verdicts at every rank up to 9
+    rng = random.Random(11)
+    for n in range(10):
+        top = n * (n - 1) // 2
+        roots = [(a, b) for a in range(1, n) for b in range(a + 1, n + 1)]
+        for _ in range(30):
+            if rng.random() < 0.5:
+                first = rng.randint(0, top)
+                second = rng.randint(0, top - first)
+                lengths = (first, second, top - first - second)
+                pos = rv.root_game_initial(
+                    [random_perm_of_length(rng, n, ell) for ell in lengths]
+                )
+            else:
+                tokens = {r: rng.choice((0, 1)) for r in roots}
+                for r in rng.sample(roots, min(len(roots), rng.randint(0, 3))):
+                    tokens[r] = 2
+                pos = rv.RootGamePosition(n, tuple(sorted(tokens.items())))
+            assert rv.is_doomed(pos) == reference_is_doomed(pos), pos
 
 
 def test_root_game_test_verdicts():
@@ -200,6 +305,41 @@ def test_root_game_test_verdicts():
         rv.root_game_test(((1, 2, 3), (1, 3, 2))).outcome
         is Outcome.DEGREE_MISMATCH
     )
+
+
+@pytest.mark.parametrize("n", [13, 20])
+def test_root_game_verdicts_beyond_rank_12(n):
+    top = n * (n - 1) // 2
+    # one token on every root: each filter holds exactly its size
+    unit = (pc.w0(n), pc.identity(n), pc.identity(n))
+    assert rv.root_game_test(unit).outcome is Outcome.INCONCLUSIVE
+    # two n-cycles put two tokens on the top root alpha_{1,n}
+    cycle = tuple(range(2, n + 1)) + (1,)
+    rest = random_perm_of_length(random.Random(n), n, top - 2 * (n - 1))
+    verdict = rv.root_game_test((cycle, cycle, rest))
+    assert verdict.outcome is Outcome.VANISHES
+    doomed, witness = rv.is_doomed(rv.root_game_initial((cycle, cycle, rest)))
+    tokens = rv.root_game_initial((cycle, cycle, rest)).token_map()
+    assert doomed and sum(tokens.get(r, 0) for r in witness) > len(witness)
+    for a, b in witness:
+        assert a == 1 or (a - 1, b) in witness
+        assert b == n or (a, b + 1) in witness
+
+
+def test_dc_matches_reference_on_all_of_s4():
+    assert_dc_matches_reference(well_posed_triples(4))
+
+
+def test_dc_matches_reference_sampled_s5():
+    rng = random.Random(17)
+    perms5 = pc.all_perms(5)
+    triples = []
+    while len(triples) < 25:
+        u, v = rng.choice(perms5), rng.choice(perms5)
+        rest = [w for w in perms5 if pc.length(w) == 10 - pc.length(u) - pc.length(v)]
+        if rest:
+            triples.append((u, v, rng.choice(rest)))
+    assert_dc_matches_reference(triples)
 
 
 def test_rival_soundness_sampled_s5():

@@ -128,9 +128,9 @@ def test_flexible_trivial_nonvanishing():
 
 
 def test_sampler_identity_and_minimal():
-    assert vn.sample_schubitope_point((1, 2, 3, 4)) == (0, 0, 0, 0)
+    assert vn.sample_schubitope_point(pc.rothe_diagram((1, 2, 3, 4))) == (0, 0, 0, 0)
     w = pc.parse_permutation("21543")
-    alpha = vn.sample_schubitope_point(w)
+    alpha = vn.sample_schubitope_point(pc.rothe_diagram(w))
     assert sum(alpha) == 4
     ok, _ = sb.schubitope_membership(pc.rothe_diagram(w), alpha)
     assert ok
@@ -145,7 +145,7 @@ def test_sampler_choices_always_exist():
             for c in d.nonempty_columns():
                 rows = d.column_cells(c)
                 assert all(r >= t for t, r in enumerate(rows, start=1))
-            vn.sample_schubitope_point(w)
+            vn.sample_schubitope_point(d)
 
 
 def test_sampler_points_are_members():
@@ -153,7 +153,7 @@ def test_sampler_points_are_members():
     for w in (perms("35142")[0], perms("246135")[0], perms("4632175")[0]):
         d = pc.rothe_diagram(w)
         for _ in range(25):
-            alpha = vn.sample_schubitope_point(w, rng)
+            alpha = vn.sample_schubitope_point(d, rng)
             assert sum(alpha) == pc.length(w)
             ok, _ = sb.schubitope_membership(d, alpha)
             assert ok, (w, alpha)
@@ -164,10 +164,11 @@ def test_sampler_hits_only_the_three_monomials():
     allowed = {
         (3, 3, 0, 2, 0, 0), (3, 3, 1, 1, 0, 0), (3, 3, 2, 0, 0, 0),
     }
+    d = pc.rothe_diagram(w)
     rng = random.Random(0)
     seen = set()
     for _ in range(60):
-        alpha = vn.sample_schubitope_point(w, rng)
+        alpha = vn.sample_schubitope_point(d, rng)
         assert alpha in allowed
         seen.add(alpha)
     assert len(seen) == 3
@@ -187,6 +188,45 @@ def test_flexible_sampled_driver():
     )
     assert winner.outcome is Outcome.VANISHES
     assert winner.certificate is not None
+
+
+def reference_flexible_sampled(factors, target, samples, seed):
+    """The sampled driver as one flexible_test call per distinct content."""
+    n = max(len(w) for w in (*factors, target))
+    target_d = pc.rothe_diagram(pc.embed(target, n))
+    rng = random.Random(seed)
+    candidates = [pc.code(pc.embed(target, n))]
+    candidates += [vn.sample_schubitope_point(target_d, rng) for _ in range(samples)]
+    tried, last = [], None
+    for alpha in candidates:
+        if alpha in tried:
+            continue
+        tried.append(alpha)
+        last = vn.flexible_test(factors, target, alpha)
+        if last.outcome is not Outcome.INCONCLUSIVE:
+            return last
+    return vn.VanishingVerdict(
+        Outcome.INCONCLUSIVE,
+        "flexible",
+        witness=last.witness,
+        detail=f"{len(tried)} distinct contents tried",
+    )
+
+
+def test_flexible_sampled_matches_per_content_reference():
+    rng = random.Random(5)
+    perms5 = pc.all_perms(5)
+    outcomes = set()
+    for seed in range(40):
+        u, v = rng.choice(perms5), rng.choice(perms5)
+        targets = [
+            w for w in perms5 if pc.length(w) == pc.length(u) + pc.length(v)
+        ] or [pc.w0(5)]
+        target = rng.choice(targets)
+        got = vn.flexible_test_sampled((u, v), target, samples=6, seed=seed)
+        assert got == reference_flexible_sampled((u, v), target, 6, seed)
+        outcomes.add(got.outcome)
+    assert outcomes == set(Outcome)
 
 
 def test_vanishing_certificate_prefers_subset():
