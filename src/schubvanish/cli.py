@@ -353,7 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.selfcheck:
-            return 0 if refsuite.run_reference_report(sys.stdout) else 1
+            passed = refsuite.run_reference_report(sys.stdout, stable=args.stable)
+            return 0 if passed else 1
         options = options_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ loudly on any deviation; the acceptance tests reuse the same material.
 
 from __future__ import annotations
 
+import time
 from typing import Callable, TextIO
 
 from . import permcore, rivals, schubitope, schubpoly, vanishing
@@ -342,17 +343,22 @@ CASES: tuple[tuple[str, Callable[[], list[str]]], ...] = (
 )
 
 
-def run_reference_report(out: TextIO) -> bool:
-    """Run every pinned case; print one line each; True when all pass."""
+def run_reference_report(out: TextIO, stable: bool = False) -> bool:
+    """Run every pinned case; print one line each; True when all pass.
+
+    Each line ends with the case's wall time in ms, or 0 when stable.
+    """
     all_ok = True
     for name, fn in CASES:
+        start = time.perf_counter()
         failures = fn()
+        ms = 0 if stable else int((time.perf_counter() - start) * 1000)
         if failures:
             all_ok = False
-            out.write(f"FAIL {name}\n")
+            out.write(f"FAIL {name} {ms} ms\n")
             for msg in failures:
                 out.write(f"     {msg}\n")
         else:
-            out.write(f"ok   {name}\n")
+            out.write(f"ok   {name} {ms} ms\n")
     out.write("reference suite: " + ("all cases pass\n" if all_ok else "FAILURES\n"))
     return all_ok

@@ -8,7 +8,6 @@ verdicts as the main tests.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -105,52 +104,80 @@ def _swap(x: Perm, i: int) -> Perm:
     return x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
 
 
-def _dc_neighbors(factors: Factors) -> Iterator[Factors]:
-    """All descent-cycling moves from a factor tuple.
-
-    For each position i, whenever exactly one of the three words has a
-    descent at i, the reflection s_i may be shuffled between that word and
-    either of the other two; the intersection number and the total length
-    are preserved, so the neighbours need no revalidation.
-    """
-    u, v, w = factors
-    for i in range(1, len(u)):
-        du = u[i - 1] > u[i]
-        dv = v[i - 1] > v[i]
-        dw = w[i - 1] > w[i]
-        if du + dv + dw != 1:
-            continue
-        us, vs, ws = _swap(u, i), _swap(v, i), _swap(w, i)
-        if dw:
-            yield (us, v, ws)
-            yield (u, vs, ws)
-        elif du:
-            yield (us, v, ws)
-            yield (us, vs, w)
-        else:
-            yield (u, vs, ws)
-            yield (us, vs, w)
+def _mask(positions: Sequence[int]) -> int:
+    """The bitmask with bit i set for each position i."""
+    return sum(1 << i for i in positions)
 
 
 def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
     """Factor tuples of the closure of t under descent-cycling moves.
 
-    Breadth first over raw (u, v, w) tuples, starting from t.factors; t was
-    validated when it was built, and every move keeps the words in S_n and
-    the total length, so no member is revalidated.  Every member has the
-    same intersection number.  Raises ClassSizeExceeded beyond the cap.
+    At a position i where exactly one of u, v, w has a descent, the
+    reflection s_i may be shuffled between that word and either of the other
+    two.  Every move keeps the words in S_n and the total length, so members
+    are never revalidated, and every member has the same intersection number.
+
+    The words met are numbered as they appear; per number the closure keeps
+    the descent bitmask and a lazily filled row of the numbers of x * s_i,
+    so a member is a triple of small ints and a move costs a few integer
+    operations.  The members are turned back into permutations at the end.
+    Raises ClassSizeExceeded when the class has more than cap members.
     """
-    start = t.factors
+    n = t.n
+    ids: dict[Perm, int] = {}
+    perms: list[Perm] = []
+    descents: list[int] = []
+    rows: list[list[int]] = []  # rows[k][i]: number of perms[k] * s_i, or -1
+
+    def number(x: Perm) -> int:
+        k = ids.get(x)
+        if k is None:
+            k = ids[x] = len(perms)
+            perms.append(x)
+            descents.append(_mask(permcore.descents(x)))
+            rows.append([-1] * n)
+        return k
+
+    def swapped(k: int, i: int) -> int:
+        s = rows[k][i] = number(_swap(perms[k], i))
+        return s
+
+    start = tuple(number(x) for x in t.factors)
     seen = {start}
-    queue = deque([start])
-    while queue:
-        for nxt in _dc_neighbors(queue.popleft()):
-            if nxt not in seen:
-                if len(seen) >= cap:
-                    raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset(seen)
+    stack = [start]
+    while stack:
+        a, b, c = stack.pop()
+        da, db, dc = descents[a], descents[b], descents[c]
+        moves = (da ^ db ^ dc) & ~(da & db & dc)
+        while moves:
+            low = moves & -moves
+            moves ^= low
+            i = low.bit_length() - 1
+            sa = rows[a][i]
+            if sa < 0:
+                sa = swapped(a, i)
+            sb = rows[b][i]
+            if sb < 0:
+                sb = swapped(b, i)
+            sc = rows[c][i]
+            if sc < 0:
+                sc = swapped(c, i)
+            # s_i moves between the word with the descent and either other
+            if dc & low:
+                x, y = (sa, b, sc), (a, sb, sc)
+            elif da & low:
+                x, y = (sa, b, sc), (sa, sb, c)
+            else:
+                x, y = (a, sb, sc), (sa, sb, c)
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+        if len(seen) > cap:
+            raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
+    return frozenset((perms[a], perms[b], perms[c]) for a, b, c in seen)
 
 
 def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
@@ -160,14 +187,25 @@ def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     """
     method = "descent_cycling"
     cls = dc_class(t, cap=cap)
-    for member in sorted(cls):
-        if dc_trivial(member):
-            detail = (
-                "dc-trivial member "
-                + ",".join(permcore.format_permutation(x) for x in member)
-                + f" in a class of {len(cls)}"
-            )
-            return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
+    ascents: dict[Perm, int] = {}
+
+    def ascent_mask(x: Perm) -> int:
+        m = ascents.get(x)
+        if m is None:
+            m = ascents[x] = _mask(permcore.ascents(x))
+        return m
+
+    first = min(
+        (m for m in cls if ascent_mask(m[0]) & ascent_mask(m[1]) & ascent_mask(m[2])),
+        default=None,
+    )
+    if first is not None:
+        detail = (
+            "dc-trivial member "
+            + ",".join(permcore.format_permutation(x) for x in first)
+            + f" in a class of {len(cls)}"
+        )
+        return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
     return VanishingVerdict(
         Outcome.INCONCLUSIVE, method, detail=f"class of {len(cls)}, none dc-trivial"
     )

@@ -1,9 +1,11 @@
 import io
 import json
+import re
+import time
 
 import pytest
 
-from schubvanish import cli, rivals
+from schubvanish import cli, refsuite, rivals
 from schubvanish.vanishing import SchubertProblem
 
 BATCH = [
@@ -214,8 +216,30 @@ def test_main_with_files(tmp_path, capsys):
     assert rc == 2
 
 
-def test_main_selfcheck(capsys):
+def test_main_selfcheck(capsys, monkeypatch):
     rc = cli.main(["--selfcheck"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "all cases pass" in out
+    lines = out.splitlines()
+    assert len(lines) == len(refsuite.CASES) + 1
+    assert all(re.fullmatch(r"ok   \w+ \d+ ms", line) for line in lines[:-1])
+    # --stable zeroes every case time, so two runs print the same bytes
+    assert cli.main(["--selfcheck", "--stable"]) == 0
+    stable = capsys.readouterr().out
+    assert cli.main(["--selfcheck", "--stable"]) == 0
+    assert capsys.readouterr().out == stable
+    assert stable == re.sub(r"\d+ ms", "0 ms", out)
+
+    def slow_failure():
+        time.sleep(0.03)
+        return ["pinned failure"]
+
+    monkeypatch.setattr(refsuite, "CASES", (("slow", slow_failure),))
+    assert cli.main(["--selfcheck"]) == 1
+    head, message, summary = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"FAIL slow \d+ ms", head) and int(head.split()[2]) >= 30
+    assert message == "     pinned failure"
+    assert summary == "reference suite: FAILURES"
+    assert cli.main(["--selfcheck", "--stable"]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "FAIL slow 0 ms"

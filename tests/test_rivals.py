@@ -25,26 +25,29 @@ def well_posed_triples(n):
     ]
 
 
-def reference_dc_class(t):
-    """Descent-cycling closure that builds and validates a Triple per neighbour."""
+def reference_dc_neighbors(t):
+    """Descent-cycling moves from t, each neighbour built as a validated Triple."""
+    u, v, w = t.factors
+    for i in range(1, t.n):
+        du, dv, dw = u[i - 1] > u[i], v[i - 1] > v[i], w[i - 1] > w[i]
+        us, vs, ws = (pc.right_mult_s(x, i) for x in (u, v, w))
+        if not du and not dv and dw:
+            yield from (rv.Triple(us, v, ws), rv.Triple(u, vs, ws))
+        elif du and not dv and not dw:
+            yield from (rv.Triple(us, v, ws), rv.Triple(us, vs, w))
+        elif dv and not du and not dw:
+            yield from (rv.Triple(u, vs, ws), rv.Triple(us, vs, w))
 
-    def neighbors(t):
-        u, v, w = t.factors
-        for i in range(1, t.n):
-            du, dv, dw = u[i - 1] > u[i], v[i - 1] > v[i], w[i - 1] > w[i]
-            us, vs, ws = (pc.right_mult_s(x, i) for x in (u, v, w))
-            if not du and not dv and dw:
-                yield from (rv.Triple(us, v, ws), rv.Triple(u, vs, ws))
-            elif du and not dv and not dw:
-                yield from (rv.Triple(us, v, ws), rv.Triple(us, vs, w))
-            elif dv and not du and not dw:
-                yield from (rv.Triple(u, vs, ws), rv.Triple(us, vs, w))
 
+def reference_dc_class(t, cap=None):
+    """Breadth-first closure of t over Triples; None once it passes cap members."""
     seen = {t}
     queue = deque([t])
     while queue:
-        for nxt in neighbors(queue.popleft()):
+        for nxt in reference_dc_neighbors(queue.popleft()):
             if nxt not in seen:
+                if cap is not None and len(seen) >= cap:
+                    return None
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
@@ -59,18 +62,28 @@ def reference_dc_detail(cls):
     return f"class of {len(cls)}, none dc-trivial"
 
 
-def assert_dc_matches_reference(triples):
+def assert_dc_matches_reference(triples, cap=None):
+    """dc_class and dc_test agree with the references on each triple.
+
+    Triples whose reference class has more than cap members are skipped.
+    Returns the sizes of the distinct classes checked.
+    """
     reference = {}
+    sizes = []
     for factors in triples:
         t = rv.Triple(*factors)
         if t not in reference:
-            cls = reference_dc_class(t)
+            cls = reference_dc_class(t, cap)
+            if cls is None:
+                continue
             detail = reference_dc_detail(cls)
             for member in cls:
                 reference[member] = (cls, detail)
+            sizes.append(len(cls))
         cls, detail = reference[t]
         assert rv.dc_class(t) == {m.factors for m in cls}, factors
         assert rv.dc_test(t).detail == detail, factors
+    return sizes
 
 
 def reference_is_doomed(pos):
@@ -160,8 +173,8 @@ def test_dc_moves_are_reversible():
             continue
         t = rv.Triple(u, v, rng.choice(candidates))
         tried += 1
-        for neighbor in rv._dc_neighbors(t.factors):
-            assert t.factors in set(rv._dc_neighbors(neighbor))
+        for neighbor in reference_dc_neighbors(t):
+            assert t in set(reference_dc_neighbors(neighbor))
 
 
 def test_dc_class_without_trivial_member_in_s6():
@@ -181,6 +194,23 @@ def test_dc_test_vanishing_and_cap():
     assert "dc-trivial member" in verdict.detail
     with pytest.raises(rv.ClassSizeExceeded):
         rv.dc_class(rv.Triple(perm("3216547"), perm("3216547"), perm("4261573")), cap=3)
+
+
+@pytest.mark.parametrize(
+    "words",
+    [("3216547", "3216547", "4261573"), ("2143", "1342", "1423")],
+)
+def test_dc_cap_boundary(words):
+    # cap counts members: a class of exactly cap members is returned whole
+    t = rv.Triple(*(perm(w) for w in words))
+    cls = rv.dc_class(t)
+    assert len(cls) > 1
+    assert rv.dc_class(t, cap=len(cls)) == cls
+    assert rv.dc_test(t, cap=len(cls)) == rv.dc_test(t)
+    with pytest.raises(rv.ClassSizeExceeded):
+        rv.dc_class(t, cap=len(cls) - 1)
+    with pytest.raises(rv.ClassSizeExceeded):
+        rv.dc_test(t, cap=len(cls) - 1)
 
 
 def test_root_game_initial_positions():
@@ -340,6 +370,21 @@ def test_dc_matches_reference_sampled_s5():
         if rest:
             triples.append((u, v, rng.choice(rest)))
     assert_dc_matches_reference(triples)
+
+
+def test_dc_matches_reference_sampled_s6():
+    # S6 classes run past 10^5 members; the Triple-per-neighbour reference
+    # is kept to those of at most 2000
+    rng = random.Random(23)
+    perms6 = pc.all_perms(6)
+    triples = []
+    while len(triples) < 40:
+        u, v = rng.choice(perms6), rng.choice(perms6)
+        rest = [w for w in perms6 if pc.length(w) == 15 - pc.length(u) - pc.length(v)]
+        if rest:
+            triples.append((u, v, rng.choice(rest)))
+    sizes = assert_dc_matches_reference(triples, cap=2000)
+    assert len(sizes) >= 20 and max(sizes) > 300
 
 
 def test_rival_soundness_sampled_s5():
