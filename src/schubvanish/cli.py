@@ -19,16 +19,18 @@ test, such as the size cap on a descent-cycling class).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
-import traceback
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, TextIO
+from typing import NamedTuple, Optional, Sequence, TextIO
 
-from . import permcore, refsuite, rivals, schubpoly, vanishing
-from .schubitope import FarkasCertificate, InfeasibleSubset
+from . import permcore, rivals, vanishing
+from .schubitope import InfeasibleSubset
 from .vanishing import Outcome, SchubertProblem, VanishingVerdict
+
+# Every batch is a fresh process, so this module imports only what a batch
+# runs: refsuite (--selfcheck), schubpoly (the oracle), json (jsonlines
+# output), traceback (a failing problem) and farkas (its certificate) are
+# imported where they are used.
 
 KNOWN_TESTS = (
     "schubitope",
@@ -42,8 +44,7 @@ KNOWN_TESTS = (
 DEFAULT_TESTS = ("schubitope",)
 
 
-@dataclass
-class Options:
+class Options(NamedTuple):
     tests: tuple[str, ...] = DEFAULT_TESTS
     oracle_max_n: int = 6
     force_oracle: bool = False
@@ -53,16 +54,32 @@ class Options:
     fmt: str = "text"
 
 
-@dataclass
-class ResultRecord:
-    id: str
-    n: int
-    mode: str
-    verdicts: dict[str, str] = field(default_factory=dict)
-    certificates: dict[str, dict] = field(default_factory=dict)
-    details: dict[str, str] = field(default_factory=dict)
-    oracle: Optional[int] = None
-    elapsed_ms: int = 0
+class ResultRecord(permcore.Record):
+    """One problem's verdicts, certificates and notes, filled in as tests run."""
+
+    __slots__ = _fields = (
+        "id", "n", "mode", "verdicts", "certificates", "details", "oracle", "elapsed_ms"
+    )
+
+    def __init__(
+        self,
+        id: str,
+        n: int,
+        mode: str,
+        verdicts: Optional[dict[str, str]] = None,
+        certificates: Optional[dict[str, dict]] = None,
+        details: Optional[dict[str, str]] = None,
+        oracle: Optional[int] = None,
+        elapsed_ms: int = 0,
+    ) -> None:
+        self.id = id
+        self.n = n
+        self.mode = mode
+        self.verdicts = {} if verdicts is None else verdicts
+        self.certificates = {} if certificates is None else certificates
+        self.details = {} if details is None else details
+        self.oracle = oracle
+        self.elapsed_ms = elapsed_ms
 
     def to_json_dict(self) -> dict:
         out: dict = {
@@ -94,8 +111,7 @@ class ResultRecord:
         )
 
 
-@dataclass
-class ErrorRecord:
+class ErrorRecord(NamedTuple):
     id: str
     line: int
     error: str
@@ -141,6 +157,8 @@ def _serialize_certificate(cert) -> dict:
             "lhs": cert.lhs,
             "rhs": cert.rhs,
         }
+    from .farkas import FarkasCertificate
+
     if isinstance(cert, FarkasCertificate):
         return {
             "kind": "farkas",
@@ -175,19 +193,20 @@ def run_problem(
             verdict = vanishing.asymmetric_test(embedded.factors, embedded.target)
             _record_verdict(record, "schubitope_asymmetric", verdict)
 
-    if (
-        "flexible" in options.tests
-        and problem.mode == "asymmetric"
-        and options.flexible_samples > 0
-    ):
-        seed = options.seed * 1_000_003 + index
-        verdict = vanishing.flexible_test_sampled(
-            embedded.factors,
-            embedded.target,
-            samples=options.flexible_samples,
-            seed=seed,
-        )
-        _record_verdict(record, "flexible", verdict)
+    if "flexible" in options.tests:
+        if problem.mode == "symmetric":
+            record.details["flexible"] = "only defined for asymmetric problems"
+        elif options.flexible_samples <= 0:
+            record.details["flexible"] = "needs --flexible-samples > 0"
+        else:
+            seed = options.seed * 1_000_003 + index
+            verdict = vanishing.flexible_test_sampled(
+                embedded.factors,
+                embedded.target,
+                samples=options.flexible_samples,
+                seed=seed,
+            )
+            _record_verdict(record, "flexible", verdict)
 
     symmetrized = embedded.symmetrized()
     if "bruhat" in options.tests:
@@ -209,6 +228,8 @@ def run_problem(
         )
 
     if "oracle" in options.tests and (n <= options.oracle_max_n or options.force_oracle):
+        from . import schubpoly
+
         if problem.mode == "symmetric":
             record.oracle = schubpoly.intersection_number(embedded.factors)
         else:
@@ -248,6 +269,8 @@ def run_batch(
         try:
             records.append(run_problem(problem, record_id, options, index))
         except Exception as exc:  # one failing problem must not end the batch
+            import traceback
+
             traceback.print_exc()
             run_failed = True
             records.append(
@@ -275,6 +298,8 @@ def _emit_text(record: object, out: TextIO) -> None:
         detail = record.details.get(key)
         if detail:
             out.write(f"    note: {detail}\n")
+    for key in sorted(record.details.keys() - record.verdicts.keys()):
+        out.write(f"  {key} not run: {record.details[key]}\n")
     if record.oracle is not None:
         out.write(f"  oracle: {record.oracle}\n")
     out.write(f"  elapsed_ms: {record.elapsed_ms}\n\n")
@@ -282,6 +307,8 @@ def _emit_text(record: object, out: TextIO) -> None:
 
 def emit_records(records: Sequence[object], options: Options, out: TextIO) -> None:
     if options.fmt == "jsonlines":
+        import json
+
         for record in records:
             out.write(json.dumps(record.to_json_dict(), sort_keys=True))
             out.write("\n")
@@ -337,6 +364,12 @@ def options_from_args(args: argparse.Namespace) -> Options:
     unknown = [t for t in tests if t not in KNOWN_TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {', '.join(unknown)}")
+    for flag, value in (
+        ("--oracle-max-n", args.oracle_max_n),
+        ("--flexible-samples", args.flexible_samples),
+    ):
+        if value < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {value}")
     return Options(
         tests=tests,
         oracle_max_n=args.oracle_max_n,
@@ -353,6 +386,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.selfcheck:
+            from . import refsuite
+
             passed = refsuite.run_reference_report(sys.stdout, stable=args.stable)
             return 0 if passed else 1
         options = options_from_args(args)

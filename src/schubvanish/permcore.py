@@ -7,7 +7,6 @@ the usual combinatorics conventions.  Everything here is immutable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
@@ -171,29 +170,73 @@ def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-@dataclass(frozen=True)
-class Diagram:
+class Record:
+    """Field-wise equality and repr over ``_fields``, as a dataclass has.
+
+    A base for the package's small classes on the batch path.  They avoid
+    ``dataclasses``, whose import and class building would add milliseconds
+    to the start-up of every CLI process.  Equality needs the same class;
+    instances are unhashable.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({args})"
+
+
+class Frozen(Record):
+    """An immutable Record, hashed over its fields like a frozen dataclass.
+
+    ``__init__`` sets each field once through ``object.__setattr__``;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Diagram(Frozen):
     """A finite set of (row, column) cells inside an n_rows x n_cols grid.
 
     Cells are 1-based pairs.  Per-column sorted row lists are cached at
-    construction; instances are immutable and hashable.
+    construction (outside equality, hash and repr); instances are immutable
+    and hashable.
     """
 
-    cells: frozenset[Cell]
-    n_rows: int
-    n_cols: int
-    _columns: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("cells", "n_rows", "n_cols", "_columns")
+    _fields = ("cells", "n_rows", "n_cols")
 
-    def __post_init__(self) -> None:
-        for (r, c) in self.cells:
-            if not (1 <= r <= self.n_rows and 1 <= c <= self.n_cols):
-                raise ValueError(f"cell {(r, c)} outside {self.n_rows}x{self.n_cols} grid")
+    def __init__(self, cells: frozenset[Cell], n_rows: int, n_cols: int) -> None:
+        for (r, c) in cells:
+            if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+                raise ValueError(f"cell {(r, c)} outside {n_rows}x{n_cols} grid")
         cols: dict[int, list[int]] = {}
-        for (r, c) in self.cells:
+        for (r, c) in cells:
             cols.setdefault(c, []).append(r)
-        object.__setattr__(
-            self, "_columns", {c: tuple(sorted(rs)) for c, rs in cols.items()}
-        )
+        init = object.__setattr__
+        init(self, "cells", cells)
+        init(self, "n_rows", n_rows)
+        init(self, "n_cols", n_cols)
+        init(self, "_columns", {c: tuple(sorted(rs)) for c, rs in cols.items()})
 
     @property
     def cell_count(self) -> int:

@@ -8,11 +8,10 @@ verdicts as the main tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import permcore
-from .permcore import Perm
+from .permcore import Frozen, Perm
 from .vanishing import Outcome, VanishingVerdict
 
 Factors = tuple[Perm, Perm, Perm]
@@ -22,13 +21,19 @@ class ClassSizeExceeded(RuntimeError):
     """Descent-cycling closure grew past the configured cap."""
 
 
-@dataclass(frozen=True)
-class Triple:
-    """An ordered triple (u, v, w) with lengths summing to n(n-1)/2."""
+class Triple(Frozen):
+    """An ordered triple (u, v, w) with lengths summing to n(n-1)/2.
 
-    u: Perm
-    v: Perm
-    w: Perm
+    The words are stored embedded in a common S_n.
+    """
+
+    __slots__ = _fields = ("u", "v", "w")
+
+    def __init__(self, u: Perm, v: Perm, w: Perm) -> None:
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "w", w)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         embedded = _well_posed((self.u, self.v, self.w))
@@ -211,8 +216,7 @@ def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     )
 
 
-@dataclass(frozen=True)
-class RootGamePosition:
+class RootGamePosition(NamedTuple):
     """Token counts on the positive roots alpha_{a,b}, 1 <= a < b <= n."""
 
     n: int

@@ -13,22 +13,22 @@ with sum(alpha) = #D and sum_{i in S} alpha_i <= theta_D(S) for all proper
 subsets S.  Its lattice points are exactly the contents of the column-strict
 flag-bounded fillings of D.  ``filling_or_cut`` decides membership by one
 integral max-flow and returns either such a filling or one violated subset
-inequality (the min cut); ``lp_feasible`` restates that cut as multipliers
-of the relaxation LP.  The 2^n subset scan (``SchubitopeInequalities``)
-and the filling enumeration (``enumerate_tab``) are the references that
-tests compare it against.
+inequality (the min cut); ``lp_feasible`` (in ``farkas``, resolved here on
+first use) restates that cut as multipliers of the relaxation LP.  The 2^n
+subset scan (``SchubitopeInequalities``) and the filling enumeration
+(``enumerate_tab``) are the references that tests compare it against.
 """
 
 from __future__ import annotations
 
 import collections
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
-from .gpermutahedron import GPermutahedron, SubmodularFn
 from .permcore import Cell, Diagram
+
+if TYPE_CHECKING:
+    from .gpermutahedron import GPermutahedron
 
 LPAREN = "("
 RPAREN = ")"
@@ -102,8 +102,7 @@ def theta(d: Diagram, rows_in_s: Iterable[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class InfeasibleSubset:
+class InfeasibleSubset(NamedTuple):
     """A violated Schubitope inequality: sum over rows exceeds theta."""
 
     rows: tuple[int, ...]
@@ -208,13 +207,14 @@ def schubitope_membership(
 
 def schubitope_gpermutahedron(d: Diagram) -> GPermutahedron:
     """S_D as P(z) with z(S) = theta_D(S)."""
+    from .gpermutahedron import GPermutahedron, SubmodularFn
+
     n = d.n_rows
     values = tuple(theta(d, _mask_rows(mask)) for mask in range(1 << n))
     return GPermutahedron(SubmodularFn(n, values))
 
 
-@dataclass(frozen=True)
-class Filling:
+class Filling(NamedTuple):
     """Labels on the cells of a diagram, stored as sorted (cell, label) pairs."""
 
     diagram: Diagram
@@ -416,68 +416,10 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
     return Filling.from_dict(d, labels)
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
-    """LP multipliers proving the relaxation polytope of (D, alpha) empty.
+def __getattr__(name: str):
+    # the relaxation-LP certificate lives in ``farkas``, imported on first use
+    if name in ("FarkasCertificate", "lp_feasible"):
+        from . import farkas
 
-    The relaxation has a variable x_ij in [0, 1] for each label i and each
-    column j in ``columns``, the equalities sum_j x_ij = alpha_i and, for the
-    t-th cell (s, j) of a column, the prefix inequality sum_{i <= s} x_ij >= t.
-    content[i-1] multiplies the equality of label i; prefix lists
-    ((s, j), multiplier >= 0) for the prefix inequalities used.
-    """
-
-    content: tuple[Fraction, ...]
-    prefix: tuple[tuple[tuple[int, int], Fraction], ...]
-    columns: tuple[int, ...]
-
-    def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
-        """Check that the combined row's maximum over the box is below its right side."""
-        n = d.n_rows
-        columns = set(self.columns)
-        if len(self.content) != n or len(alpha) != n or len(columns) != len(self.columns):
-            return False
-        if not set(d.nonempty_columns()) <= columns <= set(range(1, d.n_cols + 1)):
-            return False
-        weight: dict[tuple[int, int], Fraction] = {}
-        rhs = sum(y * a for y, a in zip(self.content, alpha))
-        for (s, j), mult in self.prefix:
-            cells = d.column_cells(j)
-            if mult < 0 or s not in cells or (s, j) in weight:
-                return False
-            weight[(s, j)] = mult
-            rhs += mult * (cells.index(s) + 1)
-        lhs = 0
-        for j in columns:
-            z = 0  # multipliers of the prefix rows of column j at rows >= i
-            for i in range(n, 0, -1):
-                z += weight.get((i, j), 0)
-                lhs += max(0, self.content[i - 1] + z)
-        return lhs < rhs
-
-
-def lp_feasible(d: Diagram, alpha: Sequence[int]) -> Union[Filling, FarkasCertificate]:
-    """Decide the relaxation LP of (D, alpha) by ``filling_or_cut``.
-
-    A filling is an integral point.  A min cut S becomes LP multipliers: -1
-    on the equality of each label outside S and, in each column, 1 on the
-    prefix row where t - #(S within rows 1..s) peaks above 0.  The box
-    maximum of the combined row then falls short of its right side by
-    alpha(S) - theta_D(S), since theta of a column is its cell count less
-    that peak.
-    """
-    found = filling_or_cut(d, alpha)
-    if isinstance(found, Filling):
-        return found
-    in_s = set(found.rows)
-    prefix = []
-    for j in d.nonempty_columns():
-        peak, peak_row = 0, 0
-        for t, s in enumerate(d.column_cells(j), start=1):
-            short = t - sum(1 for i in in_s if i <= s)
-            if short > peak:
-                peak, peak_row = short, s
-        if peak:
-            prefix.append(((peak_row, j), Fraction(1)))
-    content = tuple(Fraction(0 if i in in_s else -1) for i in range(1, d.n_rows + 1))
-    return FarkasCertificate(content, tuple(prefix), tuple(range(1, d.n_cols + 1)))
+        return getattr(farkas, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

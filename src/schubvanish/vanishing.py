@@ -13,12 +13,11 @@ are one-sided; a filling only means "inconclusive".
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import permcore, schubitope
-from .permcore import Diagram, Perm
+from .permcore import Diagram, Frozen, Perm
 from .schubitope import Filling, InfeasibleSubset
 
 
@@ -31,8 +30,7 @@ class Outcome(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class VanishingVerdict:
+class VanishingVerdict(NamedTuple):
     outcome: Outcome
     method: str
     certificate: Optional[InfeasibleSubset] = None
@@ -40,20 +38,20 @@ class VanishingVerdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SchubertProblem:
+class SchubertProblem(Frozen):
     """A list of factors, optionally with a distinguished target class."""
 
-    factors: tuple[Perm, ...]
-    target: Optional[Perm] = None
+    __slots__ = _fields = ("factors", "target")
 
-    def __post_init__(self) -> None:
-        if len(self.factors) < 1:
+    def __init__(self, factors: tuple[Perm, ...], target: Optional[Perm] = None) -> None:
+        if len(factors) < 1:
             raise ValueError("a problem needs at least one factor")
-        for w in self.factors:
+        for w in factors:
             permcore.check_permutation(w)
-        if self.target is not None:
-            permcore.check_permutation(self.target)
+        if target is not None:
+            permcore.check_permutation(target)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "target", target)
 
     @property
     def mode(self) -> str:
@@ -144,7 +142,12 @@ def flexible_test(
         alpha = alpha + (0,) * (n - len(alpha))
     if len(alpha) != n:
         raise ValueError("content vector length must match the embedded rank")
-    return _flexible_verdict(target_d, d, alpha)
+    member, _ = schubitope.schubitope_membership(target_d, alpha)
+    if not member:
+        raise ValueError(
+            f"{alpha} is not in the target's Schubitope; the test would be unsound"
+        )
+    return _flexible_verdict(d, alpha)
 
 
 def _flexible_diagrams(
@@ -156,16 +159,10 @@ def _flexible_diagrams(
     return permcore.rothe_diagram(ws[-1]), d
 
 
-def _flexible_verdict(
-    target_d: Diagram, d: Diagram, alpha: tuple[int, ...]
-) -> VanishingVerdict:
-    """flexible_test for a content of full length, on prebuilt diagrams."""
+def _flexible_verdict(d: Diagram, alpha: tuple[int, ...]) -> VanishingVerdict:
+    """The flexible verdict for a content already known to be in the
+    target's Schubitope, on the factors' prebuilt diagram."""
     method = "flexible"
-    member, _ = schubitope.schubitope_membership(target_d, alpha)
-    if not member:
-        raise ValueError(
-            f"{alpha} is not in the target's Schubitope; the test would be unsound"
-        )
     if d.cell_count != sum(alpha):
         return VanishingVerdict(
             Outcome.DEGREE_MISMATCH,
@@ -241,7 +238,9 @@ def flexible_test_sampled(
 
     Distinct sampled points only; returns the first Vanishes verdict, else
     Inconclusive with the number of distinct contents tried.  Both diagrams
-    are built once and shared by every content.
+    are built once and shared by every content.  Every content tried is the
+    content of a filling of the target's diagram (the code labels each cell
+    with its row), so it lies in the target's Schubitope without a check.
     """
     target_d, d = _flexible_diagrams(factors, target)
     rng = random.Random(seed)
@@ -254,7 +253,7 @@ def flexible_test_sampled(
         if alpha in tried:
             continue
         tried.add(alpha)
-        verdict = _flexible_verdict(target_d, d, alpha)
+        verdict = _flexible_verdict(d, alpha)
         if verdict.outcome is Outcome.DEGREE_MISMATCH:
             return verdict
         if verdict.outcome is Outcome.VANISHES:
@@ -269,8 +268,7 @@ def flexible_test_sampled(
     )
 
 
-@dataclass(frozen=True)
-class StrengthReport:
+class StrengthReport(NamedTuple):
     """Both verdicts for one asymmetric problem, for comparing test power."""
 
     symmetric: VanishingVerdict

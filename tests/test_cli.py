@@ -243,3 +243,48 @@ def test_main_selfcheck(capsys, monkeypatch):
     assert summary == "reference suite: FAILURES"
     assert cli.main(["--selfcheck", "--stable"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "FAIL slow 0 ms"
+
+
+@pytest.mark.parametrize("flag", ["--flexible-samples=-1", "--oracle-max-n=-3"])
+def test_negative_counts_are_rejected(flag, tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("asym: 4123, 1342 -> 4312\n", encoding="utf-8")
+    assert cli.main([str(src), "--tests=schubitope,flexible,oracle", flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = flag.split("=")[0]
+    assert captured.err == f"error: {name} must be nonnegative, got {flag.split('=')[1]}\n"
+
+
+def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
+    lines = ["asym: 4123, 1342 -> 4312", "sym: 1423, 1423, 1423"]
+    records, code, _ = run(lines, tests=("schubitope", "flexible"), stable=True)
+    assert code == 0
+    asym, sym = records
+    assert "flexible" not in asym.verdicts and "flexible" not in sym.verdicts
+    assert asym.details["flexible"] == "needs --flexible-samples > 0"
+    assert sym.details["flexible"] == "only defined for asymmetric problems"
+    src = tmp_path / "two.txt"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert cli.main([str(src), "--stable", "--tests=flexible"]) == 0
+    text = capsys.readouterr().out
+    assert "  flexible not run: needs --flexible-samples > 0\n" in text
+    assert "  flexible not run: only defined for asymmetric problems\n" in text
+    assert cli.main([str(src), "--stable", "--tests=flexible", "--format=jsonlines"]) == 0
+    first, second = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert first["verdicts"] == {} and second["verdicts"] == {}
+    assert first["details"] == {"flexible": "needs --flexible-samples > 0"}
+    # with samples, the asymmetric line gets its verdict and the symmetric one its note
+    records, _, _ = run(lines, tests=("flexible",), flexible_samples=4, stable=True)
+    assert records[0].verdicts["flexible"] == "VANISHES"
+    assert records[1].details == {"flexible": "only defined for asymmetric problems"}
+
+
+def test_descent_cycling_note_shows_in_text():
+    records, _, options = run(
+        ["sym: 1423, 1423, 1423, 1234"], tests=("descent_cycling",), stable=True
+    )
+    assert records[0].verdicts == {}
+    assert "  descent_cycling not run: only defined for three factors\n" in emit(
+        records, options
+    )

@@ -1,0 +1,124 @@
+"""The value classes keep the semantics the frozen dataclasses had."""
+
+import pytest
+
+from schubvanish import cli, permcore, rivals, schubitope, vanishing
+from schubvanish.vanishing import Outcome
+
+
+def make_all():
+    """Two independently built equal instances of every value class."""
+    d = permcore.rothe_diagram((2, 1, 5, 4, 3))
+    filling = schubitope.filling_or_cut(d, d.row_counts())
+    return {
+        "Diagram": lambda: permcore.diagram([(1, 1), (3, 4), (4, 3)], 5, 5),
+        "SchubertProblem": lambda: vanishing.SchubertProblem(((2, 1, 3), (1, 3, 2)), (3, 1, 2)),
+        "Triple": lambda: rivals.Triple((2, 1), (1, 3, 2), (2, 1, 3)),
+        "InfeasibleSubset": lambda: schubitope.InfeasibleSubset((1,), 4, 3),
+        "Filling": lambda: schubitope.Filling.from_dict(d, dict(filling.labels)),
+        "VanishingVerdict": lambda: vanishing.VanishingVerdict(
+            Outcome.VANISHES, "m", schubitope.InfeasibleSubset((1,), 4, 3)
+        ),
+        "StrengthReport": lambda: vanishing.strength_comparison(
+            ((4, 1, 2, 3), (1, 3, 4, 2)), (4, 3, 1, 2)
+        ),
+        "RootGamePosition": lambda: rivals.root_game_initial([(3, 2, 1), (1, 2, 3)]),
+        "Options": lambda: cli.Options(tests=("schubitope", "oracle"), seed=3),
+        "ErrorRecord": lambda: cli.ErrorRecord("L2", 2, "bad"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(make_all()))
+def test_equal_instances_are_equal_and_hash_equal(name):
+    build = make_all()[name]
+    a, b = build(), build()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert type(a).__name__ == name
+
+
+@pytest.mark.parametrize("name", sorted(make_all()))
+def test_fields_cannot_be_assigned(name):
+    value = make_all()[name]()
+    field = next(iter(value._fields))
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_reprs_show_the_fields():
+    assert repr(schubitope.InfeasibleSubset((1,), 4, 3)) == "InfeasibleSubset(rows=(1,), lhs=4, rhs=3)"
+    d = permcore.diagram([(1, 2)], 2, 3)
+    assert repr(d) == "Diagram(cells=frozenset({(1, 2)}), n_rows=2, n_cols=3)"
+    assert repr(rivals.Triple((2, 1), (1, 3, 2), (2, 1, 3))) == (
+        "Triple(u=(2, 1, 3), v=(1, 3, 2), w=(2, 1, 3))"
+    )
+    assert repr(vanishing.SchubertProblem(((1,),))) == "SchubertProblem(factors=((1,),), target=None)"
+    assert repr(cli.ErrorRecord("L1", 1, "x")) == "ErrorRecord(id='L1', line=1, error='x')"
+    assert repr(cli.Options()) == (
+        "Options(tests=('schubitope',), oracle_max_n=6, force_oracle=False, "
+        "flexible_samples=0, seed=0, stable=False, fmt='text')"
+    )
+
+
+def test_diagram_cache_stays_out_of_eq_hash_and_repr():
+    d = permcore.diagram([(2, 1), (1, 1)], 2, 2)
+    assert d.column_cells(1) == (1, 2)
+    assert "_columns" not in repr(d)
+    assert hash(d) == hash((d.cells, d.n_rows, d.n_cols))
+    assert d != permcore.diagram([(2, 1), (1, 1)], 2, 3)
+    assert d != (d.cells, d.n_rows, d.n_cols)
+
+
+def test_diagram_rejects_cells_outside_the_grid():
+    for cells in ([(0, 1)], [(1, 0)], [(3, 1)], [(1, 3)]):
+        with pytest.raises(ValueError, match="outside 2x2 grid"):
+            permcore.diagram(cells, 2, 2)
+
+
+def test_triple_embeds_and_checks_lengths():
+    t = rivals.Triple((2, 1), (1, 3, 2), (2, 1, 3))
+    assert t.factors == ((2, 1, 3), (1, 3, 2), (2, 1, 3))
+    assert t.n == 3
+    with pytest.raises(ValueError, match="do not sum to n"):
+        rivals.Triple((2, 1, 3), (1, 3, 2), (3, 2, 1))
+
+
+def test_schubert_problem_rejects_non_permutations():
+    with pytest.raises(ValueError, match="not a permutation"):
+        vanishing.SchubertProblem(((1, 1, 2), (2, 1)))
+    with pytest.raises(ValueError, match="not a permutation"):
+        vanishing.SchubertProblem(((2, 1),), (1, 3))
+    with pytest.raises(ValueError, match="at least one factor"):
+        vanishing.SchubertProblem(())
+
+
+def test_result_record_is_mutable_with_fresh_defaults():
+    a = cli.ResultRecord(id="L1", n=3, mode="symmetric")
+    b = cli.ResultRecord("L1", 3, "symmetric")
+    assert a == b and a.verdicts is not b.verdicts
+    a.verdicts["bruhat"] = "VANISHES"
+    a.elapsed_ms = 5
+    assert a != b and b.verdicts == {}
+    assert repr(b) == (
+        "ResultRecord(id='L1', n=3, mode='symmetric', verdicts={}, certificates={}, "
+        "details={}, oracle=None, elapsed_ms=0)"
+    )
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_triple_validates_through_post_init(monkeypatch):
+    # perfbench/traced_cli.py counts triples built by wrapping this method
+    calls = []
+    post_init = rivals.Triple.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(rivals.Triple, "__post_init__", counting)
+    t = rivals.Triple((2, 1), (1, 3, 2), (2, 1, 3))
+    assert calls == [t] and t.u == (2, 1, 3)

@@ -229,6 +229,53 @@ def test_flexible_sampled_matches_per_content_reference():
     assert outcomes == set(Outcome)
 
 
+def random_permutation_of_length(n, length, rng):
+    """The permutation of a random Lehmer code with the given sum."""
+    code = [0] * n
+    for _ in range(length):
+        code[rng.choice([i for i in range(n) if code[i] < n - 1 - i])] += 1
+    free = list(range(1, n + 1))
+    return tuple(free.pop(c) for c in code)
+
+
+def test_sampled_contents_are_members_without_a_check(monkeypatch):
+    # the driver skips the membership max-flow, so every content it tries
+    # must be a member by construction; flexible_test still checks its input
+    tried = []
+    verdict_of = vn._flexible_verdict
+
+    def recording(d, alpha):
+        tried.append(alpha)
+        return verdict_of(d, alpha)
+
+    monkeypatch.setattr(vn, "_flexible_verdict", recording)
+    rng = random.Random(11)
+    checked = 0
+    for n in range(4, 8):
+        for seed in range(12):
+            lu = rng.randint(0, n)
+            lv = rng.randint(0, min(n, n * (n - 1) // 2 - lu))
+            u, v = (random_permutation_of_length(n, k, rng) for k in (lu, lv))
+            target = random_permutation_of_length(n, pc.length(u) + pc.length(v), rng)
+            target_d = pc.rothe_diagram(target)
+            # (target, identity) never vanishes, so the driver tries every content
+            for factors in ((u, v), (target, pc.identity(n))):
+                tried.clear()
+                verdict = vn.flexible_test_sampled(factors, target, samples=16, seed=seed)
+                assert tried and tried[0] == pc.code(target)
+                if verdict.outcome is Outcome.INCONCLUSIVE:
+                    assert verdict.detail == f"{len(tried)} distinct contents tried"
+                for alpha in tried:
+                    assert sb.schubitope_membership(target_d, alpha) == (True, None)
+                checked += len(tried)
+            if pc.length(target):
+                outside = (0,) * (n - 1) + (pc.length(target),)
+                assert not sb.schubitope_membership(target_d, outside)[0]
+                with pytest.raises(ValueError, match="not in the target's Schubitope"):
+                    vn.flexible_test((u, v), target, outside)
+    assert checked > 4 * 4 * 12  # sampled contents, not only the codes
+
+
 def test_vanishing_certificate_prefers_subset():
     d = pc.rothe_diagram(pc.parse_permutation("21543"))
     cert = vn.vanishing_certificate(d, (4, 0, 0, 0, 0))
