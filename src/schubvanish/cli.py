@@ -10,10 +10,12 @@ string (rank <= 9) or space-separated values.  Blank lines and ``#``
 comments are skipped.  Output is text or JSON lines, one record per
 problem, in input order.  A line that fails to parse, or a problem that
 raises while it is evaluated, becomes an error record at its position; every
-other record still prints.  Exit codes: 0 clean; 2 when any line failed to
-parse or the arguments or input file are bad; otherwise 1 when any problem
-raised while it was evaluated (an internal error or a limit of a selected
-test, such as the size cap on a descent-cycling class).
+other record still prints.  A test that cannot run on a problem (flexible
+without samples, descent cycling on other than three factors or past its
+class-size cap) leaves a note in place of its verdict, and the other
+verdicts stand.  Exit codes: 0 clean; 2 when any line failed to parse or
+the arguments or input file are bad; otherwise 1 when any problem raised
+while it was evaluated (an internal error).
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ DEFAULT_TESTS = ("schubitope",)
 class Options(NamedTuple):
     tests: tuple[str, ...] = DEFAULT_TESTS
     oracle_max_n: int = 6
-    force_oracle: bool = False
     flexible_samples: int = 0
     seed: int = 0
     stable: bool = False
@@ -214,20 +215,22 @@ def run_problem(
             record, "bruhat", rivals.bruhat_vanishing_test(symmetrized.factors)
         )
     if "descent_cycling" in options.tests:
-        if len(symmetrized.factors) == 3:
+        if len(symmetrized.factors) != 3:
+            record.details["descent_cycling"] = "only defined for three factors"
+        elif permcore.well_posed(symmetrized.factors, None) is None:
+            record.verdicts["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
+        else:
             try:
                 triple = rivals.Triple(*symmetrized.factors)
                 _record_verdict(record, "descent_cycling", rivals.dc_test(triple))
-            except ValueError:
-                record.verdicts["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
-        else:
-            record.details["descent_cycling"] = "only defined for three factors"
+            except rivals.ClassSizeExceeded as exc:
+                record.details["descent_cycling"] = str(exc)
     if "root_game" in options.tests:
         _record_verdict(
             record, "root_game", rivals.root_game_test(symmetrized.factors)
         )
 
-    if "oracle" in options.tests and (n <= options.oracle_max_n or options.force_oracle):
+    if "oracle" in options.tests and n <= options.oracle_max_n:
         from . import schubpoly
 
         if problem.mode == "symmetric":
@@ -337,12 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma list from {{{','.join(KNOWN_TESTS)}}}",
     )
     parser.add_argument("--oracle-max-n", type=int, default=6)
-    parser.add_argument(
-        "--force-oracle",
-        action="store_true",
-        help="run the brute-force oracle even above --oracle-max-n "
-        "(factorial blowup; expect minutes beyond rank 7)",
-    )
     parser.add_argument("--flexible-samples", type=int, default=0)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
@@ -373,7 +370,6 @@ def options_from_args(args: argparse.Namespace) -> Options:
     return Options(
         tests=tests,
         oracle_max_n=args.oracle_max_n,
-        force_oracle=args.force_oracle,
         flexible_samples=args.flexible_samples,
         seed=args.seed,
         stable=args.stable,

@@ -7,7 +7,7 @@ the usual combinatorics conventions.  Everything here is immutable.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
 Cell = tuple[int, int]
@@ -134,6 +134,21 @@ def common_embed(ws: Iterable[Perm]) -> list[Perm]:
     ws = [tuple(w) for w in ws]
     n = max((len(w) for w in ws), default=0)
     return [embed(w, n) for w in ws]
+
+
+def well_posed(
+    factors: Iterable[Perm], target: Optional[Perm]
+) -> Optional[tuple[list[Perm], Perm]]:
+    """The factors and the target (w0 when None) embedded in a common S_n;
+    None unless the factor lengths sum to the target's length."""
+    if target is None:
+        ws = common_embed(factors)
+        target = w0(len(ws[0]) if ws else 0)
+    else:
+        *ws, target = common_embed([*factors, target])
+    if sum(length(w) for w in ws) != length(target):
+        return None
+    return ws, target
 
 
 def bruhat_leq(u: Perm, v: Perm) -> bool:

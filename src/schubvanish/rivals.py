@@ -36,12 +36,11 @@ class Triple(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        embedded = _well_posed((self.u, self.v, self.w))
-        if embedded is None:
+        posed = permcore.well_posed((self.u, self.v, self.w), None)
+        if posed is None:
             raise ValueError("triple lengths do not sum to n(n-1)/2")
-        object.__setattr__(self, "u", embedded[0])
-        object.__setattr__(self, "v", embedded[1])
-        object.__setattr__(self, "w", embedded[2])
+        for name, word in zip(self._fields, posed[0]):
+            object.__setattr__(self, name, word)
 
     @property
     def n(self) -> int:
@@ -52,15 +51,6 @@ class Triple(Frozen):
         return (self.u, self.v, self.w)
 
 
-def _well_posed(ws: Sequence[Perm]) -> Optional[list[Perm]]:
-    """The words embedded in a common S_n; None unless lengths sum to n(n-1)/2."""
-    ws = permcore.common_embed(ws)
-    n = len(ws[0]) if ws else 0
-    if sum(permcore.length(w) for w in ws) != n * (n - 1) // 2:
-        return None
-    return ws
-
-
 def bruhat_vanishing_test(ws: Sequence[Perm]) -> VanishingVerdict:
     """Vanishes when some factor is not below the complement of another.
 
@@ -68,11 +58,10 @@ def bruhat_vanishing_test(ws: Sequence[Perm]) -> VanishingVerdict:
     with w_i not <= w0 * w_j.
     """
     method = "bruhat"
-    embedded = _well_posed(ws)
-    if embedded is None:
+    posed = permcore.well_posed(ws, None)
+    if posed is None:
         return VanishingVerdict(Outcome.DEGREE_MISMATCH, method)
-    n = len(embedded[0])
-    longest = permcore.w0(n)
+    embedded, longest = posed
     complements = [permcore.multiply(longest, w) for w in embedded]
     for i in range(len(embedded)):
         for j in range(len(embedded)):
@@ -225,10 +214,6 @@ class RootGamePosition(NamedTuple):
     def token_map(self) -> dict[tuple[int, int], int]:
         return dict(self.tokens)
 
-    @property
-    def total_tokens(self) -> int:
-        return sum(c for _, c in self.tokens)
-
 
 def root_game_initial(ws: Sequence[Perm]) -> RootGamePosition:
     """One token at alpha_{a,b} per factor with an inversion at (a, b)."""
@@ -327,10 +312,10 @@ def is_doomed(
 def root_game_test(ws: Sequence[Perm]) -> VanishingVerdict:
     """Vanishes when the initial token position is doomed."""
     method = "root_game"
-    embedded = _well_posed(ws)
-    if embedded is None:
+    posed = permcore.well_posed(ws, None)
+    if posed is None:
         return VanishingVerdict(Outcome.DEGREE_MISMATCH, method)
-    doomed, witness = is_doomed(root_game_initial(embedded))
+    doomed, witness = is_doomed(root_game_initial(posed[0]))
     if doomed:
         assert witness is not None
         roots = ",".join(f"a[{a},{b}]" for a, b in sorted(witness))

@@ -159,20 +159,6 @@ class SchubitopeInequalities:
                 return False
         return True
 
-    def first_violation(self, alpha: Sequence[int]) -> Optional[InfeasibleSubset]:
-        """First violated proper subset, by cardinality then lexicographic order."""
-        n = self.n
-        for k in range(1, n):
-            for combo in itertools.combinations(range(1, n + 1), k):
-                lhs = sum(alpha[i - 1] for i in combo)
-                mask = 0
-                for i in combo:
-                    mask |= 1 << (i - 1)
-                rhs = self.table[mask]
-                if lhs > rhs:
-                    return InfeasibleSubset(combo, lhs, rhs)
-        return None
-
 
 def _mask_rows(mask: int) -> tuple[int, ...]:
     rows = []
@@ -223,12 +209,6 @@ class Filling(NamedTuple):
     @classmethod
     def from_dict(cls, d: Diagram, labels: dict[Cell, int]) -> "Filling":
         return cls(d, tuple(sorted(labels.items())))
-
-    def label_of(self, cell: Cell) -> int:
-        for c, l in self.labels:
-            if c == cell:
-                return l
-        raise KeyError(cell)
 
     def content(self, n: int) -> tuple[int, ...]:
         counts = [0] * n

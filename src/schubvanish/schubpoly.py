@@ -9,9 +9,7 @@ products, which makes this module the independent ground truth for the
 polytope-based vanishing tests.
 
 The memo table maps stable representatives to finished, never-mutated
-polynomials; entries are stored only once fully built, so concurrent
-lookups from worker threads are safe (worst case both compute the same
-value).  Callers always receive fresh padded copies.
+polynomials; callers always receive fresh padded copies.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ _schub_cache: dict[Perm, Poly] = {}
 
 def poly_one(nvars: int) -> Poly:
     return {(0,) * nvars: 1}
-
-
-def monomial(exponents: Sequence[int], coeff: int = 1) -> Poly:
-    return {tuple(exponents): coeff} if coeff else {}
 
 
 def poly_add(f: Poly, g: Poly) -> Poly:
@@ -240,42 +234,38 @@ def staircase_coefficient(ws: Sequence[Perm]) -> int:
 def intersection_number(ws: Sequence[Perm]) -> int:
     """The exact Schubert intersection number of the factor list.
 
-    Zero when the lengths do not sum to n(n-1)/2.  Otherwise the longest
-    factor is dualized away: the number equals the coefficient of the basis
-    element of w0 * pivot in the product of the remaining factors, taken by
-    divided-difference contraction.  Note the coefficient of the plain
+    The coefficient of the top class w0 in the product of the factors, so
+    zero when the lengths do not sum to n(n-1)/2.  The longest factor is
+    dualized away: the number equals the multiplicity of w0 * pivot in the
+    product of the remaining factors.  Note the coefficient of the plain
     staircase monomial in the full product is not equal to this in general
     (see staircase_coefficient); the basis coefficient is.
     """
-    ws = permcore.common_embed(ws)
-    n = len(ws[0]) if ws else 0
-    if sum(permcore.length(w) for w in ws) != n * (n - 1) // 2:
+    posed = permcore.well_posed(ws, None)
+    if posed is None:
         return 0
+    ws, longest = posed
     pivot = max(range(len(ws)), key=lambda i: permcore.length(ws[i]))
-    rest = [w for i, w in enumerate(ws) if i != pivot]
-    acc = poly_one(n)
-    for f in sorted((schubert_polynomial(w, n) for w in rest), key=len):
-        acc = poly_mul(acc, f)
-    dual = permcore.multiply(permcore.w0(n), ws[pivot])
-    return contraction_coefficient(acc, dual)
+    rest = ws[:pivot] + ws[pivot + 1 :]
+    return asymmetric_coefficient(rest, permcore.multiply(longest, ws[pivot]))
 
 
 def asymmetric_coefficient(ws: Sequence[Perm], target: Perm) -> int:
     """Multiplicity of the target class in the product of the factors.
 
-    The coefficient of the target's basis element in the polynomial product;
-    zero when the degrees do not match.
+    The coefficient of the target's basis element in the polynomial product,
+    taken by divided-difference contraction; zero when the degrees do not
+    match.
     """
-    embedded = permcore.common_embed(list(ws) + [target])
-    n = len(embedded[0])
-    target_n = embedded[-1]
-    factors = embedded[:-1]
-    if sum(permcore.length(w) for w in factors) != permcore.length(target_n):
+    posed = permcore.well_posed(ws, target)
+    if posed is None:
         return 0
+    factors, target = posed
+    n = len(target)
     acc = poly_one(n)
     for f in sorted((schubert_polynomial(w, n) for w in factors), key=len):
         acc = poly_mul(acc, f)
-    return contraction_coefficient(acc, target_n)
+    return contraction_coefficient(acc, target)
 
 
 def perm_from_code(alpha: Sequence[int]) -> Perm:
@@ -354,28 +344,3 @@ def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
             prev = c
         comp.append(total + parts - 2 - prev)
         yield tuple(comp)
-
-
-def dumps_polynomial(f: Poly) -> str:
-    """One term per line, `coeff exp1 ... expn`, sorted by exponent."""
-    lines = []
-    for e in sorted(f):
-        lines.append(" ".join([str(f[e])] + [str(x) for x in e]))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def loads_polynomial(text: str) -> Poly:
-    out: Poly = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            coeff = int(parts[0])
-            exps = tuple(int(x) for x in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"bad polynomial line {lineno}: {line!r}") from exc
-        if coeff:
-            out[exps] = out.get(exps, 0) + coeff
-    return out

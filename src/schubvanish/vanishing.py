@@ -1,13 +1,14 @@
 """Sufficient vanishing tests for Schubert intersection numbers.
 
-The symmetric test concatenates all factor diagrams and asks whether the
-staircase content (n-1, ..., 1, 0) fits; the asymmetric test concatenates
-all but the last factor and asks for the code of the target.  Either way an
-empty filling set forces the intersection number to zero.  Every verdict is
-one max-flow (``schubitope.filling_or_cut``): a Vanishes verdict carries the
-min cut, one violated subset inequality a reader can replay by hand at any
-rank, and an Inconclusive one carries the filling the flow found.  The tests
-are one-sided; a filling only means "inconclusive".
+The asymmetric test concatenates the factor diagrams and asks whether the
+code of the target fits as content; an empty filling set forces the
+multiplicity of the target class to zero.  The symmetric test is the same
+test with target w0, whose code is the staircase (n-1, ..., 1, 0), and the
+flexible test puts another monomial of the target's polynomial in place of
+the code.  Every verdict is one max-flow (``schubitope.filling_or_cut``): a
+Vanishes verdict carries the min cut, one violated subset inequality a
+reader can replay by hand at any rank, and an Inconclusive one carries the
+filling the flow found.  The tests are one-sided.
 """
 
 from __future__ import annotations
@@ -86,21 +87,12 @@ def staircase(n: int) -> tuple[int, ...]:
 def symmetric_test(factors: Sequence[Perm]) -> VanishingVerdict:
     """Vanishing test for the intersection number of the factor list.
 
+    The asymmetric test with target w0, whose code is the staircase.
     Well-posed when the lengths sum to n(n-1)/2; otherwise the verdict is
     DEGREE_MISMATCH (the number is zero for trivial reasons, and no
     certificate is produced).
     """
-    ws = permcore.common_embed(factors)
-    n = len(ws[0]) if ws else 0
-    method = "schubitope_symmetric"
-    if sum(permcore.length(w) for w in ws) != n * (n - 1) // 2:
-        return VanishingVerdict(
-            Outcome.DEGREE_MISMATCH,
-            method,
-            detail="factor lengths do not sum to n(n-1)/2",
-        )
-    d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
-    return _verdict(d, staircase(n), method)
+    return _test(factors, None, "schubitope_symmetric", "n(n-1)/2")
 
 
 def asymmetric_test(factors: Sequence[Perm], target: Perm) -> VanishingVerdict:
@@ -110,18 +102,18 @@ def asymmetric_test(factors: Sequence[Perm], target: Perm) -> VanishingVerdict:
     as content; strictly stronger than running the symmetric test on the
     factors plus the target's complement.
     """
-    ws = permcore.common_embed(list(factors) + [target])
-    target_n = ws[-1]
-    ws = ws[:-1]
-    method = "schubitope_asymmetric"
-    if sum(permcore.length(w) for w in ws) != permcore.length(target_n):
-        return VanishingVerdict(
-            Outcome.DEGREE_MISMATCH,
-            method,
-            detail="factor lengths do not sum to the target length",
-        )
+    return _test(factors, target, "schubitope_asymmetric", "the target length")
+
+
+def _test(
+    factors: Sequence[Perm], target: Optional[Perm], method: str, total: str
+) -> VanishingVerdict:
+    posed = permcore.well_posed(factors, target)
+    if posed is None:
+        return _mismatch(method, total)
+    ws, target = posed
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws])
-    return _verdict(d, permcore.code(target_n), method)
+    return _verdict(d, permcore.code(target), method)
 
 
 def flexible_test(
@@ -135,48 +127,40 @@ def flexible_test(
     exponent of an actual monomial of the target's polynomial; anything
     else would make the conclusion unsound and is rejected with ValueError.
     """
-    target_d, d = _flexible_diagrams(factors, target)
+    ws = permcore.common_embed([*factors, target])
+    target_d = permcore.rothe_diagram(ws[-1])
     alpha = tuple(alpha)
-    n = target_d.n_rows
-    if len(alpha) < n:
-        alpha = alpha + (0,) * (n - len(alpha))
-    if len(alpha) != n:
+    alpha += (0,) * (target_d.n_rows - len(alpha))
+    if len(alpha) != target_d.n_rows:
         raise ValueError("content vector length must match the embedded rank")
     member, _ = schubitope.schubitope_membership(target_d, alpha)
     if not member:
         raise ValueError(
             f"{alpha} is not in the target's Schubitope; the test would be unsound"
         )
-    return _flexible_verdict(d, alpha)
+    return _flexible(ws, [alpha])[0]
 
 
-def _flexible_diagrams(
-    factors: Sequence[Perm], target: Perm
-) -> tuple[Diagram, Diagram]:
-    """The target's Rothe diagram and the factors' concatenated one, in S_n."""
-    ws = permcore.common_embed(list(factors) + [target])
-    d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
-    return permcore.rothe_diagram(ws[-1]), d
-
-
-def _flexible_verdict(d: Diagram, alpha: tuple[int, ...]) -> VanishingVerdict:
-    """The flexible verdict for a content already known to be in the
-    target's Schubitope, on the factors' prebuilt diagram."""
+def _flexible(
+    ws: list[Perm], contents: Sequence[tuple[int, ...]]
+) -> tuple[VanishingVerdict, int]:
+    """The verdict on the first distinct content that vanishes, else on the
+    last, and the number tried.  ws: the embedded factors, then the target;
+    contents: lattice points of the target's Schubitope."""
     method = "flexible"
-    if d.cell_count != sum(alpha):
-        return VanishingVerdict(
-            Outcome.DEGREE_MISMATCH,
-            method,
-            detail="factor lengths do not sum to the content total",
-        )
-    verdict = _verdict(d, alpha, method)
-    return VanishingVerdict(
-        verdict.outcome,
-        method,
-        certificate=verdict.certificate,
-        witness=verdict.witness,
-        detail=f"content={alpha}",
-    )
+    if permcore.well_posed(ws[:-1], ws[-1]) is None:
+        return _mismatch(method, "the content total"), 0
+    d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
+    for tried, alpha in enumerate(dict.fromkeys(contents), start=1):
+        verdict = _verdict(d, alpha, method)
+        if verdict.outcome is Outcome.VANISHES:
+            break
+    return verdict._replace(detail=f"content={alpha}"), tried
+
+
+def _mismatch(method: str, total: str) -> VanishingVerdict:
+    detail = f"factor lengths do not sum to {total}"
+    return VanishingVerdict(Outcome.DEGREE_MISMATCH, method, detail=detail)
 
 
 def _verdict(d: Diagram, alpha: Sequence[int], method: str) -> VanishingVerdict:
@@ -237,35 +221,20 @@ def flexible_test_sampled(
     """Randomized driver: try the target's code, then sampled contents.
 
     Distinct sampled points only; returns the first Vanishes verdict, else
-    Inconclusive with the number of distinct contents tried.  Both diagrams
-    are built once and shared by every content.  Every content tried is the
-    content of a filling of the target's diagram (the code labels each cell
-    with its row), so it lies in the target's Schubitope without a check.
+    Inconclusive with the number of distinct contents tried.  Every content
+    tried is the content of a filling of the target's diagram (the code
+    labels each cell with its row), so it lies in the target's Schubitope
+    without a check.
     """
-    target_d, d = _flexible_diagrams(factors, target)
+    ws = permcore.common_embed([*factors, target])
+    target_d = permcore.rothe_diagram(ws[-1])
     rng = random.Random(seed)
-    tried: set[tuple[int, ...]] = set()
-    candidates = [target_d.row_counts()]
-    for _ in range(samples):
-        candidates.append(sample_schubitope_point(target_d, rng))
-    last: Optional[VanishingVerdict] = None
-    for alpha in candidates:
-        if alpha in tried:
-            continue
-        tried.add(alpha)
-        verdict = _flexible_verdict(d, alpha)
-        if verdict.outcome is Outcome.DEGREE_MISMATCH:
-            return verdict
-        if verdict.outcome is Outcome.VANISHES:
-            return verdict
-        last = verdict
-    assert last is not None
-    return VanishingVerdict(
-        Outcome.INCONCLUSIVE,
-        "flexible",
-        witness=last.witness,
-        detail=f"{len(tried)} distinct contents tried",
-    )
+    contents = [target_d.row_counts()]
+    contents += (sample_schubitope_point(target_d, rng) for _ in range(samples))
+    verdict, tried = _flexible(ws, contents)
+    if verdict.outcome is Outcome.INCONCLUSIVE:
+        return verdict._replace(detail=f"{tried} distinct contents tried")
+    return verdict
 
 
 class StrengthReport(NamedTuple):

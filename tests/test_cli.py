@@ -93,9 +93,7 @@ def test_oracle_gating_by_rank():
     line = ["sym: 3256147, 2143657, 4632175"]
     records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True)
     assert records[0].oracle is None
-    records, _, _ = run(
-        line, tests=("schubitope", "oracle"), stable=True, force_oracle=True
-    )
+    records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True, oracle_max_n=7)
     assert records[0].oracle == 0
 
 
@@ -164,7 +162,7 @@ def test_failing_problem_becomes_one_error_record(tmp_path, capsys, monkeypatch)
     assert len(capsys.readouterr().out.strip().split("\n\n")) == 3
 
 
-@pytest.mark.parametrize("flag", ["--compress", "--jobs=2"])
+@pytest.mark.parametrize("flag", ["--compress", "--jobs=2", "--force-oracle"])
 def test_removed_flags_are_unknown(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--stable", flag])
@@ -280,6 +278,29 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
     assert records[1].details == {"flexible": "only defined for asymmetric problems"}
 
 
+def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
+    # the class of 3216547, 3216547, 4261573 has nine members
+    dc_test = rivals.dc_test
+    monkeypatch.setattr(rivals, "dc_test", lambda t: dc_test(t, cap=5))
+    src = tmp_path / "nine.txt"
+    src.write_text("sym: 3216547, 3216547, 4261573\n", encoding="utf-8")
+    args = [str(src), "--stable", "--tests=schubitope,descent_cycling"]
+    assert cli.main(args) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
+        "L1 mode=symmetric n=7\n"
+        "  schubitope_symmetric: VANISHES\n"
+        "    certificate: rows {2,3,4,5,6} give 15 > 14\n"
+        "  descent_cycling not run: descent-cycling class exceeds 5\n"
+        "  elapsed_ms: 0\n\n"
+    )
+    assert cli.main(args + ["--format=jsonlines"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["verdicts"] == {"schubitope_symmetric": "VANISHES"}
+    assert record["details"] == {"descent_cycling": "descent-cycling class exceeds 5"}
+
+
 def test_descent_cycling_note_shows_in_text():
     records, _, options = run(
         ["sym: 1423, 1423, 1423, 1234"], tests=("descent_cycling",), stable=True
@@ -288,3 +309,116 @@ def test_descent_cycling_note_shows_in_text():
     assert "  descent_cycling not run: only defined for three factors\n" in emit(
         records, options
     )
+
+
+ILL_POSED = [
+    "sym: 1234, 1234, 1234",
+    "asym: 1423, 1423 -> 4321",
+    "sym: 2134, 1243",
+    "asym: 231, 312 -> 4321",
+    "sym: 12, 21",
+]
+ALL_TESTS = "--tests=schubitope,flexible,bruhat,descent_cycling,root_game,oracle"
+SYM_NOTE = "factor lengths do not sum to n(n-1)/2"
+ASYM_NOTES = {
+    "flexible": "factor lengths do not sum to the content total",
+    "schubitope_asymmetric": "factor lengths do not sum to the target length",
+}
+MISMATCH = "DEGREE_MISMATCH"
+ILL_POSED_TEXT = f"""\
+L1 mode=symmetric n=4
+  bruhat: {MISMATCH}
+  descent_cycling: {MISMATCH}
+  root_game: {MISMATCH}
+  schubitope_symmetric: {MISMATCH}
+    note: {SYM_NOTE}
+  flexible not run: only defined for asymmetric problems
+  oracle: 0
+  elapsed_ms: 0
+
+L2 mode=asymmetric n=4
+  bruhat: {MISMATCH}
+  descent_cycling: {MISMATCH}
+  flexible: {MISMATCH}
+    note: {ASYM_NOTES["flexible"]}
+  root_game: {MISMATCH}
+  schubitope_asymmetric: {MISMATCH}
+    note: {ASYM_NOTES["schubitope_asymmetric"]}
+  oracle: 0
+  elapsed_ms: 0
+
+L3 mode=symmetric n=4
+  bruhat: {MISMATCH}
+  root_game: {MISMATCH}
+  schubitope_symmetric: {MISMATCH}
+    note: {SYM_NOTE}
+  descent_cycling not run: only defined for three factors
+  flexible not run: only defined for asymmetric problems
+  oracle: 0
+  elapsed_ms: 0
+
+L4 mode=asymmetric n=4
+  bruhat: {MISMATCH}
+  descent_cycling: {MISMATCH}
+  flexible: {MISMATCH}
+    note: {ASYM_NOTES["flexible"]}
+  root_game: {MISMATCH}
+  schubitope_asymmetric: {MISMATCH}
+    note: {ASYM_NOTES["schubitope_asymmetric"]}
+  oracle: 0
+  elapsed_ms: 0
+
+L5 mode=symmetric n=2
+  bruhat: INCONCLUSIVE
+  root_game: INCONCLUSIVE
+  schubitope_symmetric: INCONCLUSIVE
+  descent_cycling not run: only defined for three factors
+  flexible not run: only defined for asymmetric problems
+  oracle: 1
+  elapsed_ms: 0
+
+"""
+
+
+def test_degree_mismatch_in_both_formats(tmp_path, capsys):
+    # too long, too short, two factors of the wrong total, a target of the
+    # wrong length, and one well-posed line in S_2; every test selected
+    src = tmp_path / "ill_posed.txt"
+    src.write_text("\n".join(ILL_POSED) + "\n", encoding="utf-8")
+    args = [str(src), "--stable", ALL_TESTS, "--flexible-samples=4"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == ILL_POSED_TEXT
+    assert cli.main(args + ["--format=jsonlines"]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    sym_rivals = {key: MISMATCH for key in ("bruhat", "root_game", "schubitope_symmetric")}
+    asym_all = {
+        key: MISMATCH
+        for key in ("bruhat", "descent_cycling", "flexible", "root_game", "schubitope_asymmetric")
+    }
+    flexible_note = {"flexible": "only defined for asymmetric problems"}
+    three_note = {"descent_cycling": "only defined for three factors"}
+    assert records == [
+        {
+            "id": "L1", "mode": "symmetric", "n": 4, "oracle": 0, "elapsed_ms": 0,
+            "verdicts": {**sym_rivals, "descent_cycling": MISMATCH},
+            "details": {**flexible_note, "schubitope_symmetric": SYM_NOTE},
+        },
+        {
+            "id": "L2", "mode": "asymmetric", "n": 4, "oracle": 0, "elapsed_ms": 0,
+            "verdicts": asym_all, "details": ASYM_NOTES,
+        },
+        {
+            "id": "L3", "mode": "symmetric", "n": 4, "oracle": 0, "elapsed_ms": 0,
+            "verdicts": sym_rivals,
+            "details": {**three_note, **flexible_note, "schubitope_symmetric": SYM_NOTE},
+        },
+        {
+            "id": "L4", "mode": "asymmetric", "n": 4, "oracle": 0, "elapsed_ms": 0,
+            "verdicts": asym_all, "details": ASYM_NOTES,
+        },
+        {
+            "id": "L5", "mode": "symmetric", "n": 2, "oracle": 1, "elapsed_ms": 0,
+            "verdicts": {key: "INCONCLUSIVE" for key in sym_rivals},
+            "details": {**three_note, **flexible_note},
+        },
+    ]

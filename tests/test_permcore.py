@@ -216,3 +216,27 @@ def test_trim_and_embed():
     assert pc.embed((2, 1), 4) == (2, 1, 3, 4)
     with pytest.raises(ValueError):
         pc.embed((2, 1, 3), 2)
+
+
+def test_well_posed_degree_rule():
+    # no factors: only a target of length 0 is reachable, w0 of S_0 included
+    assert pc.well_posed([], None) == ([], ())
+    assert pc.well_posed([], (1, 2, 3)) == ([], (1, 2, 3))
+    assert pc.well_posed([], (2, 1)) is None
+    # no target: w0 of the common rank, of length n(n-1)/2 = 3 in S_3
+    assert pc.well_posed([(2, 1), (1, 3, 2), (2, 1)], None) == (
+        [(2, 1, 3), (1, 3, 2), (2, 1, 3)],
+        (3, 2, 1),
+    )
+    # a target longer than the factors sets the rank for all of them
+    assert pc.well_posed([(2, 1), (1, 3, 2)], (1, 3, 4, 2)) == (
+        [(2, 1, 3, 4), (1, 3, 2, 4)],
+        (1, 3, 4, 2),
+    )
+    assert pc.well_posed([(2, 1)], (1, 2, 4, 3)) == ([(2, 1, 3, 4)], (1, 2, 4, 3))
+    # lengths off by one either way
+    assert pc.well_posed([(2, 1), (2, 1)], None) is None  # 2 != 1
+    assert pc.well_posed([(2, 1, 3)], None) is None  # 1 != 3
+    assert pc.well_posed([(2, 3, 1)], (3, 2, 1)) is None  # 2 != 3
+    assert pc.well_posed([(3, 2, 1)], (3, 1, 2)) is None  # 3 != 2
+    assert pc.well_posed([(3, 1, 2)], (2, 3, 1)) == ([(3, 1, 2)], (2, 3, 1))

@@ -103,13 +103,6 @@ def test_membership_guards():
         sb.SchubitopeInequalities(wide)
 
 
-def test_first_violation_scan_order():
-    # both {2} and {1,2} are violated; smallest cardinality then lex wins
-    d = pc.rothe_diagram((2, 1, 5, 4, 3))
-    cert = sb.SchubitopeInequalities(d).first_violation((0, 4, 0, 0, 0))
-    assert cert == sb.InfeasibleSubset((2,), 4, 2)
-
-
 def test_enumerate_tab_basics():
     empty = pc.diagram([], 3, 3)
     fillings = sb.enumerate_tab(empty, (0, 0, 0))
@@ -117,7 +110,7 @@ def test_enumerate_tab_basics():
     single = pc.diagram([(1, 1)], 1, 1)
     fillings = sb.enumerate_tab(single, (1,))
     assert len(fillings) == 1
-    assert fillings[0].label_of((1, 1)) == 1
+    assert dict(fillings[0].labels)[(1, 1)] == 1
     assert sb.enumerate_tab(single, (0,)) == []
 
 

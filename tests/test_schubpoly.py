@@ -35,22 +35,6 @@ S_1423_TIMES_1342 = {
     (1, 3, 0, 0): 1, (2, 2, 0, 0): 1, (3, 1, 0, 0): 1,
 }
 
-DUMP_21543 = (
-    "1 1 0 2 1 0\n"
-    "1 1 1 1 1 0\n"
-    "1 1 1 2 0 0\n"
-    "1 1 2 0 1 0\n"
-    "1 1 2 1 0 0\n"
-    "1 2 0 1 1 0\n"
-    "1 2 0 2 0 0\n"
-    "1 2 1 0 1 0\n"
-    "2 2 1 1 0 0\n"
-    "1 2 2 0 0 0\n"
-    "1 3 0 0 1 0\n"
-    "1 3 0 1 0 0\n"
-    "1 3 1 0 0 0\n"
-)
-
 
 def test_divided_difference_examples():
     assert sp.divided_difference({(1, 0): 1}, 1) == {(0, 0): 1}
@@ -235,15 +219,6 @@ def test_compositions_counts():
     assert len(comps) == math.comb(6, 2)
     assert all(sum(c) == 4 for c in comps)
     assert len(set(comps)) == len(comps)
-
-
-def test_dump_and_load_polynomial():
-    assert sp.dumps_polynomial(S_21543) == DUMP_21543
-    assert sp.loads_polynomial(DUMP_21543) == S_21543
-    assert sp.dumps_polynomial({}) == ""
-    assert sp.loads_polynomial("") == {}
-    with pytest.raises(ValueError):
-        sp.loads_polynomial("x 1 2")
 
 
 def test_pad_guards():

@@ -58,8 +58,8 @@ def test_reprs_show_the_fields():
     assert repr(vanishing.SchubertProblem(((1,),))) == "SchubertProblem(factors=((1,),), target=None)"
     assert repr(cli.ErrorRecord("L1", 1, "x")) == "ErrorRecord(id='L1', line=1, error='x')"
     assert repr(cli.Options()) == (
-        "Options(tests=('schubitope',), oracle_max_n=6, force_oracle=False, "
-        "flexible_samples=0, seed=0, stable=False, fmt='text')"
+        "Options(tests=('schubitope',), oracle_max_n=6, flexible_samples=0, "
+        "seed=0, stable=False, fmt='text')"
     )
 
 

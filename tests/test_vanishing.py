@@ -242,13 +242,13 @@ def test_sampled_contents_are_members_without_a_check(monkeypatch):
     # the driver skips the membership max-flow, so every content it tries
     # must be a member by construction; flexible_test still checks its input
     tried = []
-    verdict_of = vn._flexible_verdict
+    verdict_of = vn._verdict
 
-    def recording(d, alpha):
+    def recording(d, alpha, method):
         tried.append(alpha)
-        return verdict_of(d, alpha)
+        return verdict_of(d, alpha, method)
 
-    monkeypatch.setattr(vn, "_flexible_verdict", recording)
+    monkeypatch.setattr(vn, "_verdict", recording)
     rng = random.Random(11)
     checked = 0
     for n in range(4, 8):
