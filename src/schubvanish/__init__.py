@@ -21,8 +21,8 @@ _EXPORTS = {
         "parse_permutation", "rothe_diagram", "w0",
     ),
     "schubitope": (
-        "DegreeMismatchError", "Filling", "InfeasibleSubset", "enumerate_tab",
-        "filling_or_cut", "schubitope_membership", "theta",
+        "DegreeMismatchError", "Filling", "InfeasibleSubset", "filling_or_cut",
+        "schubitope_membership", "theta",
     ),
     "schubpoly": (
         "asymmetric_coefficient", "intersection_number", "schubert_polynomial",

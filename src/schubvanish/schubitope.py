@@ -13,16 +13,19 @@ with sum(alpha) = #D and sum_{i in S} alpha_i <= theta_D(S) for all proper
 subsets S.  Its lattice points are exactly the contents of the column-strict
 flag-bounded fillings of D.  ``filling_or_cut`` decides membership by one
 integral max-flow and returns either such a filling or one violated subset
-inequality (the min cut); ``lp_feasible`` (in ``farkas``, resolved here on
-first use) restates that cut as multipliers of the relaxation LP.  The 2^n
-subset scan (``SchubitopeInequalities``) and the filling enumeration
-(``enumerate_tab``) are the references that tests compare it against.
+inequality (the min cut).  The flow starts from a greedy partial filling
+(earliest modified deadline first, ``label_caps``), which is usually
+already maximum; augmenting paths complete it, and the last search, which
+finds none, yields the cut.  That cut does not depend on the starting
+flow.  ``lp_feasible`` (in ``farkas``, resolved here on first use)
+restates the cut as multipliers of the relaxation LP.  The 2^n subset
+scan (``SchubitopeInequalities``) is the reference that tests compare the
+flow against at up to 22 rows.
 """
 
 from __future__ import annotations
 
 import collections
-import itertools
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .permcore import Cell, Diagram
@@ -232,81 +235,89 @@ class Filling(NamedTuple):
         return self.content(len(alpha)) == tuple(alpha)
 
 
-def _column_label_options(
-    rows: tuple[int, ...], max_label: int
-) -> list[tuple[int, ...]]:
-    """Strictly increasing label tuples x with x_t <= min(rows_t, max_label)."""
-    z = len(rows)
-    options = []
-    for combo in itertools.combinations(range(1, max_label + 1), z):
-        if all(x <= r for x, r in zip(combo, rows)):
-            options.append(combo)
-    return options
+def label_caps(rows: Sequence[int]) -> list[int]:
+    """The largest label each cell of a column can hold in a filling.
 
-
-def enumerate_tab(d: Diagram, alpha: Sequence[int]) -> list[Filling]:
-    """All fillings of D with column-strict labels, label <= row, content alpha.
-
-    Backtracking over columns, most constrained first; brute-force ground
-    truth for small instances.
+    rows: the column's cell rows, top down.  cap_t = min over s >= t of
+    r_s - (s - t): the labels below cell t must still fit strictly
+    increasing under their rows.  A column admits labels iff cap_t >= t
+    (counting from 1) for every t.
     """
-    if len(alpha) != d.n_rows:
-        raise ValueError("content vector length must equal n_rows")
-    if any(a < 0 for a in alpha):
-        raise ValueError("content entries must be nonnegative")
-    if sum(alpha) != d.cell_count:
-        return []
-    n = d.n_rows
-    cols = [(c, d.column_cells(c)) for c in d.nonempty_columns()]
-    per_col = [(c, rows, _column_label_options(rows, n)) for c, rows in cols]
-    if any(not options for _, _, options in per_col):
-        return []
-    per_col.sort(key=lambda item: (len(item[2]), item[0]))
+    caps = list(rows)
+    for t in range(len(caps) - 2, -1, -1):
+        caps[t] = min(caps[t], caps[t + 1] - 1)
+    return caps
 
-    remaining = list(alpha)
-    labels: dict[Cell, int] = {}
-    found: list[Filling] = []
 
-    def backtrack(k: int) -> None:
-        if k == len(per_col):
-            if all(x == 0 for x in remaining):
-                found.append(Filling.from_dict(d, dict(labels)))
-            return
-        c, rows, options = per_col[k]
-        for combo in options:
-            taken = []
-            ok = True
-            for x in combo:
-                if remaining[x - 1] == 0:
-                    ok = False
-                    break
-                remaining[x - 1] -= 1
-                taken.append(x)
-            if ok:
-                for r, x in zip(rows, combo):
-                    labels[(r, c)] = x
-                backtrack(k + 1)
-                for r in rows:
-                    del labels[(r, c)]
-            for x in taken:
-                remaining[x - 1] += 1
+def _earliest_deadline_start(
+    columns: Sequence[tuple[int, ...]], alpha: Sequence[int]
+) -> tuple[list[dict[int, int]], list[list[int]], list[int]]:
+    """A partial filling by earliest modified deadline, as flow state.
 
-    backtrack(0)
-    return found
+    Each column is a chain of unit jobs, its cells top down; label i is
+    time slot i with alpha_i machines, and a cell is due by its cap
+    (``label_caps``).  For i = 1..n, label i goes to the next cell of at
+    most alpha_i columns, smallest cap first, ties by column.  A cell whose
+    cap is below i is late: it stays free, and the next cell of its column
+    takes its turn.  Returns owner[c][r] (the label in row r of column c,
+    0 when free), where[c][i] (the row holding label i in column c, 0 when
+    unused) and used[i] (the number of columns holding label i).
+    """
+    n = len(alpha)
+    owner = [dict.fromkeys(rows, 0) for rows in columns]
+    where = [[0] * (n + 1) for _ in columns]
+    used = [0] * (n + 1)
+    caps = [label_caps(rows) for rows in columns]
+    # waiting[e]: columns whose next cell, nxt[c], has cap e
+    waiting: list[list[int]] = [[] for _ in range(n + 1)]
+    nxt = [0] * len(columns)
+    for c, cap in enumerate(caps):
+        waiting[cap[0]].append(c)
+
+    def advance(c: int) -> None:
+        t = nxt[c] = nxt[c] + 1
+        if t < len(caps[c]):
+            waiting[caps[c][t]].append(c)
+
+    for i in range(1, n + 1):
+        for c in waiting[i - 1]:  # late: the cell stays free
+            advance(c)
+        taken: list[int] = []
+        for e in range(i, n + 1):
+            want = alpha[i - 1] - len(taken)
+            if not want:
+                break
+            bucket = waiting[e]
+            bucket.sort()
+            taken += bucket[:want]
+            del bucket[:want]
+        for c in taken:
+            r = columns[c][nxt[c]]
+            owner[c][r] = i
+            where[c][i] = r
+            advance(c)
+        used[i] = len(taken)
+    return owner, where, used
 
 
 def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, InfeasibleSubset]:
     """Decide alpha in S_D by an integral max-flow on the filling network.
 
     The network runs source -> label i (capacity alpha_i) -> pair (i, column
-    j) (capacity 1) -> cell (r, j) with r >= i (capacity 1) -> sink.  A flow
+    j) (capacity 1) -> cell (r, j) with r >= i (capacity 1) -> sink.  The
+    flow starts from the earliest-deadline partial filling
+    (``_earliest_deadline_start``), which often fills every cell already;
+    breadth-first augmenting paths then raise it to a maximum flow.  A flow
     that fills every cell puts distinct labels i <= r into each column;
     sorted down the column they form the filling returned.  Otherwise the
-    labels reachable from the source in the residual graph form the unique
-    inclusion-minimal min cut S, whatever the augmenting order.  Its capacity
-    alpha([n] - S) + theta_D(S) is below #D = sum(alpha), so S is returned
-    as the violated inequality alpha(S) > theta_D(S).  Requires
-    sum(alpha) = #D; anything else is a caller error.
+    last search, which finds no augmenting path, marks the labels reachable
+    from the source in the residual graph.  They form the unique
+    inclusion-minimal min cut S, whatever the starting flow and the
+    augmenting order, so the certificate does not depend on the greedy.
+    Its capacity alpha([n] - S) + theta_D(S) is below #D = sum(alpha), so S
+    is returned as the violated inequality alpha(S) > theta_D(S), after
+    both sides are recomputed.  Requires sum(alpha) = #D; anything else is
+    a caller error.
 
     >>> from schubvanish.permcore import rothe_diagram
     >>> filling_or_cut(rothe_diagram((2, 1, 5, 4, 3)), (4, 0, 0, 0, 0))
@@ -322,11 +333,7 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
             f"sum(alpha) = {sum(alpha)} but the diagram has {d.cell_count} cells"
         )
     columns = [d.column_cells(j) for j in d.nonempty_columns()]
-    # owner[c][r]: label in row r of the c-th nonempty column, 0 when free;
-    # where[c][i]: row holding label i in that column, 0 when unused
-    owner = [dict.fromkeys(rows, 0) for rows in columns]
-    where = [[0] * (n + 1) for _ in columns]
-    used = [0] * (n + 1)
+    owner, where, used = _earliest_deadline_start(columns, alpha)
     # BFS tree of one round.  label -> column of the pair that gave it back,
     # None for the source; (label, column) -> None when entered from its
     # label, else (k, r): pair (k, column) takes over cell r from it

@@ -196,16 +196,12 @@ def sample_schubitope_point(
     counts = [0] * d.n_rows
     for c in d.nonempty_columns():
         rows = d.column_cells(c)
-        z = len(rows)
-        caps = list(rows)
-        for t in range(z - 2, -1, -1):
-            caps[t] = min(caps[t], caps[t + 1] - 1)
+        caps = schubitope.label_caps(rows)
         if any(cap < t + 1 for t, cap in enumerate(caps)):
             raise RuntimeError(f"no admissible labels for column {c}")
         prev = 0
-        for t in range(z):
+        for hi in caps:
             lo = prev + 1
-            hi = caps[t]
             x = lo if rng is None else rng.randint(lo, hi)
             counts[x - 1] += 1
             prev = x

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from fillingref import edmonds_karp_cut, enumerate_tab
 from schubvanish import permcore as pc
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
@@ -105,18 +106,18 @@ def test_membership_guards():
 
 def test_enumerate_tab_basics():
     empty = pc.diagram([], 3, 3)
-    fillings = sb.enumerate_tab(empty, (0, 0, 0))
+    fillings = enumerate_tab(empty, (0, 0, 0))
     assert len(fillings) == 1 and fillings[0].labels == ()
     single = pc.diagram([(1, 1)], 1, 1)
-    fillings = sb.enumerate_tab(single, (1,))
+    fillings = enumerate_tab(single, (1,))
     assert len(fillings) == 1
     assert dict(fillings[0].labels)[(1, 1)] == 1
-    assert sb.enumerate_tab(single, (0,)) == []
+    assert enumerate_tab(single, (0,)) == []
 
 
 def test_enumerate_tab_seven_letter_emptiness():
     d = seven_letter_diagram()
-    assert sb.enumerate_tab(d, (6, 5, 4, 3, 2, 1, 0)) == []
+    assert enumerate_tab(d, (6, 5, 4, 3, 2, 1, 0)) == []
 
 
 def test_lp_feasible_trivial_and_degree_guard():
@@ -137,7 +138,7 @@ def test_lp_feasible_member():
     res = sb.filling_or_cut(d, (3, 1, 0, 0, 0))
     assert isinstance(res, sb.Filling)
     assert res.is_valid((3, 1, 0, 0, 0))
-    assert res in sb.enumerate_tab(d, (3, 1, 0, 0, 0))
+    assert res in enumerate_tab(d, (3, 1, 0, 0, 0))
 
 
 def test_flow_seven_letter_cut():
@@ -175,7 +176,7 @@ def test_equivalence_triangle_s3():
         d = pc.rothe_diagram(w)
         ineqs = sb.SchubitopeInequalities(d)
         for alpha in sp.compositions(pc.length(w), 3):
-            has_tab = bool(sb.enumerate_tab(d, alpha))
+            has_tab = bool(enumerate_tab(d, alpha))
             assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
 
@@ -186,7 +187,7 @@ def test_feasible_points_admit_integral_fillings():
         d = pc.rothe_diagram(w)
         for alpha in sp.compositions(pc.length(w), 4):
             res = sb.filling_or_cut(d, alpha)
-            fillings = sb.enumerate_tab(d, alpha)
+            fillings = enumerate_tab(d, alpha)
             if isinstance(res, sb.Filling):
                 assert res in fillings, (w, alpha)
             else:
@@ -210,7 +211,7 @@ def test_equivalence_triangle_sampled_rank5():
         d = pc.rothe_diagram(w)
         ineqs = sb.SchubitopeInequalities(d)
         alpha = rng.choice(list(sp.compositions(pc.length(w), 5)))
-        has_tab = bool(sb.enumerate_tab(d, alpha))
+        has_tab = bool(enumerate_tab(d, alpha))
         assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
 
@@ -290,3 +291,78 @@ def test_lp_feasible_farkas_multipliers_replay():
             assert not replace(res, prefix=((cell, -mult), *rest)).validate(d, alpha)
             assert not replace(res, prefix=(((99, cell[1]), mult), *rest)).validate(d, alpha)
     assert infeasible > 20
+
+
+def random_permutation(n, length, rng):
+    """A permutation of 1..n with the given length, by a random reduced word."""
+    w = list(range(1, n + 1))
+    for _ in range(length):
+        i = rng.choice([i for i in range(n - 1) if w[i] < w[i + 1]])
+        w[i], w[i + 1] = w[i + 1], w[i]
+    return tuple(w)
+
+
+def random_triple(n, rng):
+    """Three factors of S_n whose lengths sum to n(n-1)/2."""
+    total = n * (n - 1) // 2
+    cuts = sorted(rng.randint(0, total) for _ in range(2))
+    lengths = (cuts[0], cuts[1] - cuts[0], total - cuts[1])
+    return [random_permutation(n, k, rng) for k in lengths]
+
+
+def test_earliest_deadline_start_is_a_partial_filling():
+    import random
+
+    rng = random.Random(41)
+    for n in range(4, 9):
+        for _ in range(12):
+            if rng.random() < 0.5:
+                ws = random_triple(n, rng)
+                alpha = tuple(range(n - 1, -1, -1))
+            else:
+                ws = [rng.choice(pc.all_perms(n)) for _ in range(rng.randint(1, 3))]
+                alpha = [0] * n
+                for _ in range(sum(map(pc.length, ws))):
+                    alpha[rng.randrange(n)] += 1
+            d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
+            columns = [d.column_cells(j) for j in d.nonempty_columns()]
+            owner, where, used = sb._earliest_deadline_start(columns, alpha)
+            placed = [0] * (n + 1)
+            for rows, c_owner, c_where in zip(columns, owner, where):
+                labels = [c_owner[r] for r in rows if c_owner[r]]
+                assert labels == sorted(set(labels)), (ws, alpha, c_owner)
+                for r in rows:
+                    i = c_owner[r]
+                    assert i <= r, (ws, alpha, c_owner)
+                    if i:
+                        assert c_where[i] == r
+                        placed[i] += 1
+                assert sum(map(bool, c_where)) == len(labels)
+            assert placed == used, (ws, alpha)
+            assert all(used[i] <= alpha[i - 1] for i in range(1, n + 1)), (ws, alpha)
+
+
+def test_flow_matches_edmonds_karp_at_large_rank():
+    # beyond the 22-row subset scan, an independent max-flow is the reference
+    import random
+
+    rng = random.Random(43)
+    for n, count in ((12, 10), (16, 8), (24, 4), (32, 3)):
+        for k in range(count):
+            if k % 2:
+                target = random_permutation(n, rng.randint(2, n * (n - 1) // 2), rng)
+                first = rng.randint(0, pc.length(target))
+                ws = [random_permutation(n, first, rng),
+                      random_permutation(n, pc.length(target) - first, rng)]
+                alpha = pc.code(target)
+            else:
+                ws = random_triple(n, rng)
+                alpha = tuple(range(n - 1, -1, -1))
+            d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
+            res = sb.filling_or_cut(d, alpha)
+            flow, reachable = edmonds_karp_cut(d, alpha)
+            if isinstance(res, sb.Filling):
+                assert flow == d.cell_count and res.is_valid(alpha), (ws, alpha)
+            else:
+                assert flow < d.cell_count, (ws, alpha)
+                assert res.rows == reachable and res.validate(d, alpha), (ws, alpha, res)
