@@ -12,10 +12,10 @@ problem, in input order.  A line that fails to parse, or a problem that
 raises while it is evaluated, becomes an error record at its position; every
 other record still prints.  A test that cannot run on a problem (flexible
 without samples, descent cycling on other than three factors or past its
-class-size cap) leaves a note in place of its verdict, and the other
-verdicts stand.  Exit codes: 0 clean; 2 when any line failed to parse or
-the arguments or input file are bad; otherwise 1 when any problem raised
-while it was evaluated (an internal error).
+class-size cap, the oracle above --oracle-max-n) leaves a note in place of
+its verdict, and the other verdicts stand.  Exit codes: 0 clean; 2 when
+any line failed to parse or the arguments or input file are bad; otherwise
+1 when any problem raised while it was evaluated (an internal error).
 """
 
 from __future__ import annotations
@@ -97,19 +97,6 @@ class ResultRecord(permcore.Record):
         if self.oracle is not None:
             out["oracle"] = self.oracle
         return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ResultRecord":
-        return cls(
-            id=data["id"],
-            n=data["n"],
-            mode=data["mode"],
-            verdicts=dict(data.get("verdicts", {})),
-            certificates=dict(data.get("certificates", {})),
-            details=dict(data.get("details", {})),
-            oracle=data.get("oracle"),
-            elapsed_ms=data.get("elapsed_ms", 0),
-        )
 
 
 class ErrorRecord(NamedTuple):
@@ -230,15 +217,18 @@ def run_problem(
             record, "root_game", rivals.root_game_test(symmetrized.factors)
         )
 
-    if "oracle" in options.tests and n <= options.oracle_max_n:
-        from . import schubpoly
-
-        if problem.mode == "symmetric":
-            record.oracle = schubpoly.intersection_number(embedded.factors)
+    if "oracle" in options.tests:
+        if n > options.oracle_max_n:
+            record.details["oracle"] = f"rank {n} above --oracle-max-n={options.oracle_max_n}"
         else:
-            record.oracle = schubpoly.asymmetric_coefficient(
-                embedded.factors, embedded.target
-            )
+            from . import schubpoly
+
+            if problem.mode == "symmetric":
+                record.oracle = schubpoly.intersection_number(embedded.factors)
+            else:
+                record.oracle = schubpoly.asymmetric_coefficient(
+                    embedded.factors, embedded.target
+                )
 
     elapsed = time.perf_counter() - start
     record.elapsed_ms = 0 if options.stable else int(elapsed * 1000)

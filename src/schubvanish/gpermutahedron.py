@@ -21,6 +21,21 @@ Rational = Union[int, Fraction]
 MAX_GROUND_SET = 20
 
 
+def _check_ground_set(n: int) -> None:
+    if not (0 <= n <= MAX_GROUND_SET):
+        raise ValueError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
+
+
+def _subset_sum(point: Sequence[Rational], mask: int) -> Rational:
+    """Sum of point[i-1] over the elements i of mask."""
+    s: Rational = 0
+    while mask:
+        low = mask & -mask
+        s += point[low.bit_length() - 1]
+        mask ^= low
+    return s
+
+
 @dataclass(frozen=True)
 class SubmodularFn:
     """Dense table of a set function with z(empty) = 0."""
@@ -29,8 +44,7 @@ class SubmodularFn:
     values: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        if not (0 <= self.n <= MAX_GROUND_SET):
-            raise ValueError(f"ground set size {self.n} outside 0..{MAX_GROUND_SET}")
+        _check_ground_set(self.n)
         if len(self.values) != 1 << self.n:
             raise ValueError("value table must have 2^n entries")
         if self.values[0] != 0:
@@ -39,6 +53,7 @@ class SubmodularFn:
     @classmethod
     def from_callable(cls, n: int, fn: Callable[[frozenset[int]], Rational]) -> "SubmodularFn":
         """Tabulate fn over all subsets of {1, ..., n}."""
+        _check_ground_set(n)  # before 2^n calls of fn
         values = []
         for mask in range(1 << n):
             subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
@@ -108,13 +123,7 @@ class GPermutahedron:
             raise ValueError("point has the wrong dimension")
         full = (1 << self.n) - 1
         for mask in range(1, full):
-            s: Rational = 0
-            m = mask
-            while m:
-                low = m & -m
-                s += t[low.bit_length() - 1]
-                m ^= low
-            if s > self.z.values[mask]:
+            if _subset_sum(t, mask) > self.z.values[mask]:
                 return False
         return sum(t) == self.z.values[full]
 
@@ -159,15 +168,6 @@ class GPermutahedron:
         out: set[tuple[int, ...]] = set()
         point = [0] * n
 
-        def subset_sum(mask: int) -> int:
-            s = 0
-            m = mask
-            while m:
-                low = m & -m
-                s += point[low.bit_length() - 1]
-                m ^= low
-            return s
-
         def walk(k: int, running: int) -> None:
             if k == n:
                 if running == total:
@@ -182,7 +182,7 @@ class GPermutahedron:
                 for mask in masks_by_top[k]:
                     if mask == full:
                         continue
-                    if subset_sum(mask) > values[mask]:
+                    if _subset_sum(point, mask) > values[mask]:
                         ok = False
                         break
                 if ok:

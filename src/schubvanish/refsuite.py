@@ -135,7 +135,7 @@ def case_polytope_of_21543() -> list[str]:
         failures.append(f"max-flow enumeration found {len(by_flow)} points, expected 13")
     if support != SUPPORT_21543:
         failures.append("polynomial support differs from the pinned 13 monomials")
-    points = schubitope.schubitope_gpermutahedron(d).lattice_points()
+    points = ineqs.polytope.lattice_points()
     if set(points) != SUPPORT_21543:
         failures.append("generalized-permutahedron enumeration differs")
     return failures

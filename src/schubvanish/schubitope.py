@@ -18,9 +18,11 @@ inequality (the min cut).  The flow starts from a greedy partial filling
 already maximum; augmenting paths complete it, and the last search, which
 finds none, yields the cut.  That cut does not depend on the starting
 flow.  ``lp_feasible`` (in ``farkas``, resolved here on first use)
-restates the cut as multipliers of the relaxation LP.  The 2^n subset
-scan (``SchubitopeInequalities``) is the reference that tests compare the
-flow against at up to 22 rows.
+restates the cut as multipliers of the relaxation LP.  The reference that
+tests compare the flow against is S_D as the generalized permutahedron
+P(theta_D) (``SchubitopeInequalities``, ``schubitope_gpermutahedron``): one
+2^n table of theta_D and its subset scan, at up to
+``gpermutahedron.MAX_GROUND_SET`` rows.
 """
 
 from __future__ import annotations
@@ -36,8 +38,6 @@ if TYPE_CHECKING:
 LPAREN = "("
 RPAREN = ")"
 STAR = "*"
-
-SUBSET_SCAN_MAX_ROWS = 22
 
 
 class DegreeMismatchError(ValueError):
@@ -125,51 +125,25 @@ class InfeasibleSubset(NamedTuple):
 
 
 class SchubitopeInequalities:
-    """Precomputed theta values of one diagram over all row subsets."""
+    """S_D as the generalized permutahedron P(theta_D), tabulated once.
+
+    ``table[mask]`` is theta_D of the rows in mask (bit i-1 for row i), and
+    ``contains`` checks sum(alpha) = theta_D([n]) = #D and every proper
+    subset inequality on ``polytope``.  No sign check is needed: each
+    matched pair and each star of theta_D(S) uses a distinct cell, so
+    theta_D(S) <= #D, and a point of degree #D has alpha_i = #D -
+    alpha([n] - {i}) >= #D - theta_D([n] - {i}) >= 0.  Needs n_rows <=
+    ``gpermutahedron.MAX_GROUND_SET``; ``filling_or_cut`` has no cap.
+    """
 
     def __init__(self, d: Diagram):
-        n = d.n_rows
-        if n > SUBSET_SCAN_MAX_ROWS:
-            raise ValueError(
-                f"subset scan needs n_rows <= {SUBSET_SCAN_MAX_ROWS}; use filling_or_cut"
-            )
         self.diagram = d
-        self.n = n
-        table = [0] * (1 << n)
-        for mask in range(1 << n):
-            table[mask] = theta(d, _mask_rows(mask))
-        self.table = table
+        self.polytope = schubitope_gpermutahedron(d)
+        self.table = self.polytope.z.values
 
     def contains(self, alpha: Sequence[int]) -> bool:
         """alpha in S_D: degree equality plus every proper subset inequality."""
-        n = self.n
-        if len(alpha) != n:
-            raise ValueError("content vector length must equal n_rows")
-        if any(a < 0 for a in alpha):
-            return False
-        if sum(alpha) != self.diagram.cell_count:
-            return False
-        full = (1 << n) - 1
-        table = self.table
-        for mask in range(1, full):
-            s = 0
-            m = mask
-            while m:
-                low = m & -m
-                s += alpha[low.bit_length() - 1]
-                m ^= low
-            if s > table[mask]:
-                return False
-        return True
-
-
-def _mask_rows(mask: int) -> tuple[int, ...]:
-    rows = []
-    while mask:
-        low = mask & -mask
-        rows.append(low.bit_length())
-        mask ^= low
-    return tuple(rows)
+        return self.polytope.contains(alpha)
 
 
 def schubitope_membership(
@@ -182,13 +156,10 @@ def schubitope_membership(
     equality sum(alpha) = #D fails, returns (False, None): no single subset
     inequality witnesses that.
     """
-    if len(alpha) != d.n_rows:
-        raise ValueError("content vector length must equal n_rows")
-    if any(a < 0 for a in alpha):
-        raise ValueError("content entries must be nonnegative")
-    if sum(alpha) != d.cell_count:
+    try:
+        found = filling_or_cut(d, alpha)
+    except DegreeMismatchError:
         return False, None
-    found = filling_or_cut(d, alpha)
     if isinstance(found, InfeasibleSubset):
         return False, found
     return True, None
@@ -198,9 +169,7 @@ def schubitope_gpermutahedron(d: Diagram) -> GPermutahedron:
     """S_D as P(z) with z(S) = theta_D(S)."""
     from .gpermutahedron import GPermutahedron, SubmodularFn
 
-    n = d.n_rows
-    values = tuple(theta(d, _mask_rows(mask)) for mask in range(1 << n))
-    return GPermutahedron(SubmodularFn(n, values))
+    return GPermutahedron(SubmodularFn.from_callable(d.n_rows, lambda s: theta(d, s)))
 
 
 class Filling(NamedTuple):
@@ -229,7 +198,7 @@ class Filling(NamedTuple):
             prev = 0
             for r in d.column_cells(c):
                 l = lab[(r, c)]
-                if l <= prev or l > r:
+                if l <= prev or l > r or l > len(alpha):
                     return False
                 prev = l
         return self.content(len(alpha)) == tuple(alpha)

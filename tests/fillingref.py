@@ -3,7 +3,7 @@
 ``enumerate_tab`` lists every filling by backtracking: ground truth for
 small diagrams.  ``edmonds_karp_cut`` builds the filling network as an
 explicit graph and runs a plain Edmonds-Karp on it, sharing no code with
-the package's flow; with the 2^n subset scan capped at 22 rows, it is the
+the package's flow; with the 2^n subset scan capped at 20 rows, it is the
 only reference at larger ranks.
 """
 

@@ -350,7 +350,7 @@ def test_criterion_08_code_complement_staircase_s7():
 def test_criterion_09_certificate_integrity(s4_sweep, s5_sweep):
     total = sum(row.cert_count for row in s4_sweep + s5_sweep)
     bad = [row.factors for row in s4_sweep + s5_sweep if not row.certificates_ok]
-    # plus pinned instances, two of them above the old 22-row scan cap
+    # plus pinned instances, two of them above the 20-row scan cap
     ws = tuple(pc.parse_permutation(s) for s in ("3256147", "2143657", "4632175"))
     verdict = vn.symmetric_test(ws)
     d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])

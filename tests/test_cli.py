@@ -95,6 +95,25 @@ def test_oracle_gating_by_rank():
     assert records[0].oracle is None
     records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True, oracle_max_n=7)
     assert records[0].oracle == 0
+    assert "oracle" not in records[0].details
+
+
+def test_oracle_above_its_cap_leaves_a_note(tmp_path, capsys):
+    src = tmp_path / "seven.txt"
+    src.write_text("sym: 3256147, 2143657, 4632175\n", encoding="utf-8")
+    args = [str(src), "--stable", "--tests=schubitope,oracle"]
+    assert cli.main(args) == 0
+    assert capsys.readouterr().out == (
+        "L1 mode=symmetric n=7\n"
+        "  schubitope_symmetric: VANISHES\n"
+        "    certificate: rows {5,6} give 3 > 2\n"
+        "  oracle not run: rank 7 above --oracle-max-n=6\n"
+        "  elapsed_ms: 0\n\n"
+    )
+    assert cli.main(args + ["--format=jsonlines"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert "oracle" not in record
+    assert record["details"] == {"oracle": "rank 7 above --oracle-max-n=6"}
 
 
 def test_flexible_in_batch():
@@ -173,9 +192,10 @@ def test_removed_flags_are_unknown(flag, capsys):
 def test_json_round_trip():
     records, _, options = run(BATCH, stable=True, fmt="jsonlines")
     text = emit(records, options)
-    for line, record in zip(text.splitlines(), records):
-        parsed = cli.ResultRecord.from_json_dict(json.loads(line))
-        assert parsed == record
+    lines = text.splitlines()
+    assert len(lines) == len(records)
+    for line, record in zip(lines, records):
+        assert json.loads(line) == record.to_json_dict()
 
 
 def test_stable_output_is_deterministic():

@@ -81,6 +81,12 @@ def test_construction_guards():
     with pytest.raises(ValueError):
         SubmodularFn(25, tuple([0] * (1 << 25)))
 
+    def never(subset):
+        raise AssertionError("tabulated before the size check")
+
+    with pytest.raises(ValueError):
+        SubmodularFn.from_callable(40, never)
+
 
 def test_standard_permutahedron_vertices():
     p = standard_permutahedron(3)

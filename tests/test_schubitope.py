@@ -74,7 +74,7 @@ def test_membership_examples():
     empty = pc.diagram([], 5, 5)
     ok, cert = sb.schubitope_membership(empty, (0, 0, 0, 0, 0))
     assert ok and cert is None
-    # above the old 22-row scan cap the flow still decides
+    # above the 20-row cap of the reference the flow still decides
     wide = pc.diagram([(1, 1)], 23, 1)
     ok, cert = sb.schubitope_membership(wide, (0, 1) + (0,) * 21)
     assert not ok and cert == sb.InfeasibleSubset((2,), 1, 0)
@@ -139,6 +139,9 @@ def test_lp_feasible_member():
     assert isinstance(res, sb.Filling)
     assert res.is_valid((3, 1, 0, 0, 0))
     assert res in enumerate_tab(d, (3, 1, 0, 0, 0))
+    # a label past the end of the content vector is invalid, not an error
+    low = sb.Filling.from_dict(pc.diagram([(3, 1)], 3, 1), {(3, 1): 3})
+    assert not low.is_valid((0, 1))
 
 
 def test_flow_seven_letter_cut():
@@ -199,6 +202,25 @@ def test_schubitope_gpermutahedron_total():
     gp = sb.schubitope_gpermutahedron(d)
     assert gp.z.values[-1] == d.cell_count
     assert gp.z.is_submodular()
+
+
+def test_theta_is_bounded_by_the_cell_count():
+    # theta_D(S) <= #D is why the reference needs no sign check on alpha
+    import random
+
+    rng = random.Random(29)
+    perms = pc.all_perms(4)
+    diagrams = [pc.rothe_diagram(w) for w in perms] + [
+        pc.concat_diagrams([pc.rothe_diagram(rng.choice(perms)) for _ in range(2)])
+        for _ in range(30)
+    ]
+    for d in diagrams:
+        ineqs = sb.SchubitopeInequalities(d)
+        assert max(ineqs.table) == ineqs.table[-1] == d.cell_count, d
+        for i in range(4):
+            alpha = [0] * 4
+            alpha[i], alpha[(i + 1) % 4] = -1, d.cell_count + 1
+            assert not ineqs.contains(alpha), (d, alpha)
 
 
 def test_equivalence_triangle_sampled_rank5():
@@ -343,7 +365,7 @@ def test_earliest_deadline_start_is_a_partial_filling():
 
 
 def test_flow_matches_edmonds_karp_at_large_rank():
-    # beyond the 22-row subset scan, an independent max-flow is the reference
+    # beyond the 20-row subset scan, an independent max-flow is the reference
     import random
 
     rng = random.Random(43)
