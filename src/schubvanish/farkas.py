@@ -39,12 +39,13 @@ class FarkasCertificate:
         columns = set(self.columns)
         if len(self.content) != n or len(alpha) != n or len(columns) != len(self.columns):
             return False
-        if not set(d.nonempty_columns()) <= columns <= set(range(1, d.n_cols + 1)):
+        nonempty = {j for j, rows in enumerate(d.columns, start=1) if rows}
+        if not nonempty <= columns <= set(range(1, d.n_cols + 1)):
             return False
         weight: dict[tuple[int, int], Fraction] = {}
         rhs = sum(y * a for y, a in zip(self.content, alpha))
         for (s, j), mult in self.prefix:
-            cells = d.column_cells(j)
+            cells = d.columns[j - 1] if j in nonempty else ()
             if mult < 0 or s not in cells or (s, j) in weight:
                 return False
             weight[(s, j)] = mult
@@ -73,9 +74,9 @@ def lp_feasible(d: Diagram, alpha: Sequence[int]) -> Union[Filling, FarkasCertif
         return found
     in_s = set(found.rows)
     prefix = []
-    for j in d.nonempty_columns():
+    for j, rows in enumerate(d.columns, start=1):
         peak, peak_row = 0, 0
-        for t, s in enumerate(d.column_cells(j), start=1):
+        for t, s in enumerate(rows, start=1):
             short = t - sum(1 for i in in_s if i <= s)
             if short > peak:
                 peak, peak_row = short, s

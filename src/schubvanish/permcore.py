@@ -7,6 +7,9 @@ the usual combinatorics conventions.  Everything here is immutable.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import operator
 from typing import Iterable, Optional, Sequence
 
 Perm = tuple[int, ...]
@@ -165,23 +168,15 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     su: list[int] = []
     sv: list[int] = []
     for k in range(n):
-        _insort(su, u[k])
-        _insort(sv, v[k])
+        bisect.insort(su, u[k])
+        bisect.insort(sv, v[k])
         if any(a > b for a, b in zip(su, sv)):
             return False
     return True
 
 
-def _insort(lst: list[int], x: int) -> None:
-    import bisect
-
-    bisect.insort(lst, x)
-
-
 def all_perms(n: int) -> list[Perm]:
     """All of S_n in lexicographic order."""
-    import itertools
-
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
@@ -230,83 +225,78 @@ class Frozen(Record):
 
 
 class Diagram(Frozen):
-    """A finite set of (row, column) cells inside an n_rows x n_cols grid.
+    """Cells of a grid with n_rows rows, stored column by column.
 
-    Cells are 1-based pairs.  Per-column sorted row lists are cached at
-    construction (outside equality, hash and repr); instances are immutable
-    and hashable.
+    ``columns[j - 1]`` holds the rows of the cells in column j, increasing,
+    and empty columns are kept, so the grid has ``len(columns)`` columns.
+    Cells are 1-based (row, column) pairs.  Equality, hash and repr are
+    over (columns, n_rows); instances are immutable and hashable.
     """
 
-    __slots__ = ("cells", "n_rows", "n_cols", "_columns")
-    _fields = ("cells", "n_rows", "n_cols")
+    __slots__ = _fields = ("columns", "n_rows")
 
-    def __init__(self, cells: frozenset[Cell], n_rows: int, n_cols: int) -> None:
-        for (r, c) in cells:
-            if not (1 <= r <= n_rows and 1 <= c <= n_cols):
-                raise ValueError(f"cell {(r, c)} outside {n_rows}x{n_cols} grid")
-        cols: dict[int, list[int]] = {}
-        for (r, c) in cells:
-            cols.setdefault(c, []).append(r)
-        init = object.__setattr__
-        init(self, "cells", cells)
-        init(self, "n_rows", n_rows)
-        init(self, "n_cols", n_cols)
-        init(self, "_columns", {c: tuple(sorted(rs)) for c, rs in cols.items()})
+    def __init__(self, columns: Iterable[Iterable[int]], n_rows: int) -> None:
+        columns = tuple(map(tuple, columns))
+        for j, rows in enumerate(columns, start=1):
+            if rows and not (
+                0 < rows[0] and rows[-1] <= n_rows and all(map(operator.lt, rows, rows[1:]))
+            ):
+                raise ValueError(f"column {j} rows {rows} not increasing within 1..{n_rows}")
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "n_rows", n_rows)
+
+    @property
+    def cells(self) -> frozenset[Cell]:
+        return frozenset((r, j) for j, rows in enumerate(self.columns, start=1) for r in rows)
+
+    @property
+    def n_cols(self) -> int:
+        return len(self.columns)
 
     @property
     def cell_count(self) -> int:
-        return len(self.cells)
-
-    def column_cells(self, c: int) -> tuple[int, ...]:
-        """Rows of the cells in column c, sorted increasing."""
-        return self._columns.get(c, ())
-
-    def nonempty_columns(self) -> tuple[int, ...]:
-        return tuple(sorted(self._columns))
+        return sum(map(len, self.columns))
 
     def row_counts(self) -> tuple[int, ...]:
         counts = [0] * self.n_rows
-        for (r, _) in self.cells:
-            counts[r - 1] += 1
+        for rows in self.columns:
+            for r in rows:
+                counts[r - 1] += 1
         return tuple(counts)
-
-    def __contains__(self, cell: Cell) -> bool:
-        return cell in self.cells
 
 
 def diagram(cells: Iterable[Cell], n_rows: int, n_cols: int) -> Diagram:
-    return Diagram(frozenset(cells), n_rows, n_cols)
+    """The diagram of a set of (row, column) cells inside an n_rows x n_cols grid."""
+    columns: list[list[int]] = [[] for _ in range(n_cols)]
+    for (r, c) in sorted(set(cells)):
+        if not (1 <= r <= n_rows and 1 <= c <= n_cols):
+            raise ValueError(f"cell {(r, c)} outside {n_rows}x{n_cols} grid")
+        columns[c - 1].append(r)
+    return Diagram(columns, n_rows)
 
 
 def rothe_diagram(w: Perm) -> Diagram:
     """Cells {(i, j) : j < w(i) and i < w^{-1}(j)} in an n x n grid.
 
-    The number of cells equals length(w) and the row counts equal code(w).
+    Column j holds the rows i < w^{-1}(j) with w(i) > j.  The number of
+    cells equals length(w) and the row counts equal code(w).
     """
     n = len(w)
     winv = inverse(w)
-    cells = frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, w[i - 1])
-        if i < winv[j - 1]
+    return Diagram(
+        ([i for i, x in enumerate(w[: winv[j - 1] - 1], start=1) if x > j] for j in range(1, n + 1)),
+        n,
     )
-    return Diagram(cells, n, n)
 
 
 def concat_diagrams(ds: Sequence[Diagram]) -> Diagram:
     """Place the diagrams side by side, left to right; row bounds must agree."""
     if not ds:
-        return Diagram(frozenset(), 0, 0)
+        return Diagram((), 0)
     n = ds[0].n_rows
     if any(d.n_rows != n for d in ds):
         raise ValueError("diagrams must share the same number of rows")
-    cells: set[Cell] = set()
-    offset = 0
-    for d in ds:
-        cells.update((r, c + offset) for (r, c) in d.cells)
-        offset += d.n_cols
-    return Diagram(frozenset(cells), n, offset)
+    return Diagram((rows for d in ds for rows in d.columns), n)
 
 
 def parse_permutation(text: str) -> Perm:

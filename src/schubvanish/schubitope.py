@@ -49,17 +49,12 @@ def column_word(d: Diagram, c: int, rows_in_s: Iterable[int]) -> tuple[str, ...]
     if not (1 <= c <= d.n_cols):
         raise IndexError(f"column {c} out of range 1..{d.n_cols}")
     s = set(rows_in_s)
-    word = []
-    for r in range(1, d.n_rows + 1):
-        in_d = (r, c) in d
-        in_s = r in s
-        if not in_d and in_s:
-            word.append(LPAREN)
-        elif in_d and not in_s:
-            word.append(RPAREN)
-        elif in_d and in_s:
-            word.append(STAR)
-    return tuple(word)
+    cells = set(d.columns[c - 1])
+    return tuple(
+        (STAR if r in cells else LPAREN) if r in s else RPAREN
+        for r in range(1, d.n_rows + 1)
+        if r in s or r in cells
+    )
 
 
 def matched_pairs_and_stars(word: Sequence[str]) -> int:
@@ -79,30 +74,18 @@ def matched_pairs_and_stars(word: Sequence[str]) -> int:
     return pairs + stars
 
 
-def theta_column(d: Diagram, c: int, rows_in_s: Iterable[int]) -> int:
-    return matched_pairs_and_stars(column_word(d, c, rows_in_s))
-
-
 def theta(d: Diagram, rows_in_s: Iterable[int]) -> int:
-    """Sum of the column counts; theta over the full row set equals #D."""
-    s = set(rows_in_s)
-    total = 0
-    for c in d.nonempty_columns():
-        cells = d.column_cells(c)
-        pending = 0
-        pairs = 0
-        stars = 0
-        prev = 0
-        for r in cells:
-            pending += sum(1 for x in range(prev + 1, r) if x in s)
-            if r in s:
-                stars += 1
-            elif pending:
-                pending -= 1
-                pairs += 1
-            prev = r
-        total += pairs + stars
-    return total
+    """theta_D(S): the matched pairs and stars of every column word.
+
+    Empty columns give words of "(" alone and add nothing.  Theta over the
+    full row set equals #D.
+    """
+    s = frozenset(rows_in_s)
+    return sum(
+        matched_pairs_and_stars(column_word(d, c, s))
+        for c, rows in enumerate(d.columns, start=1)
+        if rows
+    )
 
 
 class InfeasibleSubset(NamedTuple):
@@ -192,11 +175,11 @@ class Filling(NamedTuple):
         """Check column strictness, the flag bound label <= row, and content."""
         d = self.diagram
         lab = dict(self.labels)
-        if set(lab) != set(d.cells):
+        if set(lab) != d.cells:
             return False
-        for c in d.nonempty_columns():
+        for c, rows in enumerate(d.columns, start=1):
             prev = 0
-            for r in d.column_cells(c):
+            for r in rows:
                 l = lab[(r, c)]
                 if l <= prev or l > r or l > len(alpha):
                     return False
@@ -301,7 +284,8 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
         raise DegreeMismatchError(
             f"sum(alpha) = {sum(alpha)} but the diagram has {d.cell_count} cells"
         )
-    columns = [d.column_cells(j) for j in d.nonempty_columns()]
+    nonempty = [j for j, rows in enumerate(d.columns, start=1) if rows]
+    columns = [d.columns[j - 1] for j in nonempty]
     owner, where, used = _earliest_deadline_start(columns, alpha)
     # BFS tree of one round.  label -> column of the pair that gave it back,
     # None for the source; (label, column) -> None when entered from its
@@ -366,7 +350,7 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
             raise RuntimeError(f"min cut {rows_in_s} is not a violated inequality")
         return InfeasibleSubset(rows_in_s, lhs, rhs)
     labels = {}
-    for j, c_owner in zip(d.nonempty_columns(), owner):
+    for j, c_owner in zip(nonempty, owner):
         for r, i in zip(sorted(c_owner), sorted(c_owner.values())):
             labels[(r, j)] = i
     return Filling.from_dict(d, labels)

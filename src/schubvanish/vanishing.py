@@ -194,8 +194,9 @@ def sample_schubitope_point(
     diagram of w the result is always a lattice point of the Schubitope of w.
     """
     counts = [0] * d.n_rows
-    for c in d.nonempty_columns():
-        rows = d.column_cells(c)
+    for c, rows in enumerate(d.columns, start=1):
+        if not rows:
+            continue
         caps = schubitope.label_caps(rows)
         if any(cap < t + 1 for t, cap in enumerate(caps)):
             raise RuntimeError(f"no admissible labels for column {c}")

@@ -35,7 +35,7 @@ def enumerate_tab(d, alpha):
     if sum(alpha) != d.cell_count:
         return []
     n = d.n_rows
-    cols = [(c, d.column_cells(c)) for c in d.nonempty_columns()]
+    cols = [(c, rows) for c, rows in enumerate(d.columns, start=1) if rows]
     per_col = [(c, rows, _column_label_options(rows, n)) for c, rows in cols]
     if any(not options for _, _, options in per_col):
         return []
@@ -83,7 +83,7 @@ def edmonds_karp_cut(d, alpha):
     reachable labels are the inclusion-minimal min cut.
     """
     n = d.n_rows
-    columns = d.nonempty_columns()
+    columns = [c for c, rows in enumerate(d.columns, start=1) if rows]
     node = {"source": 0, "sink": 1}
     for i in range(1, n + 1):
         node[("label", i)] = len(node)
@@ -105,7 +105,7 @@ def edmonds_karp_cut(d, alpha):
         edge("source", ("label", i), alpha[i - 1])
         for c in columns:
             edge(("label", i), ("pair", i, c), 1)
-            for r in d.column_cells(c):
+            for r in d.columns[c - 1]:
                 if r >= i:
                     edge(("pair", i, c), (r, c), 1)
     for cell in d.cells:

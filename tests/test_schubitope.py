@@ -40,17 +40,35 @@ def test_theta_examples():
     assert sb.theta(d, [1, 2, 3, 4, 5]) == d.cell_count == 4
 
 
-def test_theta_fast_path_matches_column_words():
-    # the optimized accumulation must agree with the direct word scan
+def bracket_words_from_cells(d, rows_in_s):
+    """Each column's word read off the cell set, cell by cell."""
+    return [
+        [("*" if (r, c) in d.cells else "(") if r in rows_in_s else ")"
+         for r in range(1, d.n_rows + 1) if r in rows_in_s or (r, c) in d.cells]
+        for c in range(1, d.n_cols + 1)
+    ]
+
+
+def test_theta_matches_bracket_words_built_from_cells():
     for w in pc.all_perms(4):
         d = pc.rothe_diagram(w)
         for rows in itertools.chain.from_iterable(
             itertools.combinations(range(1, 5), k) for k in range(5)
         ):
-            direct = sum(
-                sb.theta_column(d, c, rows) for c in range(1, d.n_cols + 1)
-            )
-            assert sb.theta(d, rows) == direct
+            words = bracket_words_from_cells(d, rows)
+            assert [list(sb.column_word(d, c, rows)) for c in range(1, 5)] == words
+            direct = 0
+            for word in words:
+                opened = 0
+                for sym in word:
+                    if sym == "(":
+                        opened += 1
+                    elif sym == "*":
+                        direct += 1
+                    elif opened:
+                        opened -= 1
+                        direct += 1
+            assert sb.theta(d, rows) == direct, (w, rows)
 
 
 def test_theta_additive_over_concatenation():
@@ -276,7 +294,7 @@ def replay_with_exactlp(d, alpha, cert):
     y = list(cert.content)
     weight = dict(cert.prefix)
     for j in range(1, d.n_cols + 1):
-        for t, s in enumerate(d.column_cells(j), start=1):
+        for t, s in enumerate(d.columns[j - 1], start=1):
             rows.append(exactlp.LinearRow(tuple((var[(i, j)], 1) for i in range(1, s + 1)),
                                           exactlp.GE, t))
             y.append(weight.get((s, j), 0))
@@ -304,7 +322,7 @@ def test_lp_feasible_farkas_multipliers_replay():
         assert replay_with_exactlp(d, alpha, res)
         # the row-by-row filling is a point, so no certificate may refute it
         assert not res.validate(d, d.row_counts())
-        dropped = d.nonempty_columns()[0]
+        dropped = next(j for j, rows in enumerate(d.columns, start=1) if rows)
         kept = tuple(j for j in res.columns if j != dropped)
         assert not replace(res, columns=kept).validate(d, alpha)
         assert not replace(res, content=res.content[1:]).validate(d, alpha)
@@ -347,7 +365,7 @@ def test_earliest_deadline_start_is_a_partial_filling():
                 for _ in range(sum(map(pc.length, ws))):
                     alpha[rng.randrange(n)] += 1
             d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
-            columns = [d.column_cells(j) for j in d.nonempty_columns()]
+            columns = [rows for rows in d.columns if rows]
             owner, where, used = sb._earliest_deadline_start(columns, alpha)
             placed = [0] * (n + 1)
             for rows, c_owner, c_where in zip(columns, owner, where):

@@ -6,6 +6,7 @@ import pytest
 
 from schubvanish import permcore as pc
 from schubvanish import schubpoly as sp
+from schubvanish import vanishing as vn
 
 S_21543 = {
     (3, 1, 0, 0, 0): 1, (3, 0, 1, 0, 0): 1, (3, 0, 0, 1, 0): 1,
@@ -149,14 +150,19 @@ def test_staircase_coefficient_bounds_intersection_number():
     assert sp.staircase_coefficient(ws) == 1
     assert sp.intersection_number(ws) == 0
     assert sp.staircase_coefficient([(1, 4, 2, 3)] * 3) == 0
-    for _ in range(50):
-        rng = random.Random(11)
-        perms = pc.all_perms(4)
-        u, v, w = (rng.choice(perms) for _ in range(3))
-        if pc.length(u) + pc.length(v) + pc.length(w) == 6:
-            assert sp.intersection_number([u, v, w]) <= sp.staircase_coefficient(
-                [u, v, w]
-            )
+    # the Schubitope of the concatenation is the Newton polytope of the
+    # product, so the symmetric test vanishes exactly when the coefficient
+    # of the staircase monomial is zero
+    well_posed = 0
+    for ws in itertools.product(pc.all_perms(4), repeat=3):
+        if sum(map(pc.length, ws)) != 6:
+            continue
+        well_posed += 1
+        coefficient = sp.staircase_coefficient(ws)
+        assert sp.intersection_number(ws) <= coefficient, ws
+        vanishes = vn.symmetric_test(ws).outcome is vn.Outcome.VANISHES
+        assert vanishes == (coefficient == 0), ws
+    assert well_posed == 1115
 
 
 def test_asymmetric_coefficient_examples():

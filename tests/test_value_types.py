@@ -51,7 +51,7 @@ def test_fields_cannot_be_assigned(name):
 def test_reprs_show_the_fields():
     assert repr(schubitope.InfeasibleSubset((1,), 4, 3)) == "InfeasibleSubset(rows=(1,), lhs=4, rhs=3)"
     d = permcore.diagram([(1, 2)], 2, 3)
-    assert repr(d) == "Diagram(cells=frozenset({(1, 2)}), n_rows=2, n_cols=3)"
+    assert repr(d) == "Diagram(columns=((), (1,), ()), n_rows=2)"
     assert repr(rivals.Triple((2, 1), (1, 3, 2), (2, 1, 3))) == (
         "Triple(u=(2, 1, 3), v=(1, 3, 2), w=(2, 1, 3))"
     )
@@ -63,13 +63,20 @@ def test_reprs_show_the_fields():
     )
 
 
-def test_diagram_cache_stays_out_of_eq_hash_and_repr():
+def test_diagram_is_its_columns_and_row_count():
     d = permcore.diagram([(2, 1), (1, 1)], 2, 2)
-    assert d.column_cells(1) == (1, 2)
-    assert "_columns" not in repr(d)
-    assert hash(d) == hash((d.cells, d.n_rows, d.n_cols))
+    assert permcore.Diagram.__slots__ == ("columns", "n_rows")
+    assert d.columns == ((1, 2), ()) and d.n_cols == 2 and d.cell_count == 2
+    assert d == permcore.Diagram([[1, 2], []], 2)
+    assert hash(d) == hash((d.columns, d.n_rows))
     assert d != permcore.diagram([(2, 1), (1, 1)], 2, 3)
-    assert d != (d.cells, d.n_rows, d.n_cols)
+    assert d != (d.columns, d.n_rows)
+
+
+def test_diagram_rejects_columns_that_are_not_increasing_rows():
+    for columns in ([(2, 1)], [(1, 1)], [(0,)], [(1, 3)]):
+        with pytest.raises(ValueError, match="not increasing within 1..2"):
+            permcore.Diagram(columns, 2)
 
 
 def test_diagram_rejects_cells_outside_the_grid():
