@@ -8,14 +8,17 @@ Input is line oriented:
 Permutations are comma-separated; each word is either a contiguous digit
 string (rank <= 9) or space-separated values.  Blank lines and ``#``
 comments are skipped.  Output is text or JSON lines, one record per
-problem, in input order.  A line that fails to parse, or a problem that
-raises while it is evaluated, becomes an error record at its position; every
-other record still prints.  A test that cannot run on a problem (flexible
-without samples, descent cycling on other than three factors or past its
-class-size cap, the oracle above --oracle-max-n) leaves a note in place of
-its verdict, and the other verdicts stand.  Exit codes: 0 clean; 2 when
-any line failed to parse or the arguments or input file are bad; otherwise
-1 when any problem raised while it was evaluated (an internal error).
+problem, in input order.  A record is the JSON object ``run_problem``
+returns: JSON lines print it as it is, and text renders the same record.
+A line that fails to parse (undecodable UTF-8 included), or a problem that
+raises while it is evaluated, becomes an error record
+``{"id", "line", "error"}`` at its position; every other record still
+prints.  A test that cannot run on a problem (flexible without samples,
+descent cycling on other than three factors or past its class-size cap,
+the oracle above --oracle-max-n) leaves a note in place of its verdict,
+and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
+failed to parse or the arguments or input file are bad; otherwise 1 when
+any problem raised while it was evaluated (an internal error).
 """
 
 from __future__ import annotations
@@ -53,59 +56,6 @@ class Options(NamedTuple):
     seed: int = 0
     stable: bool = False
     fmt: str = "text"
-
-
-class ResultRecord(permcore.Record):
-    """One problem's verdicts, certificates and notes, filled in as tests run."""
-
-    __slots__ = _fields = (
-        "id", "n", "mode", "verdicts", "certificates", "details", "oracle", "elapsed_ms"
-    )
-
-    def __init__(
-        self,
-        id: str,
-        n: int,
-        mode: str,
-        verdicts: Optional[dict[str, str]] = None,
-        certificates: Optional[dict[str, dict]] = None,
-        details: Optional[dict[str, str]] = None,
-        oracle: Optional[int] = None,
-        elapsed_ms: int = 0,
-    ) -> None:
-        self.id = id
-        self.n = n
-        self.mode = mode
-        self.verdicts = {} if verdicts is None else verdicts
-        self.certificates = {} if certificates is None else certificates
-        self.details = {} if details is None else details
-        self.oracle = oracle
-        self.elapsed_ms = elapsed_ms
-
-    def to_json_dict(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "n": self.n,
-            "mode": self.mode,
-            "verdicts": dict(sorted(self.verdicts.items())),
-            "elapsed_ms": self.elapsed_ms,
-        }
-        if self.certificates:
-            out["certificates"] = dict(sorted(self.certificates.items()))
-        if self.details:
-            out["details"] = dict(sorted(self.details.items()))
-        if self.oracle is not None:
-            out["oracle"] = self.oracle
-        return out
-
-
-class ErrorRecord(NamedTuple):
-    id: str
-    line: int
-    error: str
-
-    def to_json_dict(self) -> dict:
-        return {"id": self.id, "line": self.line, "error": self.error}
 
 
 def parse_problem_line(line: str) -> SchubertProblem:
@@ -157,94 +107,98 @@ def _serialize_certificate(cert) -> dict:
     raise TypeError(f"cannot serialize certificate {cert!r}")
 
 
-def _record_verdict(record: ResultRecord, key: str, verdict: VanishingVerdict) -> None:
-    record.verdicts[key] = verdict.outcome.value
+def _record_verdict(record: dict, verdict: VanishingVerdict) -> None:
+    key = verdict.method
+    record["verdicts"][key] = verdict.outcome.value
     if verdict.certificate is not None:
-        record.certificates[key] = _serialize_certificate(verdict.certificate)
+        record["certificates"][key] = _serialize_certificate(verdict.certificate)
     if verdict.detail:
-        record.details[key] = verdict.detail
+        record["details"][key] = verdict.detail
 
 
 def run_problem(
     problem: SchubertProblem, record_id: str, options: Options, index: int
-) -> ResultRecord:
+) -> dict:
+    """Run the selected tests on one problem and return its record.
+
+    The record is the JSON object printed for the problem.  It always has
+    ``id``, ``n``, ``mode``, ``verdicts`` (test key -> outcome) and
+    ``elapsed_ms``; ``certificates`` and ``details`` (the notes) appear when
+    some test left one, and ``oracle`` when the oracle ran.
+    """
     start = time.perf_counter()
     embedded = problem.embedded()
     n = len(embedded.factors[0])
-    record = ResultRecord(id=record_id, n=n, mode=problem.mode)
+    record: dict = {"id": record_id, "n": n, "mode": problem.mode,
+                    "verdicts": {}, "certificates": {}, "details": {}}
+    details = record["details"]
 
     if "schubitope" in options.tests:
         if problem.mode == "symmetric":
             verdict = vanishing.symmetric_test(embedded.factors)
-            _record_verdict(record, "schubitope_symmetric", verdict)
         else:
             verdict = vanishing.asymmetric_test(embedded.factors, embedded.target)
-            _record_verdict(record, "schubitope_asymmetric", verdict)
+        _record_verdict(record, verdict)
 
     if "flexible" in options.tests:
         if problem.mode == "symmetric":
-            record.details["flexible"] = "only defined for asymmetric problems"
+            details["flexible"] = "only defined for asymmetric problems"
         elif options.flexible_samples <= 0:
-            record.details["flexible"] = "needs --flexible-samples > 0"
+            details["flexible"] = "needs --flexible-samples > 0"
         else:
             seed = options.seed * 1_000_003 + index
             verdict = vanishing.flexible_test_sampled(
-                embedded.factors,
-                embedded.target,
-                samples=options.flexible_samples,
-                seed=seed,
+                embedded.factors, embedded.target, options.flexible_samples, seed
             )
-            _record_verdict(record, "flexible", verdict)
+            _record_verdict(record, verdict)
 
     symmetrized = embedded.symmetrized()
     if "bruhat" in options.tests:
-        _record_verdict(
-            record, "bruhat", rivals.bruhat_vanishing_test(symmetrized.factors)
-        )
+        _record_verdict(record, rivals.bruhat_vanishing_test(symmetrized.factors))
     if "descent_cycling" in options.tests:
         if len(symmetrized.factors) != 3:
-            record.details["descent_cycling"] = "only defined for three factors"
+            details["descent_cycling"] = "only defined for three factors"
         elif permcore.well_posed(symmetrized.factors, None) is None:
-            record.verdicts["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
+            record["verdicts"]["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
         else:
             try:
                 triple = rivals.Triple(*symmetrized.factors)
-                _record_verdict(record, "descent_cycling", rivals.dc_test(triple))
+                _record_verdict(record, rivals.dc_test(triple))
             except rivals.ClassSizeExceeded as exc:
-                record.details["descent_cycling"] = str(exc)
+                details["descent_cycling"] = str(exc)
     if "root_game" in options.tests:
-        _record_verdict(
-            record, "root_game", rivals.root_game_test(symmetrized.factors)
-        )
+        _record_verdict(record, rivals.root_game_test(symmetrized.factors))
 
     if "oracle" in options.tests:
         if n > options.oracle_max_n:
-            record.details["oracle"] = f"rank {n} above --oracle-max-n={options.oracle_max_n}"
+            details["oracle"] = f"rank {n} above --oracle-max-n={options.oracle_max_n}"
         else:
             from . import schubpoly
 
             if problem.mode == "symmetric":
-                record.oracle = schubpoly.intersection_number(embedded.factors)
+                record["oracle"] = schubpoly.intersection_number(embedded.factors)
             else:
-                record.oracle = schubpoly.asymmetric_coefficient(
+                record["oracle"] = schubpoly.asymmetric_coefficient(
                     embedded.factors, embedded.target
                 )
 
+    for key in ("certificates", "details"):
+        if not record[key]:
+            del record[key]
     elapsed = time.perf_counter() - start
-    record.elapsed_ms = 0 if options.stable else int(elapsed * 1000)
+    record["elapsed_ms"] = 0 if options.stable else int(elapsed * 1000)
     return record
 
 
-def run_batch(
-    lines: Sequence[str], options: Options
-) -> tuple[list[object], int]:
+def run_batch(lines: Sequence[str], options: Options) -> tuple[list[dict], int]:
     """Parse and evaluate every input line; order preserving.
 
-    Returns the records (results interleaved with error records at their
-    input positions) and the exit code: 2 when any line failed to parse,
-    else 1 when any problem raised while it was evaluated, else 0.
+    Returns the records (results interleaved with error records
+    ``{"id", "line", "error"}`` at their input positions) and the exit code:
+    2 when any line failed to parse, else 1 when any problem raised while it
+    was evaluated, else 0.
     """
-    records: list[object] = []
+    records: list[dict] = []
     parse_failed = False
     run_failed = False
     index = 0
@@ -257,7 +211,7 @@ def run_batch(
             problem = parse_problem_line(text)
         except ValueError as exc:
             parse_failed = True
-            records.append(ErrorRecord(record_id, lineno, str(exc)))
+            records.append({"id": record_id, "line": lineno, "error": str(exc)})
             continue
         try:
             records.append(run_problem(problem, record_id, options, index))
@@ -266,44 +220,45 @@ def run_batch(
 
             traceback.print_exc()
             run_failed = True
-            records.append(
-                ErrorRecord(record_id, lineno, f"{type(exc).__name__}: {exc}")
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            records.append({"id": record_id, "line": lineno, "error": error})
         index += 1
     return records, 2 if parse_failed else 1 if run_failed else 0
 
 
-def _emit_text(record: object, out: TextIO) -> None:
-    if isinstance(record, ErrorRecord):
-        out.write(f"{record.id} ERROR line {record.line}: {record.error}\n\n")
+def _emit_text(record: dict, out: TextIO) -> None:
+    if "error" in record:
+        out.write(f"{record['id']} ERROR line {record['line']}: {record['error']}\n\n")
         return
-    assert isinstance(record, ResultRecord)
-    out.write(f"{record.id} mode={record.mode} n={record.n}\n")
-    for key in sorted(record.verdicts):
-        out.write(f"  {key}: {record.verdicts[key]}\n")
-        cert = record.certificates.get(key)
+    verdicts = record["verdicts"]
+    certificates = record.get("certificates", {})
+    details = record.get("details", {})
+    out.write(f"{record['id']} mode={record['mode']} n={record['n']}\n")
+    for key in sorted(verdicts):
+        out.write(f"  {key}: {verdicts[key]}\n")
+        cert = certificates.get(key)
         if cert is not None:
             rows = ",".join(str(r) for r in cert["rows"])
             out.write(
                 f"    certificate: rows {{{rows}}} give "
                 f"{cert['lhs']} > {cert['rhs']}\n"
             )
-        detail = record.details.get(key)
+        detail = details.get(key)
         if detail:
             out.write(f"    note: {detail}\n")
-    for key in sorted(record.details.keys() - record.verdicts.keys()):
-        out.write(f"  {key} not run: {record.details[key]}\n")
-    if record.oracle is not None:
-        out.write(f"  oracle: {record.oracle}\n")
-    out.write(f"  elapsed_ms: {record.elapsed_ms}\n\n")
+    for key in sorted(details.keys() - verdicts.keys()):
+        out.write(f"  {key} not run: {details[key]}\n")
+    if "oracle" in record:
+        out.write(f"  oracle: {record['oracle']}\n")
+    out.write(f"  elapsed_ms: {record['elapsed_ms']}\n\n")
 
 
-def emit_records(records: Sequence[object], options: Options, out: TextIO) -> None:
+def emit_records(records: Sequence[dict], options: Options, out: TextIO) -> None:
     if options.fmt == "jsonlines":
         import json
 
         for record in records:
-            out.write(json.dumps(record.to_json_dict(), sort_keys=True))
+            out.write(json.dumps(record, sort_keys=True))
             out.write("\n")
     else:
         for record in records:
@@ -382,13 +337,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     try:
         if args.input == "-":
-            lines = sys.stdin.read().splitlines()
+            data = sys.stdin.buffer.read()
         else:
-            with open(args.input, encoding="utf-8") as handle:
-                lines = handle.read().splitlines()
+            with open(args.input, "rb") as handle:
+                data = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # an undecodable byte stays in its line, which then fails to parse alone
+    lines = data.decode("utf-8", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
     emit_records(records, options, sys.stdout)
     return code

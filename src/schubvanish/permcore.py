@@ -180,13 +180,15 @@ def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in itertools.permutations(range(1, n + 1))]
 
 
-class Record:
-    """Field-wise equality and repr over ``_fields``, as a dataclass has.
+class Frozen:
+    """Field-wise equality, hash and repr over ``_fields``, as in a frozen dataclass.
 
-    A base for the package's small classes on the batch path.  They avoid
-    ``dataclasses``, whose import and class building would add milliseconds
-    to the start-up of every CLI process.  Equality needs the same class;
-    instances are unhashable.
+    A base for the package's small value classes on the batch path.  They
+    avoid ``dataclasses``, whose import and class building would add
+    milliseconds to the start-up of every CLI process.  Equality needs the
+    same class.  ``__init__`` sets each field once through
+    ``object.__setattr__``; assigning or deleting an attribute afterwards
+    raises AttributeError.
     """
 
     __slots__ = ()
@@ -200,22 +202,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self) -> int:
+        return hash(self._values())
+
     def __repr__(self) -> str:
         args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({args})"
-
-
-class Frozen(Record):
-    """An immutable Record, hashed over its fields like a frozen dataclass.
-
-    ``__init__`` sets each field once through ``object.__setattr__``;
-    assigning or deleting an attribute afterwards raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

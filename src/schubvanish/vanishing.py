@@ -13,9 +13,10 @@ filling the flow found.  The tests are one-sided.
 
 from __future__ import annotations
 
+import itertools
 import random
 from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import permcore, schubitope
 from .permcore import Diagram, Frozen, Perm
@@ -142,20 +143,24 @@ def flexible_test(
 
 
 def _flexible(
-    ws: list[Perm], contents: Sequence[tuple[int, ...]]
+    ws: list[Perm], contents: Iterable[tuple[int, ...]]
 ) -> tuple[VanishingVerdict, int]:
     """The verdict on the first distinct content that vanishes, else on the
     last, and the number tried.  ws: the embedded factors, then the target;
-    contents: lattice points of the target's Schubitope."""
+    contents: lattice points of the target's Schubitope, read only up to the
+    first that vanishes."""
     method = "flexible"
     if permcore.well_posed(ws[:-1], ws[-1]) is None:
         return _mismatch(method, "the content total"), 0
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
-    for tried, alpha in enumerate(dict.fromkeys(contents), start=1):
-        verdict = _verdict(d, alpha, method)
-        if verdict.outcome is Outcome.VANISHES:
-            break
-    return verdict._replace(detail=f"content={alpha}"), tried
+    seen: set[tuple[int, ...]] = set()
+    for alpha in contents:
+        if alpha not in seen:
+            seen.add(alpha)
+            verdict = _verdict(d, alpha, method)._replace(detail=f"content={alpha}")
+            if verdict.outcome is Outcome.VANISHES:
+                break
+    return verdict, len(seen)
 
 
 def _mismatch(method: str, total: str) -> VanishingVerdict:
@@ -218,17 +223,17 @@ def flexible_test_sampled(
     """Randomized driver: try the target's code, then sampled contents.
 
     Distinct sampled points only; returns the first Vanishes verdict, else
-    Inconclusive with the number of distinct contents tried.  Every content
-    tried is the content of a filling of the target's diagram (the code
-    labels each cell with its row), so it lies in the target's Schubitope
-    without a check.
+    Inconclusive with the number of distinct contents tried.  Samples are
+    drawn only until a content vanishes, so a problem the code decides draws
+    none.  Every content tried is the content of a filling of the target's
+    diagram (the code labels each cell with its row), so it lies in the
+    target's Schubitope without a check.
     """
     ws = permcore.common_embed([*factors, target])
     target_d = permcore.rothe_diagram(ws[-1])
     rng = random.Random(seed)
-    contents = [target_d.row_counts()]
-    contents += (sample_schubitope_point(target_d, rng) for _ in range(samples))
-    verdict, tried = _flexible(ws, contents)
+    sampled = (sample_schubitope_point(target_d, rng) for _ in range(samples))
+    verdict, tried = _flexible(ws, itertools.chain([target_d.row_counts()], sampled))
     if verdict.outcome is Outcome.INCONCLUSIVE:
         return verdict._replace(detail=f"{tried} distinct contents tried")
     return verdict

@@ -18,6 +18,7 @@ import pytest
 
 from fillingref import enumerate_tab
 from schubvanish import permcore as pc
+from schubvanish import refsuite
 from schubvanish import rivals as rv
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
@@ -286,52 +287,21 @@ def test_criterion_06_asymmetric_dominates_symmetric(s4_sweep):
 
 
 def test_criterion_07_incomparability_matrix():
-    checks = []
-
-    u, v, w = (pc.parse_permutation(s) for s in ("1243", "1342", "3142"))
-    checks.append(rv.bruhat_vanishing_test((u, v, w)).outcome is Outcome.VANISHES)
-    checks.append(vn.symmetric_test((u, v, w)).outcome is Outcome.INCONCLUSIVE)
-
-    c = pc.parse_permutation("1423")
-    checks.append(vn.symmetric_test((c, c, c)).outcome is Outcome.VANISHES)
-    checks.append(rv.bruhat_vanishing_test((c, c, c)).outcome is Outcome.INCONCLUSIVE)
-
-    t = rv.Triple(c, c, pc.parse_permutation("1342"))
-    checks.append(rv.dc_test(t).outcome is Outcome.VANISHES)
-    checks.append(rv.root_game_test(t.factors).outcome is Outcome.VANISHES)
-    checks.append(vn.symmetric_test(t.factors).outcome is Outcome.INCONCLUSIVE)
-
-    a = pc.parse_permutation("3216547")
-    b = pc.parse_permutation("4261573")
-    checks.append(vn.symmetric_test((a, a, b)).outcome is Outcome.VANISHES)
-    cls = rv.dc_class(rv.Triple(a, a, b))
-    checks.append(len(cls) == 9)
-    checks.append(rv.dc_test(rv.Triple(a, a, b)).outcome is Outcome.INCONCLUSIVE)
-
-    e = pc.parse_permutation("1652473")
-    checks.append(
-        vn.asymmetric_test((a, a), pc.multiply(pc.w0(7), e)).outcome
-        is Outcome.VANISHES
+    # each case pins the verdicts of every test on one problem, the oracle
+    # value, and where it matters the nine members of a descent-cycling class
+    cases = (
+        refsuite.case_bruhat_strictly_stronger,
+        refsuite.case_cube_of_1423,
+        refsuite.case_descent_cycling_and_root_game_win,
+        refsuite.case_class_of_nine,
+        refsuite.case_root_game_misses,
+        refsuite.case_inherently_inconclusive,
     )
-    checks.append(rv.root_game_test((a, a, e)).outcome is Outcome.INCONCLUSIVE)
-    checks.append(rv.dc_test(rv.Triple(a, a, e)).outcome is Outcome.INCONCLUSIVE)
-    checks.append(len(rv.dc_class(rv.Triple(a, a, e))) == 9)
-
-    g = pc.parse_permutation("231645")
-    target = pc.parse_permutation("451623")
-    support = sorted(sp.support(sp.schubert_polynomial(target)))
-    checks.append(len(support) == 3)
-    for alpha in support:
-        checks.append(
-            vn.flexible_test((g, g), target, alpha).outcome
-            is Outcome.INCONCLUSIVE
-        )
-    checks.append(sp.asymmetric_coefficient((g, g), target) == 0)
-
+    failing = {case.__name__: found for case in cases if (found := case())}
     report(
         "C7 incomparability matrix",
-        all(checks),
-        f"{len(checks)} pinned combinations",
+        not failing,
+        f"{len(cases)} pinned reference cases, failing: {failing}",
     )
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 import time
 
 import pytest
@@ -61,13 +62,13 @@ def test_parse_problem_line_rejects(bad):
 def test_run_batch_known_verdicts():
     records, had_error, _ = run(BATCH, stable=True)
     assert not had_error
-    by_id = {r.id: r for r in records}
-    assert by_id["L2"].verdicts["schubitope_symmetric"] == "VANISHES"
-    assert by_id["L2"].certificates["schubitope_symmetric"]["kind"] == "subset"
-    assert by_id["L4"].verdicts["schubitope_asymmetric"] == "VANISHES"
-    assert by_id["L5"].verdicts["schubitope_symmetric"] == "INCONCLUSIVE"
-    assert by_id["L6"].verdicts["schubitope_asymmetric"] == "INCONCLUSIVE"
-    assert all(r.elapsed_ms == 0 for r in records)
+    by_id = {r["id"]: r for r in records}
+    assert by_id["L2"]["verdicts"]["schubitope_symmetric"] == "VANISHES"
+    assert by_id["L2"]["certificates"]["schubitope_symmetric"]["kind"] == "subset"
+    assert by_id["L4"]["verdicts"]["schubitope_asymmetric"] == "VANISHES"
+    assert by_id["L5"]["verdicts"]["schubitope_symmetric"] == "INCONCLUSIVE"
+    assert by_id["L6"]["verdicts"]["schubitope_asymmetric"] == "INCONCLUSIVE"
+    assert all(r["elapsed_ms"] == 0 for r in records)
 
 
 def test_run_batch_all_tests_with_oracle():
@@ -78,24 +79,24 @@ def test_run_batch_all_tests_with_oracle():
     )
     assert not had_error
     first, second = records
-    assert first.verdicts["bruhat"] == "INCONCLUSIVE"
-    assert first.verdicts["descent_cycling"] == "INCONCLUSIVE"
-    assert first.verdicts["root_game"] == "INCONCLUSIVE"
-    assert first.oracle == 1
+    assert first["verdicts"]["bruhat"] == "INCONCLUSIVE"
+    assert first["verdicts"]["descent_cycling"] == "INCONCLUSIVE"
+    assert first["verdicts"]["root_game"] == "INCONCLUSIVE"
+    assert first["oracle"] == 1
     # the asymmetric problem symmetrizes to the dc-trivial vanishing triple
-    assert second.verdicts["descent_cycling"] == "VANISHES"
-    assert second.verdicts["root_game"] == "VANISHES"
-    assert second.verdicts["schubitope_asymmetric"] == "INCONCLUSIVE"
-    assert second.oracle == 0
+    assert second["verdicts"]["descent_cycling"] == "VANISHES"
+    assert second["verdicts"]["root_game"] == "VANISHES"
+    assert second["verdicts"]["schubitope_asymmetric"] == "INCONCLUSIVE"
+    assert second["oracle"] == 0
 
 
 def test_oracle_gating_by_rank():
     line = ["sym: 3256147, 2143657, 4632175"]
     records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True)
-    assert records[0].oracle is None
+    assert "oracle" not in records[0]
     records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True, oracle_max_n=7)
-    assert records[0].oracle == 0
-    assert "oracle" not in records[0].details
+    assert records[0]["oracle"] == 0
+    assert "details" not in records[0]
 
 
 def test_oracle_above_its_cap_leaves_a_note(tmp_path, capsys):
@@ -123,8 +124,8 @@ def test_flexible_in_batch():
         flexible_samples=8,
         stable=True,
     )
-    assert records[0].verdicts["flexible"] == "INCONCLUSIVE"
-    assert "distinct contents" in records[0].details["flexible"]
+    assert records[0]["verdicts"]["flexible"] == "INCONCLUSIVE"
+    assert "distinct contents" in records[0]["details"]["flexible"]
 
 
 def test_error_records_and_continue():
@@ -133,9 +134,45 @@ def test_error_records_and_continue():
     )
     assert had_error
     assert len(records) == 3
-    assert isinstance(records[1], cli.ErrorRecord)
-    assert records[1].line == 2
-    assert isinstance(records[2], cli.ResultRecord)
+    assert records[1] == {"id": "L2", "line": 2, "error": "expected 'sym:' or 'asym:' prefix"}
+    assert records[2]["verdicts"] == {"schubitope_symmetric": "INCONCLUSIVE"}
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (b"\xff\xfe", "expected 'sym:' or 'asym:' prefix"),
+        (b"sym: 2\xff13, 213, 231", "cannot parse permutation from '2\\udcff13'"),
+    ],
+    ids=["no-prefix", "bad-word"],
+)
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_undecodable_line_is_one_error_record(
+    bad, error, source, tmp_path, capsys, monkeypatch
+):
+    data = b"sym: 1423, 1423, 1423\n" + bad + b"\nasym: 4123, 1342 -> 4312\n"
+    if source == "file":
+        src = tmp_path / "bytes.txt"
+        src.write_bytes(data)
+        args = [str(src)]
+    else:
+        args = []
+    for fmt in ("text", "jsonlines"):
+        # stdin as a strict UTF-8 text stream, as under a strict UTF-8 locale
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main([*args, "--stable", f"--format={fmt}"]) == 2
+        out = capsys.readouterr().out
+        if fmt == "text":
+            first, second, third = out.strip().split("\n\n")
+            assert first.startswith("L1 mode=symmetric n=4\n")
+            assert second == f"L2 ERROR line 2: {error}"
+            assert third.startswith("L3 mode=asymmetric n=4\n")
+        else:
+            first, second, third = [json.loads(line) for line in out.splitlines()]
+            assert first["verdicts"] == {"schubitope_symmetric": "VANISHES"}
+            assert second == {"id": "L2", "line": 2, "error": error}
+            assert third["verdicts"] == {"schubitope_asymmetric": "VANISHES"}
 
 
 RANK_13 = " ".join(str(i) for i in range(13, 0, -1))
@@ -150,7 +187,7 @@ def test_root_game_has_no_rank_cap():
     records, code, _ = run(MIXED_BATCH, tests=("schubitope", "root_game"), stable=True)
     assert code == 0
     # w0 puts one token on every root, so no filter is overloaded
-    assert records[1].verdicts["root_game"] == "INCONCLUSIVE"
+    assert records[1]["verdicts"]["root_game"] == "INCONCLUSIVE"
 
 
 def test_failing_problem_becomes_one_error_record(tmp_path, capsys, monkeypatch):
@@ -195,7 +232,7 @@ def test_json_round_trip():
     lines = text.splitlines()
     assert len(lines) == len(records)
     for line, record in zip(lines, records):
-        assert json.loads(line) == record.to_json_dict()
+        assert json.loads(line) == record
 
 
 def test_stable_output_is_deterministic():
@@ -279,9 +316,9 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
     records, code, _ = run(lines, tests=("schubitope", "flexible"), stable=True)
     assert code == 0
     asym, sym = records
-    assert "flexible" not in asym.verdicts and "flexible" not in sym.verdicts
-    assert asym.details["flexible"] == "needs --flexible-samples > 0"
-    assert sym.details["flexible"] == "only defined for asymmetric problems"
+    assert "flexible" not in asym["verdicts"] and "flexible" not in sym["verdicts"]
+    assert asym["details"]["flexible"] == "needs --flexible-samples > 0"
+    assert sym["details"]["flexible"] == "only defined for asymmetric problems"
     src = tmp_path / "two.txt"
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert cli.main([str(src), "--stable", "--tests=flexible"]) == 0
@@ -294,8 +331,8 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
     assert first["details"] == {"flexible": "needs --flexible-samples > 0"}
     # with samples, the asymmetric line gets its verdict and the symmetric one its note
     records, _, _ = run(lines, tests=("flexible",), flexible_samples=4, stable=True)
-    assert records[0].verdicts["flexible"] == "VANISHES"
-    assert records[1].details == {"flexible": "only defined for asymmetric problems"}
+    assert records[0]["verdicts"]["flexible"] == "VANISHES"
+    assert records[1]["details"] == {"flexible": "only defined for asymmetric problems"}
 
 
 def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
@@ -325,7 +362,7 @@ def test_descent_cycling_note_shows_in_text():
     records, _, options = run(
         ["sym: 1423, 1423, 1423, 1234"], tests=("descent_cycling",), stable=True
     )
-    assert records[0].verdicts == {}
+    assert records[0]["verdicts"] == {}
     assert "  descent_cycling not run: only defined for three factors\n" in emit(
         records, options
     )

@@ -24,7 +24,6 @@ def make_all():
         ),
         "RootGamePosition": lambda: rivals.root_game_initial([(3, 2, 1), (1, 2, 3)]),
         "Options": lambda: cli.Options(tests=("schubitope", "oracle"), seed=3),
-        "ErrorRecord": lambda: cli.ErrorRecord("L2", 2, "bad"),
     }
 
 
@@ -56,7 +55,6 @@ def test_reprs_show_the_fields():
         "Triple(u=(2, 1, 3), v=(1, 3, 2), w=(2, 1, 3))"
     )
     assert repr(vanishing.SchubertProblem(((1,),))) == "SchubertProblem(factors=((1,),), target=None)"
-    assert repr(cli.ErrorRecord("L1", 1, "x")) == "ErrorRecord(id='L1', line=1, error='x')"
     assert repr(cli.Options()) == (
         "Options(tests=('schubitope',), oracle_max_n=6, flexible_samples=0, "
         "seed=0, stable=False, fmt='text')"
@@ -100,21 +98,6 @@ def test_schubert_problem_rejects_non_permutations():
         vanishing.SchubertProblem(((2, 1),), (1, 3))
     with pytest.raises(ValueError, match="at least one factor"):
         vanishing.SchubertProblem(())
-
-
-def test_result_record_is_mutable_with_fresh_defaults():
-    a = cli.ResultRecord(id="L1", n=3, mode="symmetric")
-    b = cli.ResultRecord("L1", 3, "symmetric")
-    assert a == b and a.verdicts is not b.verdicts
-    a.verdicts["bruhat"] = "VANISHES"
-    a.elapsed_ms = 5
-    assert a != b and b.verdicts == {}
-    assert repr(b) == (
-        "ResultRecord(id='L1', n=3, mode='symmetric', verdicts={}, certificates={}, "
-        "details={}, oracle=None, elapsed_ms=0)"
-    )
-    with pytest.raises(TypeError):
-        hash(a)
 
 
 def test_triple_validates_through_post_init(monkeypatch):

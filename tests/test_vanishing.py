@@ -228,6 +228,32 @@ def test_flexible_sampled_matches_per_content_reference():
     assert outcomes == set(Outcome)
 
 
+@pytest.mark.parametrize(
+    "u, v, target, drawn",
+    [
+        ("4123", "1342", "4312", 0),  # the code vanishes
+        ("142356", "214563", "342165", 2),  # the second sample vanishes
+        ("231645", "231645", "451623", 8),  # no content vanishes
+    ],
+)
+def test_samples_are_drawn_only_until_a_content_vanishes(
+    u, v, target, drawn, monkeypatch
+):
+    factors, target = perms(u, v), pc.parse_permutation(target)
+    reference = reference_flexible_sampled(factors, target, 8, 0)
+    calls = []
+    sample = vn.sample_schubitope_point
+
+    def counting(d, rng=None):
+        calls.append(d)
+        return sample(d, rng)
+
+    monkeypatch.setattr(vn, "sample_schubitope_point", counting)
+    assert vn.flexible_test_sampled(factors, target, samples=8, seed=0) == reference
+    assert len(calls) == drawn
+    assert (reference.outcome is Outcome.VANISHES) == (drawn < 8)
+
+
 def random_permutation_of_length(n, length, rng):
     """The permutation of a random Lehmer code with the given sum."""
     code = [0] * n
