@@ -29,13 +29,12 @@ import time
 from typing import NamedTuple, Optional, Sequence, TextIO
 
 from . import permcore, rivals, vanishing
-from .schubitope import InfeasibleSubset
+from .schubitope import FarkasCertificate, InfeasibleSubset
 from .vanishing import Outcome, SchubertProblem, VanishingVerdict
 
 # Every batch is a fresh process, so this module imports only what a batch
 # runs: refsuite (--selfcheck), schubpoly (the oracle), json (jsonlines
-# output), traceback (a failing problem) and farkas (its certificate) are
-# imported where they are used.
+# output) and traceback (a failing problem) are imported where they are used.
 
 KNOWN_TESTS = (
     "schubitope",
@@ -95,8 +94,6 @@ def _serialize_certificate(cert) -> dict:
             "lhs": cert.lhs,
             "rhs": cert.rhs,
         }
-    from .farkas import FarkasCertificate
-
     if isinstance(cert, FarkasCertificate):
         return {
             "kind": "farkas",
@@ -303,6 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def options_from_args(args: argparse.Namespace) -> Options:
     tests = tuple(t for t in (s.strip() for s in args.tests.split(",")) if t)
+    if not tests:
+        raise ValueError("--tests selects no test")
     unknown = [t for t in tests if t not in KNOWN_TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {', '.join(unknown)}")
@@ -344,8 +343,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # an undecodable byte stays in its line, which then fails to parse alone
-    lines = data.decode("utf-8", "surrogateescape").splitlines()
+    # a leading byte-order mark is skipped; an undecodable byte stays in its
+    # line, which then fails to parse alone
+    lines = data.decode("utf-8-sig", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
     emit_records(records, options, sys.stdout)
     return code

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .permcore import Perm
 
@@ -59,12 +59,6 @@ class SubmodularFn:
             subset = frozenset(i + 1 for i in range(n) if mask >> i & 1)
             values.append(fn(subset))
         return cls(n, tuple(values))
-
-    def value(self, subset: Iterable[int]) -> Rational:
-        mask = 0
-        for i in subset:
-            mask |= 1 << (i - 1)
-        return self.values[mask]
 
     def is_submodular(self) -> bool:
         """Exhaustive check of z(I) + z(J) >= z(I u J) + z(I n J)."""

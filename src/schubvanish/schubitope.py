@@ -17,8 +17,8 @@ inequality (the min cut).  The flow starts from a greedy partial filling
 (earliest modified deadline first, ``label_caps``), which is usually
 already maximum; augmenting paths complete it, and the last search, which
 finds none, yields the cut.  That cut does not depend on the starting
-flow.  ``lp_feasible`` (in ``farkas``, resolved here on first use)
-restates the cut as multipliers of the relaxation LP.  The reference that
+flow.  ``lp_feasible`` restates the cut as integer multipliers of the
+relaxation LP (``FarkasCertificate``).  The reference that
 tests compare the flow against is S_D as the generalized permutahedron
 P(theta_D) (``SchubitopeInequalities``, ``schubitope_gpermutahedron``): one
 2^n table of theta_D and its subset scan, at up to
@@ -356,10 +356,70 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
     return Filling.from_dict(d, labels)
 
 
-def __getattr__(name: str):
-    # the relaxation-LP certificate lives in ``farkas``, imported on first use
-    if name in ("FarkasCertificate", "lp_feasible"):
-        from . import farkas
+class FarkasCertificate(NamedTuple):
+    """LP multipliers proving the relaxation polytope of (D, alpha) empty.
 
-        return getattr(farkas, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    The relaxation has a variable x_ij in [0, 1] for each label i and each
+    column j in ``columns``, the equalities sum_j x_ij = alpha_i and, for the
+    t-th cell (s, j) of a column, the prefix inequality sum_{i <= s} x_ij >= t.
+    content[i-1] multiplies the equality of label i; prefix lists
+    ((s, j), multiplier >= 0) for the prefix inequalities used.
+    ``lp_feasible`` gives integer multipliers; ``validate`` replays any
+    exact numbers, ``Fraction`` included.
+    """
+
+    content: tuple[int, ...]
+    prefix: tuple[tuple[tuple[int, int], int], ...]
+    columns: tuple[int, ...]
+
+    def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
+        """Check that the combined row's maximum over the box is below its right side."""
+        n = d.n_rows
+        columns = set(self.columns)
+        if len(self.content) != n or len(alpha) != n or len(columns) != len(self.columns):
+            return False
+        nonempty = {j for j, rows in enumerate(d.columns, start=1) if rows}
+        if not nonempty <= columns <= set(range(1, d.n_cols + 1)):
+            return False
+        weight: dict[tuple[int, int], int] = {}
+        rhs = sum(y * a for y, a in zip(self.content, alpha))
+        for (s, j), mult in self.prefix:
+            cells = d.columns[j - 1] if j in nonempty else ()
+            if mult < 0 or s not in cells or (s, j) in weight:
+                return False
+            weight[(s, j)] = mult
+            rhs += mult * (cells.index(s) + 1)
+        lhs = 0
+        for j in columns:
+            z = 0  # multipliers of the prefix rows of column j at rows >= i
+            for i in range(n, 0, -1):
+                z += weight.get((i, j), 0)
+                lhs += max(0, self.content[i - 1] + z)
+        return lhs < rhs
+
+
+def lp_feasible(d: Diagram, alpha: Sequence[int]) -> Union[Filling, FarkasCertificate]:
+    """Decide the relaxation LP of (D, alpha) by ``filling_or_cut``.
+
+    A filling is an integral point.  A min cut S becomes LP multipliers: -1
+    on the equality of each label outside S and, in each column, 1 on the
+    prefix row where t - #(S within rows 1..s) peaks above 0.  The box
+    maximum of the combined row then falls short of its right side by
+    alpha(S) - theta_D(S), since theta of a column is its cell count less
+    that peak.
+    """
+    found = filling_or_cut(d, alpha)
+    if isinstance(found, Filling):
+        return found
+    in_s = set(found.rows)
+    prefix = []
+    for j, rows in enumerate(d.columns, start=1):
+        peak, peak_row = 0, 0
+        for t, s in enumerate(rows, start=1):
+            short = t - sum(1 for i in in_s if i <= s)
+            if short > peak:
+                peak, peak_row = short, s
+        if peak:
+            prefix.append(((peak_row, j), 1))
+    content = tuple(0 if i in in_s else -1 for i in range(1, d.n_rows + 1))
+    return FarkasCertificate(content, tuple(prefix), tuple(range(1, d.n_cols + 1)))

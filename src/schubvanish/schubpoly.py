@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 
 from . import permcore
 from .permcore import Perm
+from .schubitope import SchubitopeInequalities
 
 Poly = dict[tuple[int, ...], int]
 
@@ -317,8 +318,6 @@ def verify_snp(w: Perm) -> bool:
     Enumerates the degree-length(w) simplex and compares the membership scan
     against the actual monomials; holds for every permutation.
     """
-    from .schubitope import SchubitopeInequalities
-
     n = len(w)
     d = permcore.rothe_diagram(w)
     ineqs = SchubitopeInequalities(d)

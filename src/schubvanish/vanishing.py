@@ -28,9 +28,6 @@ class Outcome(str, Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
     DEGREE_MISMATCH = "DEGREE_MISMATCH"
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
-
 
 class VanishingVerdict(NamedTuple):
     outcome: Outcome

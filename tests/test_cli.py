@@ -175,6 +175,29 @@ def test_undecodable_line_is_one_error_record(
             assert third["verdicts"] == {"schubitope_asymmetric": "VANISHES"}
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_leading_byte_order_mark_is_skipped(source, tmp_path, capsys, monkeypatch):
+    data = b"\xef\xbb\xbfsym: 1423, 1423, 1423\nasym: 4123, 1342 -> 4312\n"
+    if source == "file":
+        src = tmp_path / "bom.txt"
+        src.write_bytes(data)
+        args = [str(src)]
+    else:
+        args = []
+    for fmt in ("text", "jsonlines"):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert cli.main([*args, "--stable", f"--format={fmt}"]) == 0
+        out = capsys.readouterr().out
+        if fmt == "text":
+            first, second = out.strip().split("\n\n")
+            assert first.startswith("L1 mode=symmetric n=4\n  schubitope_symmetric: VANISHES\n")
+            assert second.startswith("L2 mode=asymmetric n=4\n  schubitope_asymmetric: VANISHES\n")
+        else:
+            first, second = [json.loads(line) for line in out.splitlines()]
+            assert first["verdicts"] == {"schubitope_symmetric": "VANISHES"}
+            assert second["verdicts"] == {"schubitope_asymmetric": "VANISHES"}
+
+
 RANK_13 = " ".join(str(i) for i in range(13, 0, -1))
 IDENTITY_13 = " ".join(str(i) for i in range(1, 14))
 MIXED_BATCH = [
@@ -309,6 +332,16 @@ def test_negative_counts_are_rejected(flag, tmp_path, capsys):
     assert captured.out == ""
     name = flag.split("=")[0]
     assert captured.err == f"error: {name} must be nonnegative, got {flag.split('=')[1]}\n"
+
+
+@pytest.mark.parametrize("flag", ["--tests=", "--tests=,", "--tests= , "])
+def test_empty_test_list_is_rejected(flag, tmp_path, capsys):
+    src = tmp_path / "one.txt"
+    src.write_text("sym: 1423, 1423, 1423\n", encoding="utf-8")
+    assert cli.main([str(src), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --tests selects no test\n"
 
 
 def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):

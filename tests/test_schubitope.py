@@ -1,8 +1,11 @@
 import itertools
+import json
+from fractions import Fraction
 
 import pytest
 
 from fillingref import edmonds_karp_cut, enumerate_tab
+from schubvanish import cli
 from schubvanish import permcore as pc
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
@@ -301,9 +304,18 @@ def replay_with_exactlp(d, alpha, cert):
     return exactlp.verify_infeasibility_certificate(len(var), [1] * len(var), rows, y)
 
 
+def rebuilt_from_json(cert):
+    """The certificate rebuilt from its JSON record with Fraction multipliers."""
+    data = json.loads(json.dumps(cli._serialize_certificate(cert)))
+    return sb.FarkasCertificate(
+        tuple(Fraction(x) for x in data["content"]),
+        tuple(((s, j), Fraction(m)) for s, j, m in data["prefix"]),
+        tuple(data["columns"]),
+    )
+
+
 def test_lp_feasible_farkas_multipliers_replay():
     import random
-    from dataclasses import replace
 
     rng = random.Random(31)
     perms = pc.all_perms(4)
@@ -318,19 +330,36 @@ def test_lp_feasible_farkas_multipliers_replay():
             continue
         infeasible += 1
         assert isinstance(res, sb.FarkasCertificate)
+        multipliers = [*res.content, *(mult for _, mult in res.prefix)]
+        assert all(type(m) is int for m in multipliers), res
         assert res.validate(d, alpha), (d, alpha, res)
         assert replay_with_exactlp(d, alpha, res)
+        rebuilt = rebuilt_from_json(res)
+        assert rebuilt == res and rebuilt.validate(d, alpha)
         # the row-by-row filling is a point, so no certificate may refute it
         assert not res.validate(d, d.row_counts())
         dropped = next(j for j, rows in enumerate(d.columns, start=1) if rows)
         kept = tuple(j for j in res.columns if j != dropped)
-        assert not replace(res, columns=kept).validate(d, alpha)
-        assert not replace(res, content=res.content[1:]).validate(d, alpha)
+        assert not res._replace(columns=kept).validate(d, alpha)
+        assert not res._replace(content=res.content[1:]).validate(d, alpha)
         if res.prefix:
             (cell, mult), *rest = res.prefix
-            assert not replace(res, prefix=((cell, -mult), *rest)).validate(d, alpha)
-            assert not replace(res, prefix=(((99, cell[1]), mult), *rest)).validate(d, alpha)
+            assert not res._replace(prefix=((cell, -mult), *rest)).validate(d, alpha)
+            assert not res._replace(prefix=(((99, cell[1]), mult), *rest)).validate(d, alpha)
     assert infeasible > 20
+
+
+def test_seven_letter_farkas_json():
+    d = seven_letter_diagram()
+    alpha = (6, 5, 4, 3, 2, 1, 0)
+    cert = sb.lp_feasible(d, alpha)
+    assert json.dumps(cli._serialize_certificate(cert), sort_keys=True) == (
+        '{"columns": [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21], '
+        '"content": ["-1", "-1", "-1", "-1", "0", "0", "-1"], "kind": "farkas", '
+        '"prefix": [[4, 1, "1"], [1, 2, "1"], [4, 4, "1"], [1, 8, "1"], [3, 10, "1"], '
+        '[4, 15, "1"], [3, 16, "1"], [2, 17, "1"], [2, 19, "1"]]}'
+    )
+    assert rebuilt_from_json(cert).validate(d, alpha)
 
 
 def random_permutation(n, length, rng):

@@ -72,11 +72,3 @@ def test_oracle_and_selfcheck_import_their_modules():
     assert "schubvanish.refsuite" not in loaded
     loaded = modules_loaded_by("from schubvanish import cli\ncli.main(['--selfcheck', '--stable'])")
     assert "schubvanish.refsuite" in loaded
-
-
-def test_relaxation_certificate_names_resolve_from_schubitope():
-    from schubvanish import farkas, schubitope
-
-    assert schubitope.lp_feasible is farkas.lp_feasible
-    assert schubitope.FarkasCertificate is farkas.FarkasCertificate
-    assert not hasattr(schubitope, "no_such_name")
