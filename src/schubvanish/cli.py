@@ -155,14 +155,16 @@ def run_problem(
     if "descent_cycling" in options.tests:
         if len(symmetrized.factors) != 3:
             details["descent_cycling"] = "only defined for three factors"
-        elif permcore.well_posed(symmetrized.factors, None) is None:
-            record["verdicts"]["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
         else:
             try:
                 triple = rivals.Triple(*symmetrized.factors)
-                _record_verdict(record, rivals.dc_test(triple))
-            except rivals.ClassSizeExceeded as exc:
-                details["descent_cycling"] = str(exc)
+            except ValueError:  # the lengths do not sum to n(n-1)/2
+                record["verdicts"]["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
+            else:
+                try:
+                    _record_verdict(record, rivals.dc_test(triple))
+                except rivals.ClassSizeExceeded as exc:
+                    details["descent_cycling"] = str(exc)
     if "root_game" in options.tests:
         _record_verdict(record, rivals.root_game_test(symmetrized.factors))
 

@@ -103,6 +103,54 @@ def _mask(positions: Sequence[int]) -> int:
     return sum(1 << i for i in positions)
 
 
+# Permutations plus remembered class members that one rank's descent-cycling
+# table may hold; a table past it is dropped and rebuilt on its next use.
+DC_TABLE_BOUND = 1 << 16
+
+
+class _RankTable:
+    """Descent-cycling state of one rank, kept for the life of the process.
+
+    Permutations are numbered as they are met.  Per number the table keeps
+    the permutation, its descent bitmask and a lazily filled row of the
+    numbers of x * s_i.  verdicts maps each member of every class dc_test
+    enumerated to (class size, first dc-trivial member or None), one pair
+    per class, keyed by the member tuples of the class itself.  The tables
+    are shared by every caller in the process and take no lock: descent
+    cycling runs on one thread.
+    """
+
+    __slots__ = ("n", "ids", "perms", "descents", "rows", "verdicts")
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.ids: dict[Perm, int] = {}
+        self.perms: list[Perm] = []
+        self.descents: list[int] = []
+        self.rows: list[list[int]] = []  # rows[k][i]: number of perms[k] * s_i, or -1
+        self.verdicts: dict[Factors, tuple[int, Optional[Factors]]] = {}
+
+    def number(self, x: Perm) -> int:
+        k = self.ids.get(x)
+        if k is None:
+            k = self.ids[x] = len(self.perms)
+            self.perms.append(x)
+            self.descents.append(_mask(permcore.descents(x)))
+            self.rows.append([-1] * self.n)
+        return k
+
+
+_rank_tables: dict[int, _RankTable] = {}
+
+
+def _rank_table(n: int) -> _RankTable:
+    """The table of rank n, new when there is none or it passed DC_TABLE_BOUND."""
+    table = _rank_tables.get(n)
+    if table is None or len(table.perms) + len(table.verdicts) > DC_TABLE_BOUND:
+        table = _rank_tables[n] = _RankTable(n)
+    return table
+
+
 def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
     """Factor tuples of the closure of t under descent-cycling moves.
 
@@ -111,26 +159,18 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
     two.  Every move keeps the words in S_n and the total length, so members
     are never revalidated, and every member has the same intersection number.
 
-    The words met are numbered as they appear; per number the closure keeps
-    the descent bitmask and a lazily filled row of the numbers of x * s_i,
-    so a member is a triple of small ints and a move costs a few integer
-    operations.  The members are turned back into permutations at the end.
-    Raises ClassSizeExceeded when the class has more than cap members.
+    Words are numbered in the table of their rank, which every class of that
+    rank shares for the life of the process: the descent bitmask of each
+    permutation and its row of x * s_i numbers are computed once per
+    process, not once per class.  A table holding more than DC_TABLE_BOUND
+    permutations and remembered members (see dc_test) is dropped and
+    rebuilt on its next use.  A member is a triple of small ints and a move
+    costs a few integer operations; the members are turned back into
+    permutations at the end.  Raises ClassSizeExceeded when the class has
+    more than cap members.
     """
-    n = t.n
-    ids: dict[Perm, int] = {}
-    perms: list[Perm] = []
-    descents: list[int] = []
-    rows: list[list[int]] = []  # rows[k][i]: number of perms[k] * s_i, or -1
-
-    def number(x: Perm) -> int:
-        k = ids.get(x)
-        if k is None:
-            k = ids[x] = len(perms)
-            perms.append(x)
-            descents.append(_mask(permcore.descents(x)))
-            rows.append([-1] * n)
-        return k
+    table = _rank_table(t.n)
+    perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
         s = rows[k][i] = number(_swap(perms[k], i))
@@ -177,31 +217,45 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
 def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     """Vanishes when some member of the closure has a common ascent.
 
-    Reports the first such member in sorted order of factor tuples.
+    Reports the first such member in sorted order of factor tuples.  A
+    class's size and that member do not depend on which member the closure
+    starts from, so once a class is enumerated, its rank's table remembers
+    (size, first member) under every member; a later triple in the class
+    gets its verdict from one lookup, without a closure or an ascent scan.
+    The cap holds on such a hit too: a remembered class of more than cap
+    members raises ClassSizeExceeded.  A closure that overflows its cap is
+    not remembered, nor is a class larger than DC_TABLE_BOUND.
     """
     method = "descent_cycling"
-    cls = dc_class(t, cap=cap)
-    ascents: dict[Perm, int] = {}
-
-    def ascent_mask(x: Perm) -> int:
-        m = ascents.get(x)
-        if m is None:
-            m = ascents[x] = _mask(permcore.ascents(x))
-        return m
-
-    first = min(
-        (m for m in cls if ascent_mask(m[0]) & ascent_mask(m[1]) & ascent_mask(m[2])),
-        default=None,
-    )
+    known = _rank_table(t.n).verdicts.get(t.factors)
+    if known is None:
+        cls = dc_class(t, cap=cap)
+        table = _rank_tables[t.n]  # the table dc_class numbered the class in
+        ids, descents = table.ids, table.descents
+        every = _mask(range(1, t.n))  # a common ascent is a descent of none
+        first = min(
+            (
+                m
+                for m in cls
+                if every & ~(descents[ids[m[0]]] | descents[ids[m[1]]] | descents[ids[m[2]]])
+            ),
+            default=None,
+        )
+        known = (len(cls), first)
+        if len(cls) <= DC_TABLE_BOUND:
+            table.verdicts.update(dict.fromkeys(cls, known))
+    size, first = known
+    if size > cap:
+        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
     if first is not None:
         detail = (
             "dc-trivial member "
             + ",".join(permcore.format_permutation(x) for x in first)
-            + f" in a class of {len(cls)}"
+            + f" in a class of {size}"
         )
         return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
     return VanishingVerdict(
-        Outcome.INCONCLUSIVE, method, detail=f"class of {len(cls)}, none dc-trivial"
+        Outcome.INCONCLUSIVE, method, detail=f"class of {size}, none dc-trivial"
     )
 
 

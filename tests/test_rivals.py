@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from collections import deque
@@ -62,28 +63,58 @@ def reference_dc_detail(cls):
     return f"class of {len(cls)}, none dc-trivial"
 
 
+def reference_dc_classes(triples, cap=None):
+    """Each triple's reference class and detail, keyed by every member.
+
+    Triples whose reference class has more than cap members are left out.
+    """
+    reference = {}
+    for factors in triples:
+        t = rv.Triple(*factors)
+        if t not in reference:
+            cls = reference_dc_class(t, cap)
+            if cls is not None:
+                reference.update(dict.fromkeys(cls, (cls, reference_dc_detail(cls))))
+    return reference
+
+
 def assert_dc_matches_reference(triples, cap=None):
     """dc_class and dc_test agree with the references on each triple.
 
     Triples whose reference class has more than cap members are skipped.
     Returns the sizes of the distinct classes checked.
     """
-    reference = {}
-    sizes = []
+    reference = reference_dc_classes(triples, cap)
     for factors in triples:
         t = rv.Triple(*factors)
-        if t not in reference:
-            cls = reference_dc_class(t, cap)
-            if cls is None:
-                continue
-            detail = reference_dc_detail(cls)
-            for member in cls:
-                reference[member] = (cls, detail)
-            sizes.append(len(cls))
-        cls, detail = reference[t]
-        assert rv.dc_class(t) == {m.factors for m in cls}, factors
-        assert rv.dc_test(t).detail == detail, factors
-    return sizes
+        if t in reference:
+            cls, detail = reference[t]
+            assert rv.dc_class(t) == {m.factors for m in cls}, factors
+            assert rv.dc_test(t).detail == detail, factors
+    return list({id(cls): len(cls) for cls, _ in reference.values()}.values())
+
+
+@functools.cache
+def interleaved_rank_4_and_5_cases():
+    """(factors, reference dc_test detail) for rank-5 and rank-4 triples in turn.
+
+    The rank-5 triples are (53241, v, w) for every v, w of total length 2:
+    they meet 18 classes, up to the one of 8331 members.  The rank-4 triples
+    are sampled.
+    """
+    perms5 = pc.all_perms(5)
+    u = perm("53241")
+    rank5 = [(u, v, w) for v in perms5 for w in perms5 if pc.length(v) + pc.length(w) == 2]
+    rank4 = random.Random(31).sample(well_posed_triples(4), len(rank5))
+    triples = [t for pair in zip(rank5, rank4) for t in pair]
+    reference = reference_dc_classes(triples)
+    return [(t, reference[rv.Triple(*t)][1]) for t in triples]
+
+
+@pytest.fixture(autouse=True)
+def fresh_dc_tables(monkeypatch):
+    """Each test starts from empty descent-cycling tables."""
+    monkeypatch.setattr(rv, "_rank_tables", {})
 
 
 def reference_is_doomed(pos):
@@ -409,3 +440,44 @@ def test_rival_soundness_sampled_s5():
             assert oracle == 0
         if rv.dc_test(rv.Triple(*triple)).outcome is Outcome.VANISHES:
             assert oracle == 0
+
+
+def test_dc_test_does_not_depend_on_order(monkeypatch):
+    # one key space shared across ranks would hand a rank-4 triple the
+    # verdict of a rank-5 class
+    cases = interleaved_rank_4_and_5_cases()
+    assert "class of 8331, none dc-trivial" in {detail for _, detail in cases}
+    for factors, detail in cases:
+        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    enumerated = []
+    dc_class = rv.dc_class
+    monkeypatch.setattr(rv, "dc_class", lambda t, cap: enumerated.append(t) or dc_class(t, cap))
+    for factors, detail in reversed(cases):
+        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    assert enumerated == []  # every class was remembered on the first pass
+
+
+def test_dc_cap_holds_on_a_remembered_class():
+    factors, detail = next(c for c in interleaved_rank_4_and_5_cases() if "class of 220" in c[1])
+    t = rv.Triple(*factors)
+    with pytest.raises(rv.ClassSizeExceeded):
+        rv.dc_test(t, cap=219)
+    # the overflow left nothing behind: the full closure still runs
+    assert rv.dc_test(t).detail == detail
+    other = rv.Triple(*next(m for m in rv.dc_class(t) if m != factors))
+    for member in (t, other):
+        with pytest.raises(rv.ClassSizeExceeded, match="exceeds 219"):
+            rv.dc_test(member, cap=219)
+        assert rv.dc_test(member, cap=220).detail == detail
+
+
+def test_dc_tables_are_rebuilt_past_their_bound(monkeypatch):
+    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 50)
+    cases = interleaved_rank_4_and_5_cases()
+    tables = []
+    for factors, detail in cases + cases[::-1]:
+        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+        tables.append(rv._rank_tables[len(factors[0])])
+    assert len({id(table) for table in tables}) > 2
+    # a class larger than the bound is never remembered
+    assert all(size <= 50 for table in tables for size, _ in table.verdicts.values())
