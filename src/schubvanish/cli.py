@@ -18,12 +18,14 @@ descent cycling on other than three factors or past its class-size cap,
 the oracle above --oracle-max-n) leaves a note in place of its verdict,
 and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
 failed to parse or the arguments or input file are bad; otherwise 1 when
-any problem raised while it was evaluated (an internal error).
+any problem raised while it was evaluated (an internal error) or the
+reader closed standard output before every record was written.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import NamedTuple, Optional, Sequence, TextIO
@@ -349,7 +351,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # line, which then fails to parse alone
     lines = data.decode("utf-8-sig", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
-    emit_records(records, options, sys.stdout)
+    try:
+        emit_records(records, options, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; stdout goes to devnull so that the
+        # flush at exit does not raise again (the SIGPIPE note of `signal`)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

@@ -10,11 +10,12 @@ Subsets are bitmasks (bit i-1 holds element i); values are exact rationals.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
-from .permcore import Perm
+from .permcore import Perm, is_permutation
 
 Rational = Union[int, Fraction]
 
@@ -99,7 +100,7 @@ class GPermutahedron:
         Coordinate w_k receives z({w_1..w_k}) - z({w_1..w_{k-1}}); the
         result satisfies every defining inequality of P(z).
         """
-        if sorted(w) != list(range(1, self.n + 1)):
+        if len(w) != self.n or not is_permutation(w):
             raise ValueError(f"ordering must be a permutation of 1..{self.n}")
         v: list[Rational] = [0] * self.n
         mask = 0
@@ -131,9 +132,9 @@ class GPermutahedron:
     def lattice_points(self) -> frozenset[tuple[int, ...]]:
         """All integer points of P(z); requires integral z and n <= 8.
 
-        Enumerates coordinate by coordinate inside the exact per-coordinate
-        bounds, pruning with every subset inequality on the fixed prefix.
-        Exponential in n, fine at desk scale.
+        Scans t_1..t_{n-1} over the box z([n]) - z([n] - {i}) <= t_i <= z({i}),
+        sets t_n = z([n]) - (t_1 + ... + t_{n-1}), and keeps t when t_n lies in
+        its box too and t is in P(z).  Exponential in n, fine at desk scale.
         """
         n = self.n
         if n > 8:
@@ -145,46 +146,13 @@ class GPermutahedron:
         values = [int(x) for x in self.z.values]
         full = (1 << n) - 1
         total = values[full]
-        lo = [total - values[full ^ (1 << i)] for i in range(n)]
-        hi = [values[1 << i] for i in range(n)]
-        if any(l > h for l, h in zip(lo, hi)):
-            return frozenset()
-        # masks_by_top[k]: masks whose highest element is k+1
-        masks_by_top = [
-            [m | (1 << k) for m in range(1 << k)] for k in range(n)
-        ]
-        suffix_lo = [0] * (n + 1)
-        suffix_hi = [0] * (n + 1)
-        for i in range(n - 1, -1, -1):
-            suffix_lo[i] = suffix_lo[i + 1] + lo[i]
-            suffix_hi[i] = suffix_hi[i + 1] + hi[i]
-
-        out: set[tuple[int, ...]] = set()
-        point = [0] * n
-
-        def walk(k: int, running: int) -> None:
-            if k == n:
-                if running == total:
-                    out.add(tuple(point))
-                return
-            for v in range(lo[k], hi[k] + 1):
-                nxt = running + v
-                if nxt + suffix_lo[k + 1] > total or nxt + suffix_hi[k + 1] < total:
-                    continue
-                point[k] = v
-                ok = True
-                for mask in masks_by_top[k]:
-                    if mask == full:
-                        continue
-                    if _subset_sum(point, mask) > values[mask]:
-                        ok = False
-                        break
-                if ok:
-                    walk(k + 1, nxt)
-            point[k] = 0
-
-        walk(0, 0)
-        return frozenset(out)
+        box = [range(total - values[full ^ 1 << i], values[1 << i] + 1) for i in range(n)]
+        points = set()
+        for head in itertools.product(*box[:-1]):
+            t = head + (total - sum(head),)
+            if t[-1] in box[-1] and self.contains(t):
+                points.add(t)
+        return frozenset(points)
 
 
 def standard_permutahedron(n: int) -> GPermutahedron:

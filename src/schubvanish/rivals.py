@@ -8,6 +8,7 @@ verdicts as the main tests.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import permcore
@@ -93,11 +94,6 @@ def dc_trivial(factors: Factors) -> bool:
     )
 
 
-def _swap(x: Perm, i: int) -> Perm:
-    """x * s_i: the entries at positions i and i + 1 exchanged."""
-    return x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :]
-
-
 def _mask(positions: Sequence[int]) -> int:
     """The bitmask with bit i set for each position i."""
     return sum(1 << i for i in positions)
@@ -173,7 +169,7 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
-        s = rows[k][i] = number(_swap(perms[k], i))
+        s = rows[k][i] = number(permcore.right_mult_s(perms[k], i))
         return s
 
     start = tuple(number(x) for x in t.factors)
@@ -289,28 +285,16 @@ def upper_order_filters(n: int) -> Iterator[frozenset[tuple[int, int]]]:
     a' <= a and b <= b', with top element alpha_{1,n}.  A filter meets row a
     in a suffix {b : b >= cut_a}, and up-closure forces the cuts to be
     nondecreasing, so filters match lattice paths and are counted by the
-    Catalan numbers.  Emitted in lexicographic cut order.  is_doomed does
-    not scan them; this enumeration is the reference it is tested against.
+    Catalan numbers.  The cut sequences are the nondecreasing tuples over
+    2..n+1 with cut_a >= a + 1, emitted in lexicographic order.  is_doomed
+    does not scan them; this enumeration is the reference it is tested
+    against.
     """
-    if n < 2:
-        yield frozenset()
-        return
-
-    cuts = [0] * (n - 1)
-
-    def rec(a: int, lo: int) -> Iterator[frozenset[tuple[int, int]]]:
-        if a == n:
+    for cuts in itertools.combinations_with_replacement(range(2, n + 2), max(n - 1, 0)):
+        if all(cut > a for a, cut in enumerate(cuts, start=1)):
             yield frozenset(
-                (row, b)
-                for row in range(1, n)
-                for b in range(cuts[row - 1], n + 1)
+                (a, b) for a, cut in enumerate(cuts, start=1) for b in range(cut, n + 1)
             )
-            return
-        for cut in range(max(lo, a + 1), n + 2):
-            cuts[a - 1] = cut
-            yield from rec(a + 1, cut)
-
-    yield from rec(1, 2)
 
 
 def is_doomed(

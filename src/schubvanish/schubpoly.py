@@ -132,48 +132,28 @@ def schubert_polynomial(w: Perm, nvars: int | None = None) -> Poly:
     Meant for small ranks; the recursion touches one chain up to the longest
     element, each step one divided difference.
     """
-    key = permcore.trim(w)
     if nvars is None:
         nvars = len(w)
-    f = _schub_cache.get(key)
+    return pad(_schubert(permcore.trim(w)), nvars)
+
+
+def _schubert(w: Perm) -> Poly:
+    """The memo entry of a trimmed w, in len(w) variables.
+
+    w0(m) is the staircase monomial; any other w is the divided difference
+    at its first ascent i of the polynomial of w * s_i.
+    """
+    f = _schub_cache.get(w)
     if f is None:
-        f = _compute_schubert(key)
-        _schub_cache[key] = f
-    return pad(f, nvars)
-
-
-def _compute_schubert(w: Perm) -> Poly:
-    # w is trimmed here; the trailing entry (if any) is not a fixed point.
-    stack = [w]
-    while True:
-        top = stack[-1]
-        if top in _schub_cache:
-            stack.pop()
-            if not stack:
-                return _schub_cache[w]
-            continue
-        m = len(top)
-        if not top:
-            _schub_cache[top] = {(): 1}
-            continue
-        if top == permcore.w0(m):
-            _schub_cache[top] = {tuple(range(m - 1, -1, -1)): 1}
-            continue
-        i = permcore.ascents(top)[0]
-        parent = permcore.trim(permcore.right_mult_s(top, i))
-        if parent in _schub_cache:
-            f = pad(_schub_cache[parent], m)
-            _schub_cache[top] = divided_difference(f, i)
+        m = len(w)
+        if w == permcore.w0(m):
+            f = {tuple(range(m - 1, -1, -1)): 1}
         else:
-            stack.append(parent)
-
-
-def build_all(n: int) -> dict[Perm, Poly]:
-    """Compute the table for all of S_n, exponents padded to n variables."""
-    table = {}
-    for w in permcore.all_perms(n):
-        table[w] = schubert_polynomial(w, n)
-    return table
+            i = permcore.ascents(w)[0]
+            up = _schubert(permcore.trim(permcore.right_mult_s(w, i)))
+            f = divided_difference(pad(up, m), i)
+        _schub_cache[w] = f
+    return f
 
 
 def reduced_word(z: Perm) -> list[int]:

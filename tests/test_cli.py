@@ -1,8 +1,11 @@
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -321,6 +324,26 @@ def test_main_selfcheck(capsys, monkeypatch):
     assert summary == "reference suite: FAILURES"
     assert cli.main(["--selfcheck", "--stable"]) == 1
     assert capsys.readouterr().out.splitlines()[0] == "FAIL slow 0 ms"
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
+    # far more output than a pipe buffer holds, so the CLI is still writing
+    # when the reader goes away
+    problems = tmp_path / "many.txt"
+    problems.write_text("sym: 1423, 1423, 1423\n" * 2000)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubvanish", "--stable", f"--format={fmt}", str(problems)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"L1 " if fmt == "text" else b"{")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert stderr == b""
 
 
 @pytest.mark.parametrize("flag", ["--flexible-samples=-1", "--oracle-max-n=-3"])

@@ -98,6 +98,8 @@ def test_standard_permutahedron_vertices():
     assert verts == set(itertools.permutations((0, 1, 2)))
     with pytest.raises(ValueError):
         p.vertex((1, 2))
+    with pytest.raises(ValueError):
+        p.vertex((1, 1, 2))
 
 
 def test_vertices_satisfy_inequalities():
@@ -165,6 +167,31 @@ def test_lattice_points_guards():
         ).lattice_points()
     with pytest.raises(ValueError):
         standard_permutahedron(9).lattice_points()
+
+
+def test_lattice_points_edge_cases():
+    assert GPermutahedron(SubmodularFn(0, (0,))).lattice_points() == frozenset({()})
+    # z([2]) - z({2}) = 1 > z({1}) = 0: the box of t_1 is empty
+    assert GPermutahedron(SubmodularFn(2, (0, 0, 0, 1))).lattice_points() == frozenset()
+    negative = GPermutahedron(SubmodularFn(2, (0, -1, 2, 1)))
+    assert negative.lattice_points() == frozenset({(-1, 2)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(submodular_fns(max_n=3))
+def test_lattice_points_equal_a_wide_box_scan(z):
+    # every coordinate lies in [z([n]) - z([n] - {i}), z({i})], so within
+    # twice the largest |z| of zero; scan that box, the sum fixing t_n
+    p = GPermutahedron(z)
+    bound = 2 * max(map(abs, z.values))
+    wide = range(-bound, bound + 1)
+    total = z.values[-1]
+    scanned = {
+        head + (total - sum(head),)
+        for head in itertools.product(wide, repeat=z.n - 1)
+        if p.contains(head + (total - sum(head),))
+    }
+    assert p.lattice_points() == scanned
 
 
 def test_integer_decomposition_point_and_standard():

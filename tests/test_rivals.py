@@ -263,6 +263,7 @@ def test_root_game_initial_positions():
 
 
 def test_upper_order_filters_counts_and_brute_force():
+    assert list(rv.upper_order_filters(0)) == [frozenset()]
     assert list(rv.upper_order_filters(1)) == [frozenset()]
     catalan = {2: 2, 3: 5, 4: 14, 5: 42, 6: 132, 7: 429}
     for n, expected in catalan.items():
@@ -282,6 +283,13 @@ def test_upper_order_filters_counts_and_brute_force():
             up_closed.append(frozenset(chosen))
     assert set(rv.upper_order_filters(3)) == set(up_closed)
     assert len(up_closed) == 5
+    # is_doomed's witness is the first overloaded filter in this order
+    for n in range(7):
+        cuts = [
+            tuple(min((b for a2, b in filt if a2 == a), default=n + 1) for a in range(1, n))
+            for filt in rv.upper_order_filters(n)
+        ]
+        assert cuts == sorted(set(cuts))
 
 
 def test_filters_are_up_closed():

@@ -128,11 +128,36 @@ def test_positivity_and_code_leading_term():
             assert all(c > 0 for c in f.values()), w
             assert f[pc.code(w)] == 1, w
             assert min(f) == pc.code(w), w
-    table = sp.build_all(6)
+    table = {w: sp.schubert_polynomial(w, 6) for w in pc.all_perms(6)}
     assert len(table) == 720
     for w, f in table.items():
         assert all(c > 0 for c in f.values()), w
         assert f[pc.code(w)] == 1, w
+
+
+def test_memo_hands_out_copies(monkeypatch):
+    monkeypatch.setattr(sp, "_schub_cache", {})
+    first = sp.schubert_polynomial((2, 1, 5, 4, 3))
+    first[(9, 9, 9, 9, 9)] = 1
+    first.pop((1, 1, 1, 1, 0))
+    assert sp.schubert_polynomial((2, 1, 5, 4, 3)) == S_21543
+    assert sp.schubert_polynomial((2, 1, 5, 4, 3), 6) == sp.pad(S_21543, 6)
+
+
+def test_one_divided_difference_per_memo_entry(monkeypatch):
+    monkeypatch.setattr(sp, "_schub_cache", {})
+    calls = []
+    plain = sp.divided_difference
+
+    def counted(f, i):
+        calls.append(i)
+        return plain(f, i)
+
+    monkeypatch.setattr(sp, "divided_difference", counted)
+    for w in pc.all_perms(6):
+        sp.schubert_polynomial(w)
+    longest = [w for w in sp._schub_cache if w == pc.w0(len(w))]
+    assert len(calls) == len(sp._schub_cache) - len(longest) == 714
 
 
 def test_intersection_number_examples():
