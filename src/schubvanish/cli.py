@@ -28,7 +28,7 @@ import argparse
 import os
 import sys
 import time
-from typing import NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 from . import permcore, rivals, vanishing
 from .schubitope import FarkasCertificate, InfeasibleSubset
@@ -325,6 +325,21 @@ def options_from_args(args: argparse.Namespace) -> Options:
     )
 
 
+def _write_stdout(write: Callable[[TextIO], int]) -> int:
+    """Return write(sys.stdout) once stdout is flushed, or 1 if the reader left.
+
+    When the reader closed the pipe, stdout goes to devnull, so that the
+    flush at exit does not raise again (the SIGPIPE note of `signal`).
+    """
+    try:
+        code = write(sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -332,8 +347,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.selfcheck:
             from . import refsuite
 
-            passed = refsuite.run_reference_report(sys.stdout, stable=args.stable)
-            return 0 if passed else 1
+            return _write_stdout(
+                lambda out: 0 if refsuite.run_reference_report(out, stable=args.stable) else 1
+            )
         options = options_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -351,15 +367,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # line, which then fails to parse alone
     lines = data.decode("utf-8-sig", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
-    try:
-        emit_records(records, options, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed the pipe; stdout goes to devnull so that the
-        # flush at exit does not raise again (the SIGPIPE note of `signal`)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+
+    def emit(out: TextIO) -> int:
+        emit_records(records, options, out)
+        return code
+
+    return _write_stdout(emit)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ verdicts as the main tests.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import permcore
 from .permcore import Frozen, Perm
@@ -94,13 +94,62 @@ def dc_trivial(factors: Factors) -> bool:
     )
 
 
-def _mask(positions: Sequence[int]) -> int:
+def _mask(positions: Iterable[int]) -> int:
     """The bitmask with bit i set for each position i."""
     return sum(1 << i for i in positions)
 
 
-# Permutations plus remembered class members that one rank's descent-cycling
-# table may hold; a table past it is dropped and rebuilt on its next use.
+# S_3 permutes the factors of a triple.  Element g acts on m as
+# (m[p[0]], m[p[1]], m[p[2]]) with p = _S3[g]; 0 is the identity, and acting
+# by _MUL[g][h] is acting by h and then by g.
+_S3 = tuple(itertools.permutations(range(3)))
+_MUL = tuple(tuple(_S3.index(tuple(q[i] for i in p)) for q in _S3) for p in _S3)
+_INV = tuple(row.index(0) for row in _MUL)
+
+_Node = tuple[int, int, int]
+
+
+def _sort3(p: int, q: int, r: int) -> tuple[_Node, int]:
+    """The sorted triple of p, q, r and the element that acts on it as (p, q, r)."""
+    if p <= q:
+        if q <= r:
+            return (p, q, r), 0
+        if p <= r:
+            return (p, r, q), 1
+        return (r, p, q), 3
+    if p <= r:
+        return (q, p, r), 2
+    if q <= r:
+        return (q, r, p), 4
+    return (r, q, p), 5
+
+
+def _stabilizer(node: _Node) -> int:
+    """Bitmask of the elements of S_3 that fix a sorted triple."""
+    a, b, c = node
+    if a == c:
+        return (1 << 6) - 1
+    return 1 | (a == b) << 2 | (b == c) << 1
+
+
+def _conjugate(mask: int, tau: int) -> int:
+    """Bitmask of tau * g * tau^-1 over the elements g of mask."""
+    return _mask(_MUL[_MUL[tau][g]][_INV[tau]] for g in range(6) if mask >> g & 1)
+
+
+def _generated(mask: int) -> tuple[int, ...]:
+    """The elements of the subgroup of S_3 that the elements of mask generate."""
+    while True:
+        elements = [g for g in range(6) if mask >> g & 1]
+        grown = mask | _mask({_MUL[g][h] for g in elements for h in elements})
+        if grown == mask:
+            return tuple(elements)
+        mask = grown
+
+
+# Permutations plus nodes of remembered classes that one rank's
+# descent-cycling table may hold; a table past it is dropped and rebuilt on
+# its next use.
 DC_TABLE_BOUND = 1 << 16
 
 
@@ -109,14 +158,14 @@ class _RankTable:
 
     Permutations are numbered as they are met.  Per number the table keeps
     the permutation, its descent bitmask and a lazily filled row of the
-    numbers of x * s_i.  verdicts maps each member of every class dc_test
-    enumerated to (class size, first dc-trivial member or None), one pair
-    per class, keyed by the member tuples of the class itself.  The tables
-    are shared by every caller in the process and take no lock: descent
-    cycling runs on one thread.
+    numbers of x * s_i.  A node is the sorted triple of the numbers of a
+    triple's factors; classes maps every node of each class walked to the
+    _DcClass record of that walk, which answers for every ordering of the
+    class.  The tables are shared by every caller in the process and take no
+    lock: descent cycling runs on one thread.
     """
 
-    __slots__ = ("n", "ids", "perms", "descents", "rows", "verdicts")
+    __slots__ = ("n", "ids", "perms", "descents", "rows", "classes")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -124,7 +173,7 @@ class _RankTable:
         self.perms: list[Perm] = []
         self.descents: list[int] = []
         self.rows: list[list[int]] = []  # rows[k][i]: number of perms[k] * s_i, or -1
-        self.verdicts: dict[Factors, tuple[int, Optional[Factors]]] = {}
+        self.classes: dict[_Node, _DcClass] = {}
 
     def number(self, x: Perm) -> int:
         k = self.ids.get(x)
@@ -136,49 +185,84 @@ class _RankTable:
         return k
 
 
+class _DcClass:
+    """A descent-cycling class C, as the walk over its S_3-orbits leaves it.
+
+    transports maps each node of C to its transport tau: tau acting on the
+    node is a member of C.  group lists the stabilizer H of C in S_3, the g
+    with gC = C.  The members of C on a node N are h * tau acting on N for
+    h in H, so size, the number of members, is the sum over the nodes of
+    |H| / |Stab(N)|.  Reordering the factors maps C onto a class gC with the
+    same nodes.  trivial lists the dc-trivial nodes, and firsts maps each
+    coset gH asked for, keyed by its smallest element, to the first
+    dc-trivial member of gC, or None.
+    """
+
+    __slots__ = ("transports", "group", "size", "trivial", "firsts")
+
+    def __init__(self, transports: dict[_Node, int], group: tuple[int, ...],
+                 size: int, trivial: list[_Node]) -> None:
+        self.transports = transports
+        self.group = group
+        self.size = size
+        self.trivial = trivial
+        self.firsts: dict[int, Optional[Factors]] = {}
+
+
 _rank_tables: dict[int, _RankTable] = {}
 
 
 def _rank_table(n: int) -> _RankTable:
     """The table of rank n, new when there is none or it passed DC_TABLE_BOUND."""
     table = _rank_tables.get(n)
-    if table is None or len(table.perms) + len(table.verdicts) > DC_TABLE_BOUND:
+    if table is None or len(table.perms) + len(table.classes) > DC_TABLE_BOUND:
         table = _rank_tables[n] = _RankTable(n)
     return table
 
 
-def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
-    """Factor tuples of the closure of t under descent-cycling moves.
+def _dc_walk(table: _RankTable, start: _Node, transport: int, cap: int) -> _DcClass:
+    """Walk the class of the member transport * start, one node at a time.
 
-    At a position i where exactly one of u, v, w has a descent, the
-    reflection s_i may be shuffled between that word and either of the other
-    two.  Every move keeps the words in S_n and the total length, so members
-    are never revalidated, and every member has the same intersection number.
+    A move treats u, v and w alike, so permuting the factors of a triple
+    permutes its neighbours the same way.  The walk therefore expands each
+    node from the node itself: a neighbour (p, q, r) of node N with
+    transport tau, and rho with rho acting on N' = sorted(p, q, r) as
+    (p, q, r), gives N' the transport tau * rho.  When a node is reached
+    again with another transport, the two differ by an element of H, and
+    the start adds its own stabilizer, conjugated by its transport.  These
+    elements generate H: every member is then h * tau_N acting on its node N
+    for some h they generate (induction along a path of moves from the
+    start).  Another node with a repeated factor needs no such step: if g
+    fixes the member m' reached from m = tau * N by a move at i, then g * m
+    is the third triple of the triangle at i (see below).  The parent
+    reached it too, on its own node N with the transport g * tau, and so
+    recorded g.
 
-    Words are numbered in the table of their rank, which every class of that
-    rank shares for the life of the process: the descent bitmask of each
-    permutation and its row of x * s_i numbers are computed once per
-    process, not once per class.  A table holding more than DC_TABLE_BOUND
-    permutations and remembered members (see dc_test) is dropped and
-    rebuilt on its next use.  A member is a triple of small ints and a move
-    costs a few integer operations; the members are turned back into
-    permutations at the end.  Raises ClassSizeExceeded when the class has
-    more than cap members.
+    At a position i where exactly one word has a descent, the three triples
+    that pass s_i around among the words form a triangle, so a node reached
+    by a move at i skips i: its parent reached both ends of those moves.
+
+    Raises ClassSizeExceeded when the class has more than cap members: as
+    soon as the nodes do, or when the walk is over.
     """
-    table = _rank_table(t.n)
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
         s = rows[k][i] = number(permcore.right_mult_s(perms[k], i))
         return s
 
-    start = tuple(number(x) for x in t.factors)
-    seen = {start}
-    stack = [start]
+    every = _mask(range(1, table.n))  # a common ascent is a descent of none
+    transports = {start: transport}
+    found = _conjugate(_stabilizer(start), transport)
+    trivial: list[_Node] = []
+    stack = [(start, transport, 0)]
     while stack:
-        a, b, c = stack.pop()
+        node, tau, skip = stack.pop()
+        a, b, c = node
         da, db, dc = descents[a], descents[b], descents[c]
-        moves = (da ^ db ^ dc) & ~(da & db & dc)
+        if every & ~(da | db | dc):
+            trivial.append(node)
+        moves = (da ^ db ^ dc) & ~(da & db & dc) & ~skip
         while moves:
             low = moves & -moves
             moves ^= low
@@ -199,50 +283,93 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
                 x, y = (sa, b, sc), (sa, sb, c)
             else:
                 x, y = (a, sb, sc), (sa, sb, c)
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-        if len(seen) > cap:
+            for neighbour in (x, y):
+                nxt, rho = _sort3(*neighbour)
+                reached = _MUL[tau][rho]
+                known = transports.get(nxt)
+                if known is None:
+                    transports[nxt] = reached
+                    stack.append((nxt, reached, low))
+                elif known != reached:
+                    found |= 1 << _MUL[reached][_INV[known]]
+        if len(transports) > cap:
             raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
-    return frozenset((perms[a], perms[b], perms[c]) for a, b, c in seen)
+    group = _generated(found)
+    size = sum(len(group) // _stabilizer(node).bit_count() for node in transports)
+    if size > cap:
+        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
+    return _DcClass(transports, group, size, trivial)
+
+
+def _dc_lookup(t: Triple, cap: int) -> tuple[_RankTable, _DcClass, tuple[int, ...]]:
+    """t's rank table, the record of a class C and the coset gH with t in gC.
+
+    The record is the table's, or comes from a walk started at t, which the
+    table then remembers under every node unless there are more than
+    DC_TABLE_BOUND.  A closure that overflows its cap is not remembered.
+    """
+    table = _rank_table(t.n)
+    node, rho = _sort3(*map(table.number, t.factors))
+    cls = table.classes.get(node)
+    if cls is None:
+        cls = _dc_walk(table, node, rho, cap)
+        if len(cls.transports) <= DC_TABLE_BOUND:
+            table.classes.update(dict.fromkeys(cls.transports, cls))
+    elif cls.size > cap:
+        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
+    g = _MUL[rho][_INV[cls.transports[node]]]
+    return table, cls, tuple(_MUL[g][h] for h in cls.group)
+
+
+def _members(
+    table: _RankTable, cls: _DcClass, coset: Sequence[int], nodes: Iterable[_Node]
+) -> Iterator[Factors]:
+    """The members of gC on the given nodes, for the coset gH; repeats possible."""
+    perms, transports = table.perms, cls.transports
+    for node in nodes:
+        tau = transports[node]
+        for g in coset:
+            p = _S3[_MUL[g][tau]]
+            yield perms[node[p[0]]], perms[node[p[1]]], perms[node[p[2]]]
+
+
+def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
+    """Factor tuples of the closure of t under descent-cycling moves.
+
+    At a position i where exactly one of u, v, w has a descent, the
+    reflection s_i may be shuffled between that word and either of the other
+    two.  Every move keeps the words in S_n and the total length, so members
+    are never revalidated, and every member has the same intersection number.
+
+    The closure is the walk over S_3-orbits of triples that dc_test runs
+    (see _dc_walk), expanded into its members; a class its rank's table
+    remembers is expanded without a walk.  Raises ClassSizeExceeded when
+    the class has more than cap members.
+    """
+    table, cls, coset = _dc_lookup(t, cap)
+    return frozenset(_members(table, cls, coset, cls.transports))
 
 
 def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     """Vanishes when some member of the closure has a common ascent.
 
-    Reports the first such member in sorted order of factor tuples.  A
-    class's size and that member do not depend on which member the closure
-    starts from, so once a class is enumerated, its rank's table remembers
-    (size, first member) under every member; a later triple in the class
-    gets its verdict from one lookup, without a closure or an ascent scan.
-    The cap holds on such a hit too: a remembered class of more than cap
-    members raises ClassSizeExceeded.  A closure that overflows its cap is
-    not remembered, nor is a class larger than DC_TABLE_BOUND.
+    Reports the first such member in sorted order of factor tuples.  The
+    closure is walked over S_3-orbits of triples (see _dc_walk), once per
+    process for a class and all its reorderings: its rank's table remembers
+    the walk under every node, the sorted triple of factor numbers, and a
+    later triple on one of those nodes gets its class size from the record.
+    The first dc-trivial member of a reordering gC of the class walked is
+    the least image of the dc-trivial nodes under the coset gH of its
+    stabilizer, computed once per coset, when first asked for.  The cap
+    holds on a remembered class too: a class of more than cap members raises
+    ClassSizeExceeded.
     """
     method = "descent_cycling"
-    known = _rank_table(t.n).verdicts.get(t.factors)
-    if known is None:
-        cls = dc_class(t, cap=cap)
-        table = _rank_tables[t.n]  # the table dc_class numbered the class in
-        ids, descents = table.ids, table.descents
-        every = _mask(range(1, t.n))  # a common ascent is a descent of none
-        first = min(
-            (
-                m
-                for m in cls
-                if every & ~(descents[ids[m[0]]] | descents[ids[m[1]]] | descents[ids[m[2]]])
-            ),
-            default=None,
-        )
-        known = (len(cls), first)
-        if len(cls) <= DC_TABLE_BOUND:
-            table.verdicts.update(dict.fromkeys(cls, known))
-    size, first = known
-    if size > cap:
-        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
+    table, cls, coset = _dc_lookup(t, cap)
+    key = min(coset)
+    if key not in cls.firsts:
+        cls.firsts[key] = min(_members(table, cls, coset, cls.trivial), default=None)
+    size, first = cls.size, cls.firsts[key]
     if first is not None:
         detail = (
             "dc-trivial member "

@@ -346,6 +346,25 @@ def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
     assert stderr == b""
 
 
+def test_selfcheck_on_a_closed_output_pipe_exits_1_without_a_traceback():
+    # the reader is gone before the first line, so the report's first write
+    # (or the flush after it) meets a closed pipe whatever the buffering
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "schubvanish", "--selfcheck", "--stable"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("flag", ["--flexible-samples=-1", "--oracle-max-n=-3"])
 def test_negative_counts_are_rejected(flag, tmp_path, capsys):
     src = tmp_path / "one.txt"

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+import re
 from collections import deque
 
 import pytest
@@ -16,34 +17,37 @@ def perm(text):
 
 
 def well_posed_triples(n):
-    """Every ordered triple of S_n whose lengths sum to n(n-1)/2."""
+    """Every ordered triple of S_n whose lengths sum to n(n-1)/2, in product order."""
     perms = pc.all_perms(n)
     top = n * (n - 1) // 2
+    by_length = {}
+    for w in perms:
+        by_length.setdefault(pc.length(w), []).append(w)
     return [
         (u, v, w)
-        for u, v, w in itertools.product(perms, repeat=3)
-        if pc.length(u) + pc.length(v) + pc.length(w) == top
+        for u, v in itertools.product(perms, repeat=2)
+        for w in by_length.get(top - pc.length(u) - pc.length(v), ())
     ]
 
 
-def reference_dc_neighbors(t):
-    """Descent-cycling moves from t, each neighbour built as a validated Triple."""
-    u, v, w = t.factors
-    for i in range(1, t.n):
+def reference_dc_neighbors(factors):
+    """Descent-cycling moves from the factor tuple (u, v, w) of a Triple."""
+    u, v, w = factors
+    for i in range(1, len(u)):
         du, dv, dw = u[i - 1] > u[i], v[i - 1] > v[i], w[i - 1] > w[i]
         us, vs, ws = (pc.right_mult_s(x, i) for x in (u, v, w))
         if not du and not dv and dw:
-            yield from (rv.Triple(us, v, ws), rv.Triple(u, vs, ws))
+            yield from ((us, v, ws), (u, vs, ws))
         elif du and not dv and not dw:
-            yield from (rv.Triple(us, v, ws), rv.Triple(us, vs, w))
+            yield from ((us, v, ws), (us, vs, w))
         elif dv and not du and not dw:
-            yield from (rv.Triple(u, vs, ws), rv.Triple(us, vs, w))
+            yield from ((u, vs, ws), (us, vs, w))
 
 
 def reference_dc_class(t, cap=None):
-    """Breadth-first closure of t over Triples; None once it passes cap members."""
-    seen = {t}
-    queue = deque([t])
+    """Breadth-first closure of Triple t over factor tuples; None past cap members."""
+    seen = {t.factors}
+    queue = deque(seen)
     while queue:
         for nxt in reference_dc_neighbors(queue.popleft()):
             if nxt not in seen:
@@ -55,10 +59,10 @@ def reference_dc_class(t, cap=None):
 
 
 def reference_dc_detail(cls):
-    """dc_test's detail string, from Triples and sets of ascents."""
-    for member in sorted(cls, key=lambda m: m.factors):
-        if set.intersection(*(set(pc.ascents(x)) for x in member.factors)):
-            words = ",".join(pc.format_permutation(x) for x in member.factors)
+    """dc_test's detail string, from factor tuples and sets of ascents."""
+    for member in sorted(cls):
+        if set.intersection(*(set(pc.ascents(x)) for x in member)):
+            words = ",".join(pc.format_permutation(x) for x in member)
             return f"dc-trivial member {words} in a class of {len(cls)}"
     return f"class of {len(cls)}, none dc-trivial"
 
@@ -66,12 +70,13 @@ def reference_dc_detail(cls):
 def reference_dc_classes(triples, cap=None):
     """Each triple's reference class and detail, keyed by every member.
 
-    Triples whose reference class has more than cap members are left out.
+    Keys are the factor tuples of Triples.  Triples whose reference class
+    has more than cap members are left out.
     """
     reference = {}
     for factors in triples:
         t = rv.Triple(*factors)
-        if t not in reference:
+        if t.factors not in reference:
             cls = reference_dc_class(t, cap)
             if cls is not None:
                 reference.update(dict.fromkeys(cls, (cls, reference_dc_detail(cls))))
@@ -87,9 +92,9 @@ def assert_dc_matches_reference(triples, cap=None):
     reference = reference_dc_classes(triples, cap)
     for factors in triples:
         t = rv.Triple(*factors)
-        if t in reference:
-            cls, detail = reference[t]
-            assert rv.dc_class(t) == {m.factors for m in cls}, factors
+        if t.factors in reference:
+            cls, detail = reference[t.factors]
+            assert rv.dc_class(t) == cls, factors
             assert rv.dc_test(t).detail == detail, factors
     return list({id(cls): len(cls) for cls, _ in reference.values()}.values())
 
@@ -108,7 +113,7 @@ def interleaved_rank_4_and_5_cases():
     rank4 = random.Random(31).sample(well_posed_triples(4), len(rank5))
     triples = [t for pair in zip(rank5, rank4) for t in pair]
     reference = reference_dc_classes(triples)
-    return [(t, reference[rv.Triple(*t)][1]) for t in triples]
+    return [(t, reference[rv.Triple(*t).factors][1]) for t in triples]
 
 
 @pytest.fixture(autouse=True)
@@ -204,8 +209,9 @@ def test_dc_moves_are_reversible():
             continue
         t = rv.Triple(u, v, rng.choice(candidates))
         tried += 1
-        for neighbor in reference_dc_neighbors(t):
-            assert t in set(reference_dc_neighbors(neighbor))
+        for neighbor in reference_dc_neighbors(t.factors):
+            assert rv.Triple(*neighbor).factors == neighbor  # a move stays well posed
+            assert t.factors in set(reference_dc_neighbors(neighbor))
 
 
 def test_dc_class_without_trivial_member_in_s6():
@@ -457,12 +463,18 @@ def test_dc_test_does_not_depend_on_order(monkeypatch):
     assert "class of 8331, none dc-trivial" in {detail for _, detail in cases}
     for factors, detail in cases:
         assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
-    enumerated = []
-    dc_class = rv.dc_class
-    monkeypatch.setattr(rv, "dc_class", lambda t, cap: enumerated.append(t) or dc_class(t, cap))
+    walked = []
+    walk = rv._dc_walk
+    monkeypatch.setattr(rv, "_dc_walk", lambda *args: walked.append(args[1]) or walk(*args))
     for factors, detail in reversed(cases):
         assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
-    assert enumerated == []  # every class was remembered on the first pass
+    assert walked == []  # every class was remembered on the first pass
+    # the counter sees walks: a fresh table walks each class once more
+    monkeypatch.setattr(rv, "_rank_tables", {})
+    for factors, detail in cases:
+        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    sizes = {int(re.search(r"class of (\d+)", detail).group(1)) for _, detail in cases}
+    assert len(sizes) <= len(walked) <= len(cases)
 
 
 def test_dc_cap_holds_on_a_remembered_class():
@@ -487,5 +499,55 @@ def test_dc_tables_are_rebuilt_past_their_bound(monkeypatch):
         assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
         tables.append(rv._rank_tables[len(factors[0])])
     assert len({id(table) for table in tables}) > 2
-    # a class larger than the bound is never remembered
-    assert all(size <= 50 for table in tables for size, _ in table.verdicts.values())
+    # a class of more nodes than the bound is never remembered
+    remembered = [cls for table in tables for cls in table.classes.values()]
+    assert remembered and all(len(cls.transports) <= 50 for cls in remembered)
+
+
+def test_dc_matches_reference_on_all_of_s4_and_s5_shuffled():
+    # one table serves both ranks and every ordering of each class, met in
+    # a seeded shuffled order
+    triples = well_posed_triples(4) + well_posed_triples(5)
+    assert len(triples) == 1115 + 74199
+    random.Random(41).shuffle(triples)
+    reference = reference_dc_classes(triples)
+    for factors in triples:
+        t = rv.Triple(*factors)
+        assert rv.dc_test(t).detail == reference[t.factors][1], factors
+
+
+@pytest.mark.parametrize("size", [8331, 1327, 220])
+def test_dc_all_six_factor_orders_agree(size, monkeypatch):
+    factors = next(f for f, d in interleaved_rank_4_and_5_cases() if f"class of {size}" in d)
+    members = rv.dc_class(rv.Triple(*factors))
+    assert len(members) == size
+    orders = list(itertools.permutations(range(3)))
+    shared = [rv.dc_test(rv.Triple(*(factors[i] for i in p))) for p in orders]
+    for p, verdict in zip(orders, shared):
+        # a fresh table walks the class from this ordering
+        monkeypatch.setattr(rv, "_rank_tables", {})
+        t = rv.Triple(*(factors[i] for i in p))
+        assert rv.dc_test(t) == verdict, p
+        assert rv.dc_class(t) == {tuple(m[i] for i in p) for m in members}, p
+        assert verdict.outcome is shared[0].outcome, p
+        assert re.search(r"class of (\d+)", verdict.detail).group(1) == str(size), p
+
+
+def test_dc_node_keys_stay_exact_past_2_17(monkeypatch):
+    # a key packed into fields of 17 bits would merge (0, 1, 2^17) with
+    # (0, 2, 0), since 1 << 17 | 2^17 == 2 << 17
+    big = 1 << 17
+    assert rv._sort3(0, 1, big)[0] != rv._sort3(0, 2, 0)[0]
+    for triple in itertools.permutations((big, big + 1, 1)):
+        assert rv._sort3(*triple)[0] == (1, big, big + 1)
+    # a table whose numbers all start past 2^17 gives the same verdicts
+    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 1 << 20)
+    table = rv._rank_tables[5] = rv._RankTable(5)
+    table.perms.extend([None] * big)
+    table.descents.extend([0] * big)
+    table.rows.extend([[]] * big)
+    cases = [c for c in interleaved_rank_4_and_5_cases() if len(c[0][0]) == 5]
+    for factors, detail in cases:
+        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    assert rv._rank_tables[5] is table
+    assert min(min(node) for node in table.classes) >= big
