@@ -289,19 +289,20 @@ def test_criterion_06_asymmetric_dominates_symmetric(s4_sweep):
 def test_criterion_07_incomparability_matrix():
     # each case pins the verdicts of every test on one problem, the oracle
     # value, and where it matters the nine members of a descent-cycling class
-    cases = (
-        refsuite.case_bruhat_strictly_stronger,
-        refsuite.case_cube_of_1423,
-        refsuite.case_descent_cycling_and_root_game_win,
-        refsuite.case_class_of_nine,
-        refsuite.case_root_game_misses,
-        refsuite.case_inherently_inconclusive,
+    cases = dict(refsuite.CASES)
+    names = (
+        "bruhat_strictly_stronger",
+        "cube_of_1423",
+        "descent_cycling_and_root_game_win",
+        "class_of_nine",
+        "root_game_misses",
+        "inherently_inconclusive",
     )
-    failing = {case.__name__: found for case in cases if (found := case())}
+    failing = {name: found for name in names if (found := cases[name]())}
     report(
         "C7 incomparability matrix",
         not failing,
-        f"{len(cases)} pinned reference cases, failing: {failing}",
+        f"{len(names)} pinned reference cases, failing: {failing}",
     )
 
 

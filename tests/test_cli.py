@@ -326,6 +326,59 @@ def test_main_selfcheck(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines()[0] == "FAIL slow 0 ms"
 
 
+@pytest.mark.parametrize(
+    "case, index, change, message",
+    [
+        # the cube's Bruhat verdict pinned wrong: the record must disagree
+        ("cube_of_1423", 0,
+         {"verdicts": {"schubitope_symmetric": "VANISHES", "bruhat": "VANISHES"}},
+         "sym: 1423, 1423, 1423: bruhat gave INCONCLUSIVE, expected VANISHES"),
+        # the asymmetric witness's oracle value pinned wrong
+        ("root_game_misses", 1, {"oracle": 1},
+         "asym: 3216547, 3216547 -> 7236415: oracle 0, expected 1"),
+    ],
+)
+def test_selfcheck_fails_on_a_wrong_pin(case, index, change, message, capsys, monkeypatch):
+    # the self-check compares the batch evaluator's records with the table,
+    # so a wrong pin must show up as a failure of its case, line and test
+    pins = list(refsuite.PINNED[case])
+    pins[index] = pins[index]._replace(**change)
+    monkeypatch.setitem(refsuite.PINNED, case, tuple(pins))
+    assert cli.main(["--selfcheck", "--stable"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(refsuite.CASES) + 2
+    assert [line for line in lines if not line.startswith("ok   ")] == [
+        f"FAIL {case} 0 ms",
+        f"     {message}",
+        "reference suite: FAILURES",
+    ]
+
+
+def test_selfcheck_replays_the_certificates_it_is_given(monkeypatch):
+    # a vanishing verdict whose certificate does not replay fails its line,
+    # as does a rival's vanishing verdict without a note
+    real = cli.run_batch
+
+    def tampered(lines, options):
+        records, code = real(lines, options)
+        for record in records:
+            for cert in record.get("certificates", {}).values():
+                cert["rhs"] += 1
+            record.pop("details", None)
+        return records, code
+
+    monkeypatch.setattr(cli, "run_batch", tampered)
+    cases = dict(refsuite.CASES)
+    assert cases["seven_letter_triple"]() == [
+        "sym: 3256147, 2143657, 4632175: schubitope_symmetric certificate does not replay"
+    ]
+    found = cases["descent_cycling_and_root_game_win"]()
+    assert found == [
+        "sym: 1423, 1423, 1342: descent_cycling vanishes without a note",
+        "sym: 1423, 1423, 1342: root_game vanishes without a note",
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
 def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
     # far more output than a pipe buffer holds, so the CLI is still writing

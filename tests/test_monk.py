@@ -1,0 +1,82 @@
+"""Exact answers at any rank: the tests against Monk's rule.
+
+A Monk triple (s_r, u, w0 x) has intersection number 0 or 1 at every rank
+(see monkrule), so past the oracle's reach it still tells a sound test from
+an unsound one: no test may say VANISHES on a value-1 triple.  Each triple
+runs through the batch evaluator as one symmetric line and as three
+asymmetric lines, one per factor as the target, and every subset
+certificate replays with the benchmark generator's own Rothe columns and
+column theta, which share no code with the package.
+"""
+
+import random
+import sys
+from pathlib import Path
+
+import pytest
+
+from monkrule import monk_triple
+from schubvanish import cli, schubpoly
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from problemgen import _column_theta, _rothe_columns, format_permutation  # noqa: E402
+
+SYMMETRIC_TESTS = ("schubitope", "bruhat", "root_game")
+
+
+def code(w):
+    return tuple(sum(1 for v in w[i + 1:] if v < w[i]) for i in range(len(w)))
+
+
+def problems(ws):
+    """(line, factors, target): the symmetric line, whose target is w0, then
+    the asymmetric line with each factor in turn as the target."""
+    n = len(ws[0])
+    joined = lambda factors: ", ".join(map(format_permutation, factors))
+    found = [(f"sym: {joined(ws)}", ws, tuple(range(n, 0, -1)))]
+    for i, w in enumerate(ws):
+        rest, target = ws[:i] + ws[i + 1:], tuple(n + 1 - v for v in w)
+        found.append((f"asym: {joined(rest)} -> {format_permutation(target)}", rest, target))
+    return found
+
+
+def replays(cert, factors, target):
+    rows = cert["rows"]
+    assert len(set(rows)) == len(rows) and all(1 <= r <= len(target) for r in rows)
+    mask = sum(1 << (r - 1) for r in rows)
+    lhs = sum(code(target)[r - 1] for r in rows)
+    rhs = sum(_column_theta(c, mask) for w in factors for c in _rothe_columns(w))
+    return (lhs, rhs) == (cert["lhs"], cert["rhs"]) and lhs > rhs
+
+
+@pytest.mark.parametrize("n, count", [(8, 40), (16, 40), (32, 32), (64, 20)])
+def test_no_test_vanishes_on_a_monk_triple_of_value_1(n, count):
+    rng = random.Random(1000 + n)
+    values = {0: 0, 1: 0}
+    replayed = 0
+    for _ in range(count):
+        ws, value = monk_triple(n, rng)
+        values[value] += 1
+        (sym, *asym) = problems(ws)
+        records, status = cli.run_batch([sym[0]], cli.Options(tests=SYMMETRIC_TESTS, stable=True))
+        more, more_status = cli.run_batch([line for line, _, _ in asym], cli.Options(stable=True))
+        assert status == more_status == 0
+        for (line, factors, target), record in zip([sym, *asym], records + more):
+            verdicts = record["verdicts"]
+            assert len(verdicts) == (3 if line.startswith("sym") else 1), record
+            if value == 1:
+                assert "VANISHES" not in verdicts.values(), record
+            for key, cert in record.get("certificates", {}).items():
+                assert verdicts[key] == "VANISHES" and cert["kind"] == "subset", record
+                assert replays(cert, factors, target), (line, record)
+                replayed += 1
+    # both values occur, and some zero is caught, so the checks are not vacuous
+    assert values[0] and values[1] and replayed, (values, replayed)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_monk_values_match_the_oracle(n):
+    rng = random.Random(n)
+    for _ in range(100):
+        ws, value = monk_triple(n, rng)
+        assert schubpoly.intersection_number(ws) == value, ws
