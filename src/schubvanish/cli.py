@@ -267,6 +267,7 @@ def emit_records(records: Sequence[dict], options: Options, out: TextIO) -> None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = Options()
     parser = argparse.ArgumentParser(
         prog="schubvanish",
         description=(
@@ -282,18 +283,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tests",
-        default=",".join(DEFAULT_TESTS),
-        help=f"comma list from {{{','.join(KNOWN_TESTS)}}}",
+        default=",".join(defaults.tests),
+        help=f"comma list from {{{','.join(KNOWN_TESTS)}}} (default: %(default)s)",
     )
-    parser.add_argument("--oracle-max-n", type=int, default=6)
-    parser.add_argument("--flexible-samples", type=int, default=0)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--oracle-max-n",
+        type=int,
+        default=defaults.oracle_max_n,
+        help="largest rank the brute-force oracle runs at; above it the "
+        "record gets a note (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--flexible-samples",
+        type=int,
+        default=defaults.flexible_samples,
+        help="sampled contents the flexible test may try per problem; with 0 "
+        "it does not run and the record gets a note (default: %(default)s)",
+    )
+    parser.add_argument(
+        "--seed",
+        type=int,
+        default=defaults.seed,
+        help="seed of the flexible test's sampling (default: %(default)s)",
+    )
     parser.add_argument(
         "--stable",
         action="store_true",
         help="zero the timing fields so output is byte-reproducible",
     )
-    parser.add_argument("--format", dest="fmt", choices=("text", "jsonlines"), default="text")
+    parser.add_argument(
+        "--format",
+        dest="fmt",
+        choices=("text", "jsonlines"),
+        default=defaults.fmt,
+        help="one text block or one JSON object per problem (default: %(default)s)",
+    )
     parser.add_argument(
         "--selfcheck",
         action="store_true",

@@ -5,19 +5,16 @@ z(I) + z(J) >= z(I u J) + z(I n J) cuts out the polytope
 
     P(z) = { t : sum_{i in I} t_i <= z(I) for I != [n],  sum_i t_i = z([n]) }.
 
-Subsets are bitmasks (bit i-1 holds element i); values are exact rationals.
+Subsets are bitmasks (bit i-1 holds element i); values are integers.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 from .permcore import Perm, is_permutation
-
-Rational = Union[int, Fraction]
 
 MAX_GROUND_SET = 20
 
@@ -27,9 +24,9 @@ def _check_ground_set(n: int) -> None:
         raise ValueError(f"ground set size {n} outside 0..{MAX_GROUND_SET}")
 
 
-def _subset_sum(point: Sequence[Rational], mask: int) -> Rational:
+def _subset_sum(point: Sequence[int], mask: int) -> int:
     """Sum of point[i-1] over the elements i of mask."""
-    s: Rational = 0
+    s = 0
     while mask:
         low = mask & -mask
         s += point[low.bit_length() - 1]
@@ -39,20 +36,22 @@ def _subset_sum(point: Sequence[Rational], mask: int) -> Rational:
 
 @dataclass(frozen=True)
 class SubmodularFn:
-    """Dense table of a set function with z(empty) = 0."""
+    """Dense table of an integer-valued set function with z(empty) = 0."""
 
     n: int
-    values: tuple[Rational, ...]
+    values: tuple[int, ...]
 
     def __post_init__(self) -> None:
         _check_ground_set(self.n)
         if len(self.values) != 1 << self.n:
             raise ValueError("value table must have 2^n entries")
+        if not all(isinstance(x, int) for x in self.values):
+            raise ValueError("values must be integers")
         if self.values[0] != 0:
             raise ValueError("z(empty set) must be 0")
 
     @classmethod
-    def from_callable(cls, n: int, fn: Callable[[frozenset[int]], Rational]) -> "SubmodularFn":
+    def from_callable(cls, n: int, fn: Callable[[frozenset[int]], int]) -> "SubmodularFn":
         """Tabulate fn over all subsets of {1, ..., n}."""
         _check_ground_set(n)  # before 2^n calls of fn
         values = []
@@ -73,9 +72,6 @@ class SubmodularFn:
                     return False
         return True
 
-    def is_integral(self) -> bool:
-        return all(Fraction(x).denominator == 1 for x in self.values)
-
     def __add__(self, other: "SubmodularFn") -> "SubmodularFn":
         if self.n != other.n:
             raise ValueError("ground set size mismatch")
@@ -94,7 +90,7 @@ class GPermutahedron:
     def n(self) -> int:
         return self.z.n
 
-    def vertex(self, w: Perm) -> tuple[Rational, ...]:
+    def vertex(self, w: Perm) -> tuple[int, ...]:
         """The vertex selected by the ordering w.
 
         Coordinate w_k receives z({w_1..w_k}) - z({w_1..w_{k-1}}); the
@@ -102,9 +98,9 @@ class GPermutahedron:
         """
         if len(w) != self.n or not is_permutation(w):
             raise ValueError(f"ordering must be a permutation of 1..{self.n}")
-        v: list[Rational] = [0] * self.n
+        v = [0] * self.n
         mask = 0
-        prev: Rational = 0
+        prev = 0
         for wk in w:
             mask |= 1 << (wk - 1)
             cur = self.z.values[mask]
@@ -112,7 +108,7 @@ class GPermutahedron:
             prev = cur
         return tuple(v)
 
-    def contains(self, t: Sequence[Rational]) -> bool:
+    def contains(self, t: Sequence[int]) -> bool:
         """Membership test against all 2^n - 1 inequalities plus the equality."""
         if len(t) != self.n:
             raise ValueError("point has the wrong dimension")
@@ -122,15 +118,12 @@ class GPermutahedron:
                 return False
         return sum(t) == self.z.values[full]
 
-    def minkowski_sum(self, other: "GPermutahedron") -> "GPermutahedron":
-        """P(z) + P(z') = P(z + z')."""
+    def __add__(self, other: "GPermutahedron") -> "GPermutahedron":
+        """The Minkowski sum: P(z) + P(z') = P(z + z')."""
         return GPermutahedron(self.z + other.z)
 
-    def __add__(self, other: "GPermutahedron") -> "GPermutahedron":
-        return self.minkowski_sum(other)
-
     def lattice_points(self) -> frozenset[tuple[int, ...]]:
-        """All integer points of P(z); requires integral z and n <= 8.
+        """All integer points of P(z); requires n <= 8.
 
         Scans t_1..t_{n-1} over the box z([n]) - z([n] - {i}) <= t_i <= z({i}),
         sets t_n = z([n]) - (t_1 + ... + t_{n-1}), and keeps t when t_n lies in
@@ -139,11 +132,9 @@ class GPermutahedron:
         n = self.n
         if n > 8:
             raise ValueError("lattice point enumeration capped at n = 8")
-        if not self.z.is_integral():
-            raise ValueError("lattice points require an integer-valued function")
         if n == 0:
             return frozenset({()})
-        values = [int(x) for x in self.z.values]
+        values = self.z.values
         full = (1 << n) - 1
         total = values[full]
         box = [range(total - values[full ^ 1 << i], values[1 << i] + 1) for i in range(n)]

@@ -277,9 +277,9 @@ def case_polytope_of_21543() -> list[str]:
             failures.append(f"theta{rows} = {got}, expected {expected}")
     if schubitope.theta(d, (1, 2, 3, 4, 5)) != 4:
         failures.append("theta over all rows must equal the cell count 4")
-    ineqs = schubitope.SchubitopeInequalities(d)
+    polytope = schubitope.schubitope_gpermutahedron(d)
     by_scan = {
-        a for a in schubpoly.compositions(4, 5) if ineqs.contains(a)
+        a for a in schubpoly.compositions(4, 5) if polytope.contains(a)
     }
     by_flow = {
         a
@@ -293,7 +293,7 @@ def case_polytope_of_21543() -> list[str]:
         failures.append(f"max-flow enumeration found {len(by_flow)} points, expected 13")
     if support != SUPPORT_21543:
         failures.append("polynomial support differs from the pinned 13 monomials")
-    points = ineqs.polytope.lattice_points()
+    points = polytope.lattice_points()
     if set(points) != SUPPORT_21543:
         failures.append("generalized-permutahedron enumeration differs")
     return failures

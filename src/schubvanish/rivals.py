@@ -9,7 +9,7 @@ verdicts as the main tests.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import permcore
 from .permcore import Frozen, Perm
@@ -19,7 +19,7 @@ Factors = tuple[Perm, Perm, Perm]
 
 
 class ClassSizeExceeded(RuntimeError):
-    """Descent-cycling closure grew past the configured cap."""
+    """Descent-cycling closure grew past DC_CLASS_CAP members."""
 
 
 class Triple(Frozen):
@@ -147,6 +147,10 @@ def _generated(mask: int) -> tuple[int, ...]:
         mask = grown
 
 
+# Members a descent-cycling class may have; dc_test and dc_class raise
+# ClassSizeExceeded past it.
+DC_CLASS_CAP = 10**6
+
 # Permutations plus nodes of remembered classes that one rank's
 # descent-cycling table may hold; a table past it is dropped and rebuilt on
 # its next use.
@@ -220,7 +224,7 @@ def _rank_table(n: int) -> _RankTable:
     return table
 
 
-def _dc_walk(table: _RankTable, start: _Node, transport: int, cap: int) -> _DcClass:
+def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     """Walk the class of the member transport * start, one node at a time.
 
     A move treats u, v and w alike, so permuting the factors of a triple
@@ -242,9 +246,10 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int, cap: int) -> _DcCl
     that pass s_i around among the words form a triangle, so a node reached
     by a move at i skips i: its parent reached both ends of those moves.
 
-    Raises ClassSizeExceeded when the class has more than cap members: as
-    soon as the nodes do, or when the walk is over.
+    Raises ClassSizeExceeded when the class has more than DC_CLASS_CAP
+    members: as soon as the nodes do, or when the walk is over.
     """
+    cap = DC_CLASS_CAP
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
@@ -301,22 +306,23 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int, cap: int) -> _DcCl
     return _DcClass(transports, group, size, trivial)
 
 
-def _dc_lookup(t: Triple, cap: int) -> tuple[_RankTable, _DcClass, tuple[int, ...]]:
+def _dc_lookup(t: Triple) -> tuple[_RankTable, _DcClass, tuple[int, ...]]:
     """t's rank table, the record of a class C and the coset gH with t in gC.
 
     The record is the table's, or comes from a walk started at t, which the
     table then remembers under every node unless there are more than
-    DC_TABLE_BOUND.  A closure that overflows its cap is not remembered.
+    DC_TABLE_BOUND.  A closure that overflows DC_CLASS_CAP is not
+    remembered.
     """
     table = _rank_table(t.n)
     node, rho = _sort3(*map(table.number, t.factors))
     cls = table.classes.get(node)
     if cls is None:
-        cls = _dc_walk(table, node, rho, cap)
+        cls = _dc_walk(table, node, rho)
         if len(cls.transports) <= DC_TABLE_BOUND:
             table.classes.update(dict.fromkeys(cls.transports, cls))
-    elif cls.size > cap:
-        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
+    elif cls.size > DC_CLASS_CAP:
+        raise ClassSizeExceeded(f"descent-cycling class exceeds {DC_CLASS_CAP}")
     g = _MUL[rho][_INV[cls.transports[node]]]
     return table, cls, tuple(_MUL[g][h] for h in cls.group)
 
@@ -333,7 +339,7 @@ def _members(
             yield perms[node[p[0]]], perms[node[p[1]]], perms[node[p[2]]]
 
 
-def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
+def dc_class(t: Triple) -> frozenset[Factors]:
     """Factor tuples of the closure of t under descent-cycling moves.
 
     At a position i where exactly one of u, v, w has a descent, the
@@ -344,13 +350,13 @@ def dc_class(t: Triple, cap: int = 10**6) -> frozenset[Factors]:
     The closure is the walk over S_3-orbits of triples that dc_test runs
     (see _dc_walk), expanded into its members; a class its rank's table
     remembers is expanded without a walk.  Raises ClassSizeExceeded when
-    the class has more than cap members.
+    the class has more than DC_CLASS_CAP members.
     """
-    table, cls, coset = _dc_lookup(t, cap)
+    table, cls, coset = _dc_lookup(t)
     return frozenset(_members(table, cls, coset, cls.transports))
 
 
-def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
+def dc_test(t: Triple) -> VanishingVerdict:
     """Vanishes when some member of the closure has a common ascent.
 
     Reports the first such member in sorted order of factor tuples.  The
@@ -361,11 +367,11 @@ def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     The first dc-trivial member of a reordering gC of the class walked is
     the least image of the dc-trivial nodes under the coset gH of its
     stabilizer, computed once per coset, when first asked for.  The cap
-    holds on a remembered class too: a class of more than cap members raises
-    ClassSizeExceeded.
+    holds on a remembered class too: a class of more than DC_CLASS_CAP
+    members raises ClassSizeExceeded.
     """
     method = "descent_cycling"
-    table, cls, coset = _dc_lookup(t, cap)
+    table, cls, coset = _dc_lookup(t)
     key = min(coset)
     if key not in cls.firsts:
         cls.firsts[key] = min(_members(table, cls, coset, cls.trivial), default=None)
@@ -382,27 +388,17 @@ def dc_test(t: Triple, cap: int = 10**6) -> VanishingVerdict:
     )
 
 
-class RootGamePosition(NamedTuple):
-    """Token counts on the positive roots alpha_{a,b}, 1 <= a < b <= n."""
-
-    n: int
-    tokens: tuple[tuple[tuple[int, int], int], ...]
-
-    def token_map(self) -> dict[tuple[int, int], int]:
-        return dict(self.tokens)
-
-
-def root_game_initial(ws: Sequence[Perm]) -> RootGamePosition:
-    """One token at alpha_{a,b} per factor with an inversion at (a, b)."""
-    embedded = permcore.common_embed(ws)
-    n = len(embedded[0]) if embedded else 0
+def root_game_initial(ws: Sequence[Perm]) -> dict[tuple[int, int], int]:
+    """Token counts on the positive roots: one token at alpha_{a,b} per
+    factor with an inversion at (a, b).  Embedding a word in a larger S_n
+    adds no inversion, so the words need not share a rank."""
     counts: dict[tuple[int, int], int] = {}
-    for w in embedded:
-        for a in range(1, n):
-            for b in range(a + 1, n + 1):
+    for w in ws:
+        for a in range(1, len(w)):
+            for b in range(a + 1, len(w) + 1):
                 if w[a - 1] > w[b - 1]:
                     counts[(a, b)] = counts.get((a, b), 0) + 1
-    return RootGamePosition(n, tuple(sorted(counts.items())))
+    return counts
 
 
 def upper_order_filters(n: int) -> Iterator[frozenset[tuple[int, int]]]:
@@ -425,11 +421,12 @@ def upper_order_filters(n: int) -> Iterator[frozenset[tuple[int, int]]]:
 
 
 def is_doomed(
-    pos: RootGamePosition,
+    n: int, tokens: dict[tuple[int, int], int]
 ) -> tuple[bool, Optional[frozenset[tuple[int, int]]]]:
-    """Whether some upper order filter holds more tokens than its size.
+    """Whether some upper order filter of rank n holds more tokens than its size.
 
-    The roots alpha_{a,b} are ordered by containment of intervals, with top
+    tokens maps a root (a, b), 1 <= a < b <= n, to its token count, as
+    root_game_initial returns them.  The roots alpha_{a,b} are ordered by containment of intervals, with top
     element alpha_{1,n}.  An up-closed filter meets row a in a suffix
     {b : b >= cut_a} with a + 1 <= cut_a <= n + 1, and up-closure forces
     the cuts to be nondecreasing.  Row a contributes
@@ -441,8 +438,6 @@ def is_doomed(
     lexicographically first among the overloaded ones: row by row, the
     smallest cut that can still be completed to a positive excess.
     """
-    n = pos.n
-    tokens = pos.token_map()
     # gains[a][c] for rows a = 1..n-1 and cuts c = a+1..n+1 (other c unused)
     gains = [[0] * (n + 2) for _ in range(n + 1)]
     for a in range(1, n):
@@ -480,7 +475,8 @@ def root_game_test(ws: Sequence[Perm]) -> VanishingVerdict:
     posed = permcore.well_posed(ws, None)
     if posed is None:
         return VanishingVerdict(Outcome.DEGREE_MISMATCH, method)
-    doomed, witness = is_doomed(root_game_initial(posed[0]))
+    embedded, longest = posed
+    doomed, witness = is_doomed(len(longest), root_game_initial(embedded))
     if doomed:
         assert witness is not None
         roots = ",".join(f"a[{a},{b}]" for a, b in sorted(witness))

@@ -20,9 +20,8 @@ finds none, yields the cut.  That cut does not depend on the starting
 flow.  ``lp_feasible`` restates the cut as integer multipliers of the
 relaxation LP (``FarkasCertificate``).  The reference that
 tests compare the flow against is S_D as the generalized permutahedron
-P(theta_D) (``SchubitopeInequalities``, ``schubitope_gpermutahedron``): one
-2^n table of theta_D and its subset scan, at up to
-``gpermutahedron.MAX_GROUND_SET`` rows.
+P(theta_D) (``schubitope_gpermutahedron``): one 2^n table of theta_D and
+its subset scan, at up to ``gpermutahedron.MAX_GROUND_SET`` rows.
 """
 
 from __future__ import annotations
@@ -108,15 +107,12 @@ class InfeasibleSubset(NamedTuple):
 
 
 class SchubitopeInequalities:
-    """S_D as the generalized permutahedron P(theta_D), tabulated once.
+    """S_D as ``polytope = schubitope_gpermutahedron(d)``, beside its diagram.
 
     ``table[mask]`` is theta_D of the rows in mask (bit i-1 for row i), and
-    ``contains`` checks sum(alpha) = theta_D([n]) = #D and every proper
-    subset inequality on ``polytope``.  No sign check is needed: each
-    matched pair and each star of theta_D(S) uses a distinct cell, so
-    theta_D(S) <= #D, and a point of degree #D has alpha_i = #D -
-    alpha([n] - {i}) >= #D - theta_D([n] - {i}) >= 0.  Needs n_rows <=
-    ``gpermutahedron.MAX_GROUND_SET``; ``filling_or_cut`` has no cap.
+    ``contains`` is the polytope's.  The package calls
+    ``schubitope_gpermutahedron`` itself; only the tests and the benchmark's
+    tracer use this wrapper.
     """
 
     def __init__(self, d: Diagram):
@@ -149,7 +145,15 @@ def schubitope_membership(
 
 
 def schubitope_gpermutahedron(d: Diagram) -> GPermutahedron:
-    """S_D as P(z) with z(S) = theta_D(S)."""
+    """S_D as P(z) with z(S) = theta_D(S), tabulated once.
+
+    ``contains`` checks sum(alpha) = theta_D([n]) = #D and every proper
+    subset inequality.  No sign check is needed: each matched pair and each
+    star of theta_D(S) uses a distinct cell, so theta_D(S) <= #D, and a
+    point of degree #D has alpha_i = #D - alpha([n] - {i}) >= #D -
+    theta_D([n] - {i}) >= 0.  Needs n_rows <=
+    ``gpermutahedron.MAX_GROUND_SET``; ``filling_or_cut`` has no cap.
+    """
     from .gpermutahedron import GPermutahedron, SubmodularFn
 
     return GPermutahedron(SubmodularFn.from_callable(d.n_rows, lambda s: theta(d, s)))

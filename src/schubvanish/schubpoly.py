@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from . import permcore
 from .permcore import Perm
-from .schubitope import SchubitopeInequalities
+from .schubitope import schubitope_gpermutahedron
 
 Poly = dict[tuple[int, ...], int]
 
@@ -28,27 +28,6 @@ _schub_cache: dict[Perm, Poly] = {}
 
 def poly_one(nvars: int) -> Poly:
     return {(0,) * nvars: 1}
-
-
-def poly_add(f: Poly, g: Poly) -> Poly:
-    out = dict(f)
-    for e, c in g.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def poly_scale(f: Poly, c: int) -> Poly:
-    if not c:
-        return {}
-    return {e: c * v for e, v in f.items()}
-
-
-def poly_sub(f: Poly, g: Poly) -> Poly:
-    return poly_add(f, poly_scale(g, -1))
 
 
 def poly_mul(f: Poly, g: Poly, cap: Sequence[int] | None = None) -> Poly:
@@ -287,8 +266,13 @@ def expand_in_schubert_basis(f: Poly) -> dict[Perm, int]:
         c = work[alpha]
         out[permcore.trim(w)] = c
         width = max(len(alpha), len(w))
-        sw = schubert_polynomial(w, width)
-        work = poly_sub(pad(work, width), poly_scale(sw, c))
+        work = pad(work, width)
+        for e, v in schubert_polynomial(w, width).items():
+            left = work.get(e, 0) - c * v
+            if left:
+                work[e] = left
+            else:
+                del work[e]
     return out
 
 
@@ -300,11 +284,11 @@ def verify_snp(w: Perm) -> bool:
     """
     n = len(w)
     d = permcore.rothe_diagram(w)
-    ineqs = SchubitopeInequalities(d)
+    polytope = schubitope_gpermutahedron(d)
     deg = permcore.length(w)
     poly_support = support(schubert_polynomial(w, n))
     members = {
-        alpha for alpha in compositions(deg, n) if ineqs.contains(alpha)
+        alpha for alpha in compositions(deg, n) if polytope.contains(alpha)
     }
     return members == set(poly_support)
 

@@ -235,30 +235,3 @@ def flexible_test_sampled(
         return verdict._replace(detail=f"{tried} distinct contents tried")
     return verdict
 
-
-class StrengthReport(NamedTuple):
-    """Both verdicts for one asymmetric problem, for comparing test power."""
-
-    symmetric: VanishingVerdict
-    asymmetric: VanishingVerdict
-
-
-def strength_comparison(factors: Sequence[Perm], target: Perm) -> StrengthReport:
-    """Run the symmetric test on factors + complement, and the asymmetric test.
-
-    Whenever the symmetric test vanishes, the asymmetric one must too; that
-    implication is checked here and a violation raises, since it would
-    contradict an exact inclusion of polytopes.
-    """
-    problem = SchubertProblem(tuple(factors), tuple(target)).symmetrized()
-    sym = symmetric_test(problem.factors)
-    asym = asymmetric_test(factors, target)
-    if (
-        sym.outcome is Outcome.VANISHES
-        and asym.outcome is not Outcome.VANISHES
-    ):
-        raise RuntimeError(
-            "symmetric test vanished but asymmetric did not; "
-            f"factors={factors} target={target}"
-        )
-    return StrengthReport(sym, asym)

@@ -271,13 +271,13 @@ def test_criterion_06_asymmetric_dominates_symmetric(s4_sweep):
         if row.symmetric.outcome is Outcome.VANISHES
         and row.asymmetric.outcome is not Outcome.VANISHES
     ]
-    strict = vn.strength_comparison(
+    strict = vn.SchubertProblem(
         (pc.parse_permutation("4123"), pc.parse_permutation("1342")),
         pc.parse_permutation("4312"),
     )
     witness_ok = (
-        strict.asymmetric.outcome is Outcome.VANISHES
-        and strict.symmetric.outcome is Outcome.INCONCLUSIVE
+        vn.asymmetric_test(strict.factors, strict.target).outcome is Outcome.VANISHES
+        and vn.symmetric_test(strict.symmetrized().factors).outcome is Outcome.INCONCLUSIVE
     )
     report(
         "C6 asymmetric test dominates",

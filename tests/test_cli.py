@@ -465,8 +465,7 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
 
 def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
     # the class of 3216547, 3216547, 4261573 has nine members
-    dc_test = rivals.dc_test
-    monkeypatch.setattr(rivals, "dc_test", lambda t: dc_test(t, cap=5))
+    monkeypatch.setattr(rivals, "DC_CLASS_CAP", 5)
     src = tmp_path / "nine.txt"
     src.write_text("sym: 3216547, 3216547, 4261573\n", encoding="utf-8")
     args = [str(src), "--stable", "--tests=schubitope,descent_cycling"]

@@ -162,11 +162,15 @@ def test_lattice_points_schubitope_21543():
 
 def test_lattice_points_guards():
     with pytest.raises(ValueError):
-        GPermutahedron(
-            SubmodularFn(2, (0, Fraction(1, 2), 1, 1))
-        ).lattice_points()
-    with pytest.raises(ValueError):
         standard_permutahedron(9).lattice_points()
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), 0.5])
+def test_values_must_be_integers(value):
+    with pytest.raises(ValueError, match="values must be integers"):
+        SubmodularFn(2, (0, value, 1, 1))
+    with pytest.raises(ValueError, match="values must be integers"):
+        SubmodularFn.from_callable(1, lambda s: value if s else 0)
 
 
 def test_lattice_points_edge_cases():
@@ -270,4 +274,4 @@ def test_theta_functions_are_submodular_for_concatenations():
 
 def test_sum_mismatch_rejected():
     with pytest.raises(ValueError):
-        standard_permutahedron(2).minkowski_sum(standard_permutahedron(3))
+        standard_permutahedron(2) + standard_permutahedron(3)

@@ -122,10 +122,9 @@ def fresh_dc_tables(monkeypatch):
     monkeypatch.setattr(rv, "_rank_tables", {})
 
 
-def reference_is_doomed(pos):
+def reference_is_doomed(n, tokens):
     """The first overloaded filter in enumeration order, by scanning them all."""
-    tokens = pos.token_map()
-    for filt in rv.upper_order_filters(pos.n):
+    for filt in rv.upper_order_filters(n):
         if sum(tokens.get(root, 0) for root in filt) > len(filt):
             return True, filt
     return False, None
@@ -224,41 +223,53 @@ def test_dc_class_without_trivial_member_in_s6():
     assert sp.intersection_number(t.factors) == 0
 
 
-def test_dc_test_vanishing_and_cap():
+def test_dc_test_vanishing_and_cap(monkeypatch):
     t = rv.Triple(perm("1423"), perm("1423"), perm("1342"))
     verdict = rv.dc_test(t)
     assert verdict.outcome is Outcome.VANISHES
     assert "dc-trivial member" in verdict.detail
+    monkeypatch.setattr(rv, "DC_CLASS_CAP", 3)
     with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_class(rv.Triple(perm("3216547"), perm("3216547"), perm("4261573")), cap=3)
+        rv.dc_class(rv.Triple(perm("3216547"), perm("3216547"), perm("4261573")))
 
 
 @pytest.mark.parametrize(
     "words",
     [("3216547", "3216547", "4261573"), ("2143", "1342", "1423")],
 )
-def test_dc_cap_boundary(words):
-    # cap counts members: a class of exactly cap members is returned whole
+def test_dc_cap_boundary(words, monkeypatch):
+    # the cap counts members: a class of exactly DC_CLASS_CAP members is
+    # returned whole, by a fresh walk and from the table alike
+    assert rv.DC_CLASS_CAP == 10**6
     t = rv.Triple(*(perm(w) for w in words))
     cls = rv.dc_class(t)
+    verdict = rv.dc_test(t)
     assert len(cls) > 1
-    assert rv.dc_class(t, cap=len(cls)) == cls
-    assert rv.dc_test(t, cap=len(cls)) == rv.dc_test(t)
-    with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_class(t, cap=len(cls) - 1)
-    with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_test(t, cap=len(cls) - 1)
+    for tables in ({}, rv._rank_tables):  # a fresh walk, then the remembered class
+        monkeypatch.setattr(rv, "_rank_tables", tables)
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls) - 1)
+        with pytest.raises(rv.ClassSizeExceeded):
+            rv.dc_class(t)
+        with pytest.raises(rv.ClassSizeExceeded):
+            rv.dc_test(t)
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls))
+        assert rv.dc_class(t) == cls
+        assert rv.dc_test(t) == verdict
 
 
 def test_root_game_initial_positions():
-    assert rv.root_game_initial(((1, 2, 3), (1, 2, 3))).tokens == ()
-    pos = rv.root_game_initial((perm("1423"), perm("1423"), perm("1342")))
-    assert pos.token_map() == {(2, 3): 2, (2, 4): 3, (3, 4): 1}
-    assert sum(pos.token_map().values()) == 6
+    assert rv.root_game_initial(((1, 2, 3), (1, 2, 3))) == {}
+    tokens = rv.root_game_initial((perm("1423"), perm("1423"), perm("1342")))
+    assert tokens == {(2, 3): 2, (2, 4): 3, (3, 4): 1}
+    assert sum(tokens.values()) == 6
+    # words of another rank give the tokens of their embeddings
+    assert rv.root_game_initial([(3, 2, 1), (1, 2, 3, 4)]) == rv.root_game_initial(
+        [(3, 2, 1, 4), (1, 2, 3, 4)]
+    ) == {(1, 2): 1, (1, 3): 1, (2, 3): 1}
     ws7 = (perm("3216547"), perm("3216547"), perm("1652473"))
-    pos7 = rv.root_game_initial(ws7)
-    assert sum(pos7.token_map().values()) == sum(pc.length(w) for w in ws7) == 21
-    assert pos7.token_map() == {
+    tokens7 = rv.root_game_initial(ws7)
+    assert sum(tokens7.values()) == sum(pc.length(w) for w in ws7) == 21
+    assert tokens7 == {
         (1, 2): 2, (1, 3): 2,
         (2, 3): 3, (2, 4): 1, (2, 5): 1, (2, 7): 1,
         (3, 4): 1, (3, 5): 1, (3, 7): 1,
@@ -308,23 +319,22 @@ def test_filters_are_up_closed():
 
 
 def test_is_doomed_examples():
-    assert rv.is_doomed(rv.root_game_initial(((1, 2, 3), (1, 2, 3)))) == (
+    assert rv.is_doomed(3, rv.root_game_initial(((1, 2, 3), (1, 2, 3)))) == (
         False,
         None,
     )
-    pos = rv.root_game_initial((perm("1423"), perm("1423"), perm("1342")))
-    doomed, witness = rv.is_doomed(pos)
+    tokens = rv.root_game_initial((perm("1423"), perm("1423"), perm("1342")))
+    doomed, witness = rv.is_doomed(4, tokens)
     assert doomed
-    tokens = pos.token_map()
     assert sum(tokens.get(r, 0) for r in witness) > len(witness)
-    pos7 = rv.root_game_initial(
+    tokens7 = rv.root_game_initial(
         (perm("3216547"), perm("3216547"), perm("1652473"))
     )
-    assert rv.is_doomed(pos7) == (False, None)
+    assert rv.is_doomed(7, tokens7) == (False, None)
     # no rank cap: an empty board overloads no filter, while two tokens on
     # the top root alpha_{1,13} overload the one-root filter {alpha_{1,13}}
-    assert rv.is_doomed(rv.RootGamePosition(13, ())) == (False, None)
-    assert rv.is_doomed(rv.RootGamePosition(13, (((1, 13), 2),))) == (
+    assert rv.is_doomed(13, {}) == (False, None)
+    assert rv.is_doomed(13, {(1, 13): 2}) == (
         True,
         frozenset({(1, 13)}),
     )
@@ -354,15 +364,14 @@ def test_is_doomed_matches_filter_enumeration():
                 first = rng.randint(0, top)
                 second = rng.randint(0, top - first)
                 lengths = (first, second, top - first - second)
-                pos = rv.root_game_initial(
+                tokens = rv.root_game_initial(
                     [random_perm_of_length(rng, n, ell) for ell in lengths]
                 )
             else:
                 tokens = {r: rng.choice((0, 1)) for r in roots}
                 for r in rng.sample(roots, min(len(roots), rng.randint(0, 3))):
                     tokens[r] = 2
-                pos = rv.RootGamePosition(n, tuple(sorted(tokens.items())))
-            assert rv.is_doomed(pos) == reference_is_doomed(pos), pos
+            assert rv.is_doomed(n, tokens) == reference_is_doomed(n, tokens), (n, tokens)
 
 
 def test_root_game_test_verdicts():
@@ -393,8 +402,8 @@ def test_root_game_verdicts_beyond_rank_12(n):
     rest = random_perm_of_length(random.Random(n), n, top - 2 * (n - 1))
     verdict = rv.root_game_test((cycle, cycle, rest))
     assert verdict.outcome is Outcome.VANISHES
-    doomed, witness = rv.is_doomed(rv.root_game_initial((cycle, cycle, rest)))
-    tokens = rv.root_game_initial((cycle, cycle, rest)).token_map()
+    tokens = rv.root_game_initial((cycle, cycle, rest))
+    doomed, witness = rv.is_doomed(n, tokens)
     assert doomed and sum(tokens.get(r, 0) for r in witness) > len(witness)
     for a, b in witness:
         assert a == 1 or (a - 1, b) in witness
@@ -477,18 +486,23 @@ def test_dc_test_does_not_depend_on_order(monkeypatch):
     assert len(sizes) <= len(walked) <= len(cases)
 
 
-def test_dc_cap_holds_on_a_remembered_class():
+def test_dc_cap_holds_on_a_remembered_class(monkeypatch):
     factors, detail = next(c for c in interleaved_rank_4_and_5_cases() if "class of 220" in c[1])
     t = rv.Triple(*factors)
+    default = rv.DC_CLASS_CAP
+    monkeypatch.setattr(rv, "DC_CLASS_CAP", 219)
     with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_test(t, cap=219)
+        rv.dc_test(t)
     # the overflow left nothing behind: the full closure still runs
+    monkeypatch.setattr(rv, "DC_CLASS_CAP", default)
     assert rv.dc_test(t).detail == detail
     other = rv.Triple(*next(m for m in rv.dc_class(t) if m != factors))
     for member in (t, other):
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", 219)
         with pytest.raises(rv.ClassSizeExceeded, match="exceeds 219"):
-            rv.dc_test(member, cap=219)
-        assert rv.dc_test(member, cap=220).detail == detail
+            rv.dc_test(member)
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", 220)
+        assert rv.dc_test(member).detail == detail
 
 
 def test_dc_tables_are_rebuilt_past_their_bound(monkeypatch):

@@ -19,10 +19,6 @@ def make_all():
         "VanishingVerdict": lambda: vanishing.VanishingVerdict(
             Outcome.VANISHES, "m", schubitope.InfeasibleSubset((1,), 4, 3)
         ),
-        "StrengthReport": lambda: vanishing.strength_comparison(
-            ((4, 1, 2, 3), (1, 3, 4, 2)), (4, 3, 1, 2)
-        ),
-        "RootGamePosition": lambda: rivals.root_game_initial([(3, 2, 1), (1, 2, 3)]),
         "Options": lambda: cli.Options(tests=("schubitope", "oracle"), seed=3),
     }
 

@@ -341,16 +341,15 @@ def test_flexible_pads_short_contents():
 
 
 def test_strength_comparison():
-    report = vn.strength_comparison(
-        perms("4123", "1342"), pc.parse_permutation("4312")
-    )
-    assert report.asymmetric.outcome is Outcome.VANISHES
-    assert report.symmetric.outcome is Outcome.INCONCLUSIVE
-    report = vn.strength_comparison(
-        perms("1423", "1423"), pc.parse_permutation("4213")
-    )
-    assert report.asymmetric.outcome is Outcome.INCONCLUSIVE
-    assert report.symmetric.outcome is Outcome.INCONCLUSIVE
+    # the asymmetric test against the symmetric test on the factors plus the
+    # target's complement: strictly stronger on the first problem
+    for words, target, asymmetric in (
+        (("4123", "1342"), "4312", Outcome.VANISHES),
+        (("1423", "1423"), "4213", Outcome.INCONCLUSIVE),
+    ):
+        problem = vn.SchubertProblem(perms(*words), pc.parse_permutation(target))
+        assert vn.asymmetric_test(problem.factors, problem.target).outcome is asymmetric
+        assert vn.symmetric_test(problem.symmetrized().factors).outcome is Outcome.INCONCLUSIVE
 
 
 def test_flexible_misses_both_monomials_of_4132():
