@@ -151,24 +151,28 @@ def run_problem(
             )
             _record_verdict(record, verdict)
 
-    symmetrized = embedded.symmetrized()
-    if "bruhat" in options.tests:
-        _record_verdict(record, rivals.bruhat_vanishing_test(symmetrized.factors))
-    if "descent_cycling" in options.tests:
-        if len(symmetrized.factors) != 3:
-            details["descent_cycling"] = "only defined for three factors"
-        else:
-            try:
-                triple = rivals.Triple(*symmetrized.factors)
-            except ValueError:  # the lengths do not sum to n(n-1)/2
-                record["verdicts"]["descent_cycling"] = Outcome.DEGREE_MISMATCH.value
+    # the rival tests read the problem as a symmetric one
+    if {"bruhat", "descent_cycling", "root_game"}.intersection(options.tests):
+        factors = embedded.symmetrized().factors
+        if "bruhat" in options.tests:
+            _record_verdict(record, rivals.bruhat_vanishing_test(factors))
+        if "descent_cycling" in options.tests:
+            if len(factors) != 3:
+                details["descent_cycling"] = "only defined for three factors"
             else:
                 try:
-                    _record_verdict(record, rivals.dc_test(triple))
-                except rivals.ClassSizeExceeded as exc:
-                    details["descent_cycling"] = str(exc)
-    if "root_game" in options.tests:
-        _record_verdict(record, rivals.root_game_test(symmetrized.factors))
+                    triple = rivals.Triple(*factors)
+                except ValueError:  # the lengths do not sum to n(n-1)/2
+                    _record_verdict(
+                        record, VanishingVerdict(Outcome.DEGREE_MISMATCH, "descent_cycling")
+                    )
+                else:
+                    try:
+                        _record_verdict(record, rivals.dc_test(triple))
+                    except rivals.ClassSizeExceeded as exc:
+                        details["descent_cycling"] = str(exc)
+        if "root_game" in options.tests:
+            _record_verdict(record, rivals.root_game_test(factors))
 
     if "oracle" in options.tests:
         if n > options.oracle_max_n:

@@ -297,6 +297,14 @@ def test_main_with_files(tmp_path, capsys):
     assert rc == 2
 
 
+def test_console_script_runs_cli_main():
+    # read as text, since Python 3.10 has no tomllib
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    section = pyproject.read_text(encoding="utf-8").split("\n[project.scripts]\n")[1]
+    entries = re.findall(r'^(\S+) = "(.*)"$', section.split("\n[")[0], re.MULTILINE)
+    assert entries == [("schubvanish", "schubvanish.cli:main")]
+
+
 def test_main_selfcheck(capsys, monkeypatch):
     rc = cli.main(["--selfcheck"])
     out = capsys.readouterr().out

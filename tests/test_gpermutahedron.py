@@ -14,14 +14,8 @@ from schubvanish.gpermutahedron import (
     check_integer_decomposition,
     standard_permutahedron,
 )
+from schubvanish.refsuite import SUPPORT_21543
 from schubvanish.schubitope import schubitope_gpermutahedron
-
-SUPPORT_21543 = {
-    (3, 1, 0, 0, 0), (3, 0, 1, 0, 0), (3, 0, 0, 1, 0), (2, 2, 0, 0, 0),
-    (2, 0, 2, 0, 0), (2, 1, 1, 0, 0), (2, 1, 0, 1, 0), (2, 0, 1, 1, 0),
-    (1, 1, 2, 0, 0), (1, 2, 1, 0, 0), (1, 2, 0, 1, 0), (1, 0, 2, 1, 0),
-    (1, 1, 1, 1, 0),
-}
 
 
 def is_hull_vertex(point, points):

@@ -6,7 +6,9 @@ an unsound one: no test may say VANISHES on a value-1 triple.  Each triple
 runs through the batch evaluator as one symmetric line and as three
 asymmetric lines, one per factor as the target, and every subset
 certificate replays with the benchmark generator's own Rothe columns and
-column theta, which share no code with the package.
+column theta, which share no code with the package.  The generator's random
+symmetric triples at rank 32 run the same way; their intersection numbers
+are unknown, so only their certificates are checked.
 """
 
 import random
@@ -19,7 +21,7 @@ from monkrule import monk_triple
 from schubvanish import cli, schubpoly
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-from problemgen import _column_theta, _rothe_columns, format_permutation  # noqa: E402
+from problemgen import _column_theta, _rothe_columns, format_permutation, symmetric_triple  # noqa: E402
 
 SYMMETRIC_TESTS = ("schubitope", "bruhat", "root_game")
 
@@ -49,6 +51,28 @@ def replays(cert, factors, target):
     return (lhs, rhs) == (cert["lhs"], cert["rhs"]) and lhs > rhs
 
 
+def run_and_replay(ws):
+    """The records of every line of problems(ws), after replaying each
+    subset certificate among them, and the number replayed."""
+    (sym, *asym) = problems(ws)
+    records, status = cli.run_batch([sym[0]], cli.Options(tests=SYMMETRIC_TESTS, stable=True))
+    more, more_status = cli.run_batch([line for line, _, _ in asym], cli.Options(stable=True))
+    assert status == more_status == 0
+    replayed = 0
+    for (line, factors, target), record in zip([sym, *asym], records + more):
+        verdicts, certificates = record["verdicts"], record.get("certificates", {})
+        assert len(verdicts) == (3 if line.startswith("sym") else 1), record
+        for key, verdict in verdicts.items():
+            # a Schubitope VANISHES carries its certificate; no other test gives one
+            vanishes = key.startswith("schubitope") and verdict == "VANISHES"
+            assert (key in certificates) == vanishes, record
+        for cert in certificates.values():
+            assert cert["kind"] == "subset", record
+            assert replays(cert, factors, target), (line, record)
+            replayed += 1
+    return records + more, replayed
+
+
 @pytest.mark.parametrize("n, count", [(8, 40), (16, 40), (32, 32), (64, 20)])
 def test_no_test_vanishes_on_a_monk_triple_of_value_1(n, count):
     rng = random.Random(1000 + n)
@@ -57,21 +81,20 @@ def test_no_test_vanishes_on_a_monk_triple_of_value_1(n, count):
     for _ in range(count):
         ws, value = monk_triple(n, rng)
         values[value] += 1
-        (sym, *asym) = problems(ws)
-        records, status = cli.run_batch([sym[0]], cli.Options(tests=SYMMETRIC_TESTS, stable=True))
-        more, more_status = cli.run_batch([line for line, _, _ in asym], cli.Options(stable=True))
-        assert status == more_status == 0
-        for (line, factors, target), record in zip([sym, *asym], records + more):
-            verdicts = record["verdicts"]
-            assert len(verdicts) == (3 if line.startswith("sym") else 1), record
-            if value == 1:
-                assert "VANISHES" not in verdicts.values(), record
-            for key, cert in record.get("certificates", {}).items():
-                assert verdicts[key] == "VANISHES" and cert["kind"] == "subset", record
-                assert replays(cert, factors, target), (line, record)
-                replayed += 1
+        records, found = run_and_replay(ws)
+        replayed += found
+        if value == 1:
+            for record in records:
+                assert "VANISHES" not in record["verdicts"].values(), record
     # both values occur, and some zero is caught, so the checks are not vacuous
     assert values[0] and values[1] and replayed, (values, replayed)
+
+
+def test_certificates_of_random_rank_32_triples_replay():
+    # rank 32 is past the 20-row reference scan
+    rng = random.Random(32)
+    replayed = sum(run_and_replay(symmetric_triple(32, rng))[1] for _ in range(10))
+    assert replayed
 
 
 @pytest.mark.parametrize("n", [5, 6])

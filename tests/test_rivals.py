@@ -340,16 +340,11 @@ def test_is_doomed_examples():
     )
 
 
-def perm_from_code(code):
-    free = list(range(1, len(code) + 1))
-    return tuple(free.pop(c) for c in code)
-
-
 def random_perm_of_length(rng, n, ell):
     code = [0] * n
     for _ in range(ell):
         code[rng.choice([i for i in range(n) if code[i] < n - 1 - i])] += 1
-    return perm_from_code(code)
+    return sp.perm_from_code(code)
 
 
 def test_is_doomed_matches_filter_enumeration():
