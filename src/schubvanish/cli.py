@@ -30,13 +30,14 @@ import sys
 import time
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
-from . import permcore, rivals, vanishing
+from . import permcore, vanishing
 from .schubitope import FarkasCertificate, InfeasibleSubset
 from .vanishing import Outcome, SchubertProblem, VanishingVerdict
 
 # Every batch is a fresh process, so this module imports only what a batch
-# runs: refsuite (--selfcheck), schubpoly (the oracle), json (jsonlines
-# output) and traceback (a failing problem) are imported where they are used.
+# runs: rivals (Bruhat, descent cycling, root games), refsuite (--selfcheck),
+# schubpoly (the oracle), json (jsonlines output) and traceback (a failing
+# problem) are imported where they are used.
 
 KNOWN_TESTS = (
     "schubitope",
@@ -132,11 +133,14 @@ def run_problem(
                     "verdicts": {}, "certificates": {}, "details": {}}
     details = record["details"]
 
+    asymmetric = None  # the flexible test starts from this verdict on the code
     if "schubitope" in options.tests:
         if problem.mode == "symmetric":
             verdict = vanishing.symmetric_test(embedded.factors)
         else:
-            verdict = vanishing.asymmetric_test(embedded.factors, embedded.target)
+            verdict = asymmetric = vanishing.asymmetric_test(
+                embedded.factors, embedded.target
+            )
         _record_verdict(record, verdict)
 
     if "flexible" in options.tests:
@@ -147,12 +151,15 @@ def run_problem(
         else:
             seed = options.seed * 1_000_003 + index
             verdict = vanishing.flexible_test_sampled(
-                embedded.factors, embedded.target, options.flexible_samples, seed
+                embedded.factors, embedded.target, options.flexible_samples, seed,
+                asymmetric,
             )
             _record_verdict(record, verdict)
 
     # the rival tests read the problem as a symmetric one
     if {"bruhat", "descent_cycling", "root_game"}.intersection(options.tests):
+        from . import rivals
+
         factors = embedded.symmetrized().factors
         if "bruhat" in options.tests:
             _record_verdict(record, rivals.bruhat_vanishing_test(factors))

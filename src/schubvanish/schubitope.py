@@ -14,10 +14,11 @@ subsets S.  Its lattice points are exactly the contents of the column-strict
 flag-bounded fillings of D.  ``filling_or_cut`` decides membership by one
 integral max-flow and returns either such a filling or one violated subset
 inequality (the min cut).  The flow starts from a greedy partial filling
-(earliest modified deadline first, ``label_caps``), which is usually
-already maximum; augmenting paths complete it, and the last search, which
-finds none, yields the cut.  That cut does not depend on the starting
-flow.  ``lp_feasible`` restates the cut as integer multipliers of the
+(earliest modified deadline first, on the diagram's ``column_caps``,
+which every flow on it reuses), which is usually already maximum;
+augmenting paths complete it, and the last search, which finds none,
+yields the cut.  That cut does not depend on the starting flow.
+``lp_feasible`` restates the cut as integer multipliers of the
 relaxation LP (``FarkasCertificate``).  The reference that
 tests compare the flow against is S_D as the generalized permutahedron
 P(theta_D) (``schubitope_gpermutahedron``): one 2^n table of theta_D and
@@ -27,6 +28,7 @@ its subset scan, at up to ``gpermutahedron.MAX_GROUND_SET`` rows.
 from __future__ import annotations
 
 import collections
+import functools
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .permcore import Cell, Diagram
@@ -205,25 +207,38 @@ def label_caps(rows: Sequence[int]) -> list[int]:
     return caps
 
 
+@functools.lru_cache(maxsize=8)
+def column_caps(columns: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """``label_caps`` of each column of a diagram, () for an empty column.
+
+    columns: ``Diagram.columns``.  Every flow on a diagram and every point
+    sampled from it reads the same caps, so the caps of the last few
+    diagrams are kept.
+    """
+    return tuple(tuple(label_caps(rows)) if rows else () for rows in columns)
+
+
 def _earliest_deadline_start(
-    columns: Sequence[tuple[int, ...]], alpha: Sequence[int]
+    columns: Sequence[tuple[int, ...]],
+    caps: Sequence[Sequence[int]],
+    alpha: Sequence[int],
 ) -> tuple[list[dict[int, int]], list[list[int]], list[int]]:
     """A partial filling by earliest modified deadline, as flow state.
 
     Each column is a chain of unit jobs, its cells top down; label i is
     time slot i with alpha_i machines, and a cell is due by its cap
-    (``label_caps``).  For i = 1..n, label i goes to the next cell of at
-    most alpha_i columns, smallest cap first, ties by column.  A cell whose
-    cap is below i is late: it stays free, and the next cell of its column
-    takes its turn.  Returns owner[c][r] (the label in row r of column c,
-    0 when free), where[c][i] (the row holding label i in column c, 0 when
-    unused) and used[i] (the number of columns holding label i).
+    (caps[c] holds the ``label_caps`` of column c).  For i = 1..n, label i
+    goes to the next cell of at most alpha_i columns, smallest cap first,
+    ties by column.  A cell whose cap is below i is late: it stays free,
+    and the next cell of its column takes its turn.  Returns owner[c][r]
+    (the label in row r of column c, 0 when free), where[c][i] (the row
+    holding label i in column c, 0 when unused) and used[i] (the number of
+    columns holding label i).
     """
     n = len(alpha)
     owner = [dict.fromkeys(rows, 0) for rows in columns]
     where = [[0] * (n + 1) for _ in columns]
     used = [0] * (n + 1)
-    caps = [label_caps(rows) for rows in columns]
     # waiting[e]: columns whose next cell, nxt[c], has cap e
     waiting: list[list[int]] = [[] for _ in range(n + 1)]
     nxt = [0] * len(columns)
@@ -290,7 +305,10 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
         )
     nonempty = [j for j, rows in enumerate(d.columns, start=1) if rows]
     columns = [d.columns[j - 1] for j in nonempty]
-    owner, where, used = _earliest_deadline_start(columns, alpha)
+    all_caps = column_caps(d.columns)
+    owner, where, used = _earliest_deadline_start(
+        columns, [all_caps[j - 1] for j in nonempty], alpha
+    )
     # BFS tree of one round.  label -> column of the pair that gave it back,
     # None for the source; (label, column) -> None when entered from its
     # label, else (k, r): pair (k, column) takes over cell r from it

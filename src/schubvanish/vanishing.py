@@ -13,10 +13,9 @@ filling the flow found.  The tests are one-sided.
 
 from __future__ import annotations
 
-import itertools
 import random
 from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import permcore, schubitope
 from .permcore import Diagram, Frozen, Perm
@@ -57,7 +56,12 @@ class SchubertProblem(Frozen):
         return "symmetric" if self.target is None else "asymmetric"
 
     def embedded(self) -> "SchubertProblem":
-        ws = list(self.factors) + ([] if self.target is None else [self.target])
+        """Every word embedded in S_n for the largest n; self when they all
+        have that length already."""
+        ws = self.factors if self.target is None else self.factors + (self.target,)
+        n = len(ws[0])
+        if all(len(w) == n for w in ws):
+            return self
         ws = permcore.common_embed(ws)
         if self.target is None:
             return SchubertProblem(tuple(ws))
@@ -136,28 +140,16 @@ def flexible_test(
         raise ValueError(
             f"{alpha} is not in the target's Schubitope; the test would be unsound"
         )
-    return _flexible(ws, [alpha])[0]
+    return _flexible(ws, alpha)
 
 
-def _flexible(
-    ws: list[Perm], contents: Iterable[tuple[int, ...]]
-) -> tuple[VanishingVerdict, int]:
-    """The verdict on the first distinct content that vanishes, else on the
-    last, and the number tried.  ws: the embedded factors, then the target;
-    contents: lattice points of the target's Schubitope, read only up to the
-    first that vanishes."""
-    method = "flexible"
+def _flexible(ws: list[Perm], alpha: tuple[int, ...]) -> VanishingVerdict:
+    """The flexible verdict on one content.  ws: the embedded factors, then
+    the target; alpha: a lattice point of the target's Schubitope."""
     if permcore.well_posed(ws[:-1], ws[-1]) is None:
-        return _mismatch(method, "the content total"), 0
+        return _mismatch("flexible", "the content total")
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
-    seen: set[tuple[int, ...]] = set()
-    for alpha in contents:
-        if alpha not in seen:
-            seen.add(alpha)
-            verdict = _verdict(d, alpha, method)._replace(detail=f"content={alpha}")
-            if verdict.outcome is Outcome.VANISHES:
-                break
-    return verdict, len(seen)
+    return _content_verdict(d, alpha)
 
 
 def _mismatch(method: str, total: str) -> VanishingVerdict:
@@ -170,6 +162,10 @@ def _verdict(d: Diagram, alpha: Sequence[int], method: str) -> VanishingVerdict:
     if isinstance(found, Filling):
         return VanishingVerdict(Outcome.INCONCLUSIVE, method, witness=found)
     return VanishingVerdict(Outcome.VANISHES, method, certificate=found)
+
+
+def _content_verdict(d: Diagram, alpha: tuple[int, ...]) -> VanishingVerdict:
+    return _verdict(d, alpha, "flexible")._replace(detail=f"content={alpha}")
 
 
 def vanishing_certificate(d: Diagram, alpha: Sequence[int]) -> InfeasibleSubset:
@@ -196,10 +192,7 @@ def sample_schubitope_point(
     diagram of w the result is always a lattice point of the Schubitope of w.
     """
     counts = [0] * d.n_rows
-    for c, rows in enumerate(d.columns, start=1):
-        if not rows:
-            continue
-        caps = schubitope.label_caps(rows)
+    for c, caps in enumerate(schubitope.column_caps(d.columns), start=1):
         if any(cap < t + 1 for t, cap in enumerate(caps)):
             raise RuntimeError(f"no admissible labels for column {c}")
         prev = 0
@@ -216,6 +209,7 @@ def flexible_test_sampled(
     target: Perm,
     samples: int = 32,
     seed: int = 0,
+    code_verdict: Optional[VanishingVerdict] = None,
 ) -> VanishingVerdict:
     """Randomized driver: try the target's code, then sampled contents.
 
@@ -225,13 +219,30 @@ def flexible_test_sampled(
     none.  Every content tried is the content of a filling of the target's
     diagram (the code labels each cell with its row), so it lies in the
     target's Schubitope without a check.
+
+    code_verdict, when given, is ``asymmetric_test(factors, target)``: the
+    verdict on the code, which is then taken over instead of decided again,
+    and its witness's diagram serves the sampled contents.  A
+    DEGREE_MISMATCH is not taken over, since its note names another total.
+    The result is the same as without it.
     """
     ws = permcore.common_embed([*factors, target])
     target_d = permcore.rothe_diagram(ws[-1])
+    code = target_d.row_counts()
+    if code_verdict is None or code_verdict.outcome is Outcome.DEGREE_MISMATCH:
+        verdict = _flexible(ws, code)
+    else:
+        verdict = code_verdict._replace(method="flexible", detail=f"content={code}")
+    if verdict.outcome is not Outcome.INCONCLUSIVE:
+        return verdict
+    d = verdict.witness.diagram
     rng = random.Random(seed)
-    sampled = (sample_schubitope_point(target_d, rng) for _ in range(samples))
-    verdict, tried = _flexible(ws, itertools.chain([target_d.row_counts()], sampled))
-    if verdict.outcome is Outcome.INCONCLUSIVE:
-        return verdict._replace(detail=f"{tried} distinct contents tried")
-    return verdict
-
+    seen = {code}
+    for _ in range(samples):
+        alpha = sample_schubitope_point(target_d, rng)
+        if alpha not in seen:
+            seen.add(alpha)
+            verdict = _content_verdict(d, alpha)
+            if verdict.outcome is Outcome.VANISHES:
+                return verdict
+    return verdict._replace(detail=f"{len(seen)} distinct contents tried")

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from schubvanish import cli, refsuite, rivals
+from schubvanish import cli, permcore, refsuite, rivals, schubitope
 from schubvanish.vanishing import SchubertProblem
 
 BATCH = [
@@ -129,6 +129,59 @@ def test_flexible_in_batch():
     )
     assert records[0]["verdicts"]["flexible"] == "INCONCLUSIVE"
     assert "distinct contents" in records[0]["details"]["flexible"]
+
+
+def test_flexible_continues_from_the_asymmetric_verdict(monkeypatch):
+    # with both tests selected, the code is decided by one flow, the
+    # asymmetric test's, and the flexible verdict is the one it gives alone
+    lines = [
+        "asym: 4123, 1342 -> 4312",  # the code vanishes
+        "asym: 1234, 1342 -> 2143",  # a sampled content vanishes
+        "asym: 4265713, 1375642 -> 7654321",  # every sample is the code
+        "asym: 231645, 231645 -> 451623",  # samples repeat the code
+        "asym: 13427586, 12534867 -> 31582647",  # 16 distinct contents
+        "asym: 4123, 1342 -> 4321",  # DEGREE_MISMATCH
+    ]
+    flows = []
+    real = schubitope.filling_or_cut
+
+    def counting(d, alpha):
+        flows.append(tuple(alpha))
+        return real(d, alpha)
+
+    monkeypatch.setattr(schubitope, "filling_or_cut", counting)
+
+    def run_each(tests):
+        runs = []
+        for line in lines:
+            flows.clear()
+            records, code, _ = run([line], tests=tests, flexible_samples=16, stable=True)
+            assert code == 0
+            runs.append((records[0], list(flows)))
+        return runs
+
+    both, alone = run_each(("schubitope", "flexible")), run_each(("flexible",))
+    for line, (record, both_flows), (alone_record, alone_flows) in zip(lines, both, alone):
+        problem = cli.parse_problem_line(line)
+        code = permcore.code(problem.embedded().target)
+        mismatch = record["verdicts"]["flexible"] == "DEGREE_MISMATCH"
+        assert both_flows.count(code) == (0 if mismatch else 1), line
+        assert both_flows == alone_flows, line
+        for key in ("verdicts", "certificates", "details"):
+            assert record.get(key, {}).get("flexible") == alone_record.get(key, {}).get(
+                "flexible"
+            ), (line, key)
+    outcomes = [record["verdicts"]["flexible"] for record, _ in both]
+    assert outcomes == ["VANISHES", "VANISHES", "INCONCLUSIVE", "INCONCLUSIVE",
+                        "INCONCLUSIVE", "DEGREE_MISMATCH"]
+    assert [record["verdicts"]["schubitope_asymmetric"] for record, _ in both][:2] == [
+        "VANISHES", "INCONCLUSIVE"]
+    assert both[2][0]["details"]["flexible"] == "1 distinct contents tried"
+    assert both[4][0]["details"]["flexible"] == "16 distinct contents tried"
+    assert both[5][0]["details"] == {
+        "flexible": "factor lengths do not sum to the content total",
+        "schubitope_asymmetric": "factor lengths do not sum to the target length",
+    }
 
 
 def test_error_records_and_continue():

@@ -395,7 +395,8 @@ def test_earliest_deadline_start_is_a_partial_filling():
                     alpha[rng.randrange(n)] += 1
             d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
             columns = [rows for rows in d.columns if rows]
-            owner, where, used = sb._earliest_deadline_start(columns, alpha)
+            caps = [sb.label_caps(rows) for rows in columns]
+            owner, where, used = sb._earliest_deadline_start(columns, caps, alpha)
             placed = [0] * (n + 1)
             for rows, c_owner, c_where in zip(columns, owner, where):
                 labels = [c_owner[r] for r in rows if c_owner[r]]

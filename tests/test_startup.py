@@ -63,6 +63,16 @@ def test_running_a_batch_skips_what_it_does_not_run():
     assert not loaded & NOT_ON_BATCH_PATH
 
 
+def test_a_batch_without_rival_tests_skips_rivals():
+    loaded = modules_loaded_by(
+        "from schubvanish import cli\n"
+        "cli.main(['--stable', '--flexible-samples=4', '--tests=schubitope,flexible'])",
+        stdin="asym: 4123, 1342 -> 4312\nasym: 1423, 1423 -> 4213\n",
+    )
+    assert "schubvanish.vanishing" in loaded
+    assert "schubvanish.rivals" not in loaded
+
+
 def test_oracle_and_selfcheck_import_their_modules():
     loaded = modules_loaded_by(
         "from schubvanish import cli\ncli.main(['--stable', '--tests=oracle'])",

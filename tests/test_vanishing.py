@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -109,15 +110,55 @@ def test_flexible_inconclusive_for_every_monomial():
 
 
 def test_flexible_with_code_matches_asymmetric():
+    # the whole verdict, witness included, but for its method and note: the
+    # sampled driver takes the asymmetric verdict over as its verdict on the code
     cases = [
         (perms("4123", "1342"), pc.parse_permutation("4312")),
         (perms("1423", "1423"), pc.parse_permutation("4213")),
         (perms("231645", "231645"), pc.parse_permutation("451623")),
     ]
+    rng = random.Random(23)
+    for n in range(4, 10):
+        for _ in range(8):
+            target = random_permutation_of_length(n, rng.randint(1, n * (n - 1) // 2), rng)
+            first = rng.randint(0, min(pc.length(target), n * (n - 1) // 2))
+            factors = (
+                random_permutation_of_length(n, first, rng),
+                random_permutation_of_length(n, pc.length(target) - first, rng),
+            )
+            cases.append((factors, target))
+    outcomes = set()
     for factors, target in cases:
         flex = vn.flexible_test(factors, target, pc.code(target))
         asym = vn.asymmetric_test(factors, target)
-        assert flex.outcome is asym.outcome
+        assert flex._replace(method="", detail="") == asym._replace(method="", detail=""), (
+            factors, target)
+        outcomes.add(flex.outcome)
+        alone = vn.flexible_test_sampled(factors, target, 8, seed=5)
+        assert vn.flexible_test_sampled(factors, target, 8, 5, asym) == alone
+    assert outcomes == {Outcome.VANISHES, Outcome.INCONCLUSIVE}
+
+
+def test_label_caps_once_per_diagram(monkeypatch):
+    # one flexible problem: every flow on D and every point sampled from the
+    # target's diagram read the caps their diagram got once
+    factors, target = perms("231645", "231645"), pc.parse_permutation("451623")
+    d = pc.concat_diagrams([pc.rothe_diagram(w) for w in factors])
+    target_d = pc.rothe_diagram(target)
+    calls = collections.Counter()
+    caps_of = sb.label_caps
+
+    def counting(rows):
+        calls[tuple(rows)] += 1
+        return caps_of(rows)
+
+    monkeypatch.setattr(sb, "label_caps", counting)
+    sb.column_caps.cache_clear()
+    asym = vn.asymmetric_test(factors, target)
+    verdict = vn.flexible_test_sampled(factors, target, 16, 0, asym)
+    assert verdict.detail == "3 distinct contents tried"
+    columns = collections.Counter(rows for g in (d, target_d) for rows in g.columns if rows)
+    assert calls and calls <= columns, (calls, columns)
 
 
 def test_flexible_trivial_nonvanishing():
@@ -387,6 +428,7 @@ def test_problem_record_helpers():
     assert p.mode == "symmetric"
     q = p.embedded()
     assert q.factors == ((2, 1, 3), (3, 1, 2))
+    assert q.embedded() is q  # embedded once, whatever calls it again
     a = vn.SchubertProblem(perms("4123", "1342"), pc.parse_permutation("4312"))
     assert a.mode == "asymmetric"
     s = a.symmetrized()
