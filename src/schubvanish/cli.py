@@ -24,11 +24,10 @@ reader closed standard output before every record was written.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TextIO
 
 from . import permcore, vanishing
 from .schubitope import FarkasCertificate, InfeasibleSubset
@@ -277,86 +276,209 @@ def emit_records(records: Sequence[dict], options: Options, out: TextIO) -> None
             _emit_text(record, out)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    defaults = Options()
-    parser = argparse.ArgumentParser(
-        prog="schubvanish",
-        description=(
-            "Decide vanishing of Schubert intersection numbers with exact, "
-            "certificate-producing tests."
-        ),
-    )
-    parser.add_argument(
-        "input",
-        nargs="?",
-        default="-",
-        help="input file of problem lines; '-' or absent reads stdin",
-    )
-    parser.add_argument(
-        "--tests",
-        default=",".join(defaults.tests),
-        help=f"comma list from {{{','.join(KNOWN_TESTS)}}} (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--oracle-max-n",
-        type=int,
-        default=defaults.oracle_max_n,
-        help="largest rank the brute-force oracle runs at; above it the "
-        "record gets a note (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--flexible-samples",
-        type=int,
-        default=defaults.flexible_samples,
-        help="sampled contents the flexible test may try per problem; with 0 "
-        "it does not run and the record gets a note (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=defaults.seed,
-        help="seed of the flexible test's sampling (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--stable",
-        action="store_true",
-        help="zero the timing fields so output is byte-reproducible",
-    )
-    parser.add_argument(
-        "--format",
-        dest="fmt",
-        choices=("text", "jsonlines"),
-        default=defaults.fmt,
-        help="one text block or one JSON object per problem (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--selfcheck",
-        action="store_true",
-        help="run the pinned reference problems and report pass/fail",
-    )
-    return parser
+def _int(value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"invalid int value: {value!r}") from None
 
 
-def options_from_args(args: argparse.Namespace) -> Options:
-    tests = tuple(t for t in (s.strip() for s in args.tests.split(",")) if t)
+def _format(value: str) -> str:
+    if value not in ("text", "jsonlines"):
+        raise ValueError(f"invalid choice: {value!r} (choose from 'text', 'jsonlines')")
+    return value
+
+
+# The command line, one row per flag: the key of its value (an Options field,
+# selfcheck or help), its conversion (None for a switch) and its help.
+# parse_args, the usage line and --help read only this table; the value
+# flags' defaults come from Options().
+FLAGS: dict[str, tuple[str, Optional[Callable[[str], object]], str]] = {
+    "--help": ("help", None, "show this help message and exit"),
+    "--tests": ("tests", str, f"comma list from {{{','.join(KNOWN_TESTS)}}}"),
+    "--oracle-max-n": (
+        "oracle_max_n", _int,
+        "largest rank the brute-force oracle runs at; above it the record gets a note",
+    ),
+    "--flexible-samples": (
+        "flexible_samples", _int,
+        "sampled contents the flexible test may try per problem; with 0 it does "
+        "not run and the record gets a note",
+    ),
+    "--seed": ("seed", _int, "seed of the flexible test's sampling"),
+    "--stable": ("stable", None, "zero the timing fields so output is byte-reproducible"),
+    "--format": (
+        "fmt", _format, "text or jsonlines: one text block or one JSON object per problem"
+    ),
+    "--selfcheck": ("selfcheck", None, "run the pinned reference problems and report pass/fail"),
+}
+
+
+def _defaults() -> dict:
+    values: dict = {key: False for key, convert, _ in FLAGS.values() if convert is None}
+    values.update(Options()._asdict(), input="-")
+    values["tests"] = ",".join(values["tests"])
+    return values
+
+
+def _metavar(flag: str) -> str:
+    return flag[2:].upper().replace("-", "_")
+
+
+def _usage() -> str:
+    flags = " ".join(
+        f"[{flag}]" if convert is None else f"[{flag} {_metavar(flag)}]"
+        for flag, (key, convert, _) in FLAGS.items() if key != "help"
+    )
+    return f"usage: schubvanish [-h] {flags} [input]"
+
+
+def _help() -> str:
+    defaults = _defaults()
+    lines = [
+        _usage(),
+        "",
+        "Decide vanishing of Schubert intersection numbers with exact, "
+        "certificate-producing tests.",
+        "",
+        "positional arguments:",
+        "  input",
+        "      input file of problem lines; '-' or absent reads stdin",
+        "",
+        "options:",
+    ]
+    for flag, (key, convert, text) in FLAGS.items():
+        if convert is None:
+            lines.append(f"  -h, {flag}" if key == "help" else f"  {flag}")
+        else:
+            lines.append(f"  {flag} {_metavar(flag)}")
+            text += f" (default: {defaults[key]})"
+        lines.append(f"      {text}")
+    return "\n".join(lines) + "\n"
+
+
+def _refuse(message: str) -> NoReturn:
+    sys.stderr.write(f"{_usage()}\nschubvanish: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _is_negative_number(word: str) -> bool:
+    """-3, -.5 or -2.5, with one trailing line break allowed."""
+    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
+    if dot:
+        return (not whole or whole.isdecimal()) and fraction.isdecimal()
+    return whole.isdecimal()
+
+
+def _flag_of(word: str) -> Optional[tuple[Optional[str], Optional[str]]]:
+    """What a command-line word names, before any word is consumed.
+
+    (flag, explicit value or None) for a flag, spelled in full or by a
+    unique prefix of a long flag, with an optional ``=value``; (None, None)
+    for an unknown flag; None for a value or a positional: a word not
+    starting with ``-``, ``-`` itself, a negative number, or a word with a
+    space in it.  ``-h`` followed by more h's is ``-h`` repeated.  An
+    ambiguous prefix exits 2.
+    """
+    if not word.startswith("-") or word == "-":
+        return None
+    if word.startswith("--"):
+        name, eq, value = word.partition("=")
+        explicit = value if eq else None
+        if name in FLAGS:
+            return name, explicit
+        matches = [flag for flag in FLAGS if flag.startswith(name)]
+        if len(matches) > 1:
+            _refuse(f"ambiguous option: {word} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], explicit
+    elif word.startswith("-h"):
+        rest = word[3:] if word.startswith("-h=") else word[2:]
+        return "--help", None if word == "-h" or set(rest) == {"h"} else rest
+    if _is_negative_number(word) or " " in word:
+        return None
+    return None, None
+
+
+def parse_args(argv: Sequence[str]) -> dict:
+    """The command line's values by key (see FLAGS), defaults filled in.
+
+    A flag's value follows it as ``--flag=value`` or as the next word, which
+    must not be a flag.  The last value given wins.  The first ``--`` ends
+    the flags: every word after it is a positional, and there is at most
+    one, the input; once the input is given, the ``--`` must directly follow
+    it.  ``-h``/``--help`` prints the help and exits 0 where it stands; an
+    unknown flag, an ambiguous prefix, a bad or missing value, a value on a
+    switch, a second positional or a misplaced ``--`` exits 2 with a message
+    on stderr.
+    """
+    words = list(argv)
+    end = words.index("--") if "--" in words else len(words)
+    flags = [_flag_of(word) for word in words[:end]]
+    values = _defaults()
+    positionals: list[int] = []  # indices into words, as are unknown's
+    unknown: list[int] = []
+    i = 0
+    while i < end:
+        named = flags[i]
+        i += 1
+        if named is None:
+            positionals.append(i - 1)
+            continue
+        flag, value = named
+        if flag is None:
+            unknown.append(i - 1)
+            continue
+        key, convert, _ = FLAGS[flag]
+        if convert is None:
+            if value is not None:
+                _refuse(f"argument {flag}: ignored explicit argument {value!r}")
+            if key == "help":
+                sys.stdout.write(_help())
+                raise SystemExit(0)
+            values[key] = True
+            continue
+        if value is None:
+            if i == end or flags[i] is not None:
+                _refuse(f"argument {flag}: expected one argument")
+            value = words[i]
+            i += 1
+        try:
+            values[key] = convert(value)
+        except ValueError as exc:
+            _refuse(f"argument {flag}: {exc}")
+    if end < len(words):
+        if positionals and positionals[0] != end - 1:
+            unknown.append(end)
+        positionals.extend(range(end + 1, len(words)))
+    extras = sorted(unknown + positionals[1:])
+    if extras:
+        _refuse(f"unrecognized arguments: {' '.join(words[k] for k in extras)}")
+    if positionals:
+        values["input"] = words[positionals[0]]
+    return values
+
+
+def options_from_args(args: dict) -> Options:
+    tests = tuple(t for t in (s.strip() for s in args["tests"].split(",")) if t)
     if not tests:
         raise ValueError("--tests selects no test")
     unknown = [t for t in tests if t not in KNOWN_TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {', '.join(unknown)}")
-    for flag, value in (
-        ("--oracle-max-n", args.oracle_max_n),
-        ("--flexible-samples", args.flexible_samples),
+    for flag, key in (
+        ("--oracle-max-n", "oracle_max_n"),
+        ("--flexible-samples", "flexible_samples"),
     ):
-        if value < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {value}")
+        if args[key] < 0:
+            raise ValueError(f"{flag} must be nonnegative, got {args[key]}")
     return Options(
         tests=tests,
-        oracle_max_n=args.oracle_max_n,
-        flexible_samples=args.flexible_samples,
-        seed=args.seed,
-        stable=args.stable,
-        fmt=args.fmt,
+        oracle_max_n=args["oracle_max_n"],
+        flexible_samples=args["flexible_samples"],
+        seed=args["seed"],
+        stable=args["stable"],
+        fmt=args["fmt"],
     )
 
 
@@ -376,31 +498,30 @@ def _write_stdout(write: Callable[[TextIO], int]) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        if args.selfcheck:
+        if args["selfcheck"]:
             from . import refsuite
 
             return _write_stdout(
-                lambda out: 0 if refsuite.run_reference_report(out, stable=args.stable) else 1
+                lambda out: 0 if refsuite.run_reference_report(out, stable=args["stable"]) else 1
             )
         options = options_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.input == "-":
+        if args["input"] == "-":
             data = sys.stdin.buffer.read()
         else:
-            with open(args.input, "rb") as handle:
+            with open(args["input"], "rb") as handle:
                 data = handle.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # a leading byte-order mark is skipped; an undecodable byte stays in its
     # line, which then fails to parse alone
-    lines = data.decode("utf-8-sig", "surrogateescape").splitlines()
+    lines = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
 
     def emit(out: TextIO) -> int:

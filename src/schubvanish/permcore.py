@@ -146,10 +146,12 @@ def well_posed(
     None unless the factor lengths sum to the target's length."""
     if target is None:
         ws = common_embed(factors)
-        target = w0(len(ws[0]) if ws else 0)
+        n = len(ws[0]) if ws else 0
+        target, goal = w0(n), n * (n - 1) // 2  # the length of w0
     else:
         *ws, target = common_embed([*factors, target])
-    if sum(length(w) for w in ws) != length(target):
+        goal = length(target)
+    if sum(length(w) for w in ws) != goal:
         return None
     return ws, target
 

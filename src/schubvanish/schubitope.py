@@ -213,9 +213,16 @@ def column_caps(columns: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], 
 
     columns: ``Diagram.columns``.  Every flow on a diagram and every point
     sampled from it reads the same caps, so the caps of the last few
-    diagrams are kept.
+    diagrams are kept.  Raises RuntimeError when a column admits no labels;
+    a ``Diagram`` has none such, since its t-th cell from the top sits in
+    row t or below.
     """
-    return tuple(tuple(label_caps(rows)) if rows else () for rows in columns)
+    caps = tuple(tuple(label_caps(rows)) if rows else () for rows in columns)
+    for c, column in enumerate(caps, start=1):
+        # cap_t - t never falls as t grows, so the top cell decides
+        if column and column[0] < 1:
+            raise RuntimeError(f"no admissible labels for column {c}")
+    return caps
 
 
 def _earliest_deadline_start(

@@ -187,14 +187,14 @@ def sample_schubitope_point(
 
     Per column with cell rows r_1 < ... < r_z, picks labels
     x_1 < ... < x_z with x_t <= r_t; valid choices always exist because the
-    rows are distinct positive integers (r_t >= t).  With rng=None the
+    rows are distinct positive integers (r_t >= t);
+    ``schubitope.column_caps`` raises RuntimeError for a column without
+    them.  With rng=None the
     smallest labels are taken, giving a deterministic point.  For the Rothe
     diagram of w the result is always a lattice point of the Schubitope of w.
     """
     counts = [0] * d.n_rows
-    for c, caps in enumerate(schubitope.column_caps(d.columns), start=1):
-        if any(cap < t + 1 for t, cap in enumerate(caps)):
-            raise RuntimeError(f"no admissible labels for column {c}")
+    for caps in schubitope.column_caps(d.columns):
         prev = 0
         for hi in caps:
             lo = prev + 1

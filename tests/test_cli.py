@@ -305,6 +305,155 @@ def test_removed_flags_are_unknown(flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def parse_through_main(argv, tmp_path, monkeypatch):
+    """(exit code, Options, input source) of cli.main(argv).
+
+    The batch is not run: run_batch records the options it is given, and
+    Options and source are None when it was not called.  The
+    files "file", "-3" and "--stable" exist in the working directory, and
+    each file and stdin hold one comment line naming their source.
+    """
+    monkeypatch.chdir(tmp_path)
+    for name in ("file", "-3", "--stable"):
+        (tmp_path / name).write_text(f"# {name}\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"# stdin\n")))
+    seen = []
+
+    def record(lines, options):
+        seen.append((options, lines[0][2:]))
+        return [], 0
+
+    monkeypatch.setattr(cli, "run_batch", record)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *seen[0]) if seen else (code, None, None)
+
+
+@pytest.mark.parametrize(
+    "argv, fields, source",
+    [
+        ([], {}, "stdin"),
+        (["--format=jsonlines"], {"fmt": "jsonlines"}, "stdin"),
+        (["--format", "jsonlines"], {"fmt": "jsonlines"}, "stdin"),
+        (["--form=jsonlines"], {"fmt": "jsonlines"}, "stdin"),
+        (["--flex", "16"], {"flexible_samples": 16}, "stdin"),
+        (["--flexible-samples=16", "--oracle-max-n", "7"],
+         {"flexible_samples": 16, "oracle_max_n": 7}, "stdin"),
+        (["--seed", "-3"], {"seed": -3}, "stdin"),
+        (["--seed=-3"], {"seed": -3}, "stdin"),
+        (["--seed", "+4"], {"seed": 4}, "stdin"),
+        (["--seed=1", "--seed", "2"], {"seed": 2}, "stdin"),  # the last one wins
+        (["--stable", "--sta"], {"stable": True}, "stdin"),
+        (["--tests", " bruhat, root_game ,"], {"tests": ("bruhat", "root_game")}, "stdin"),
+        (["--te=oracle,oracle"], {"tests": ("oracle", "oracle")}, "stdin"),
+        (["file"], {}, "file"),
+        (["file", "--stable"], {"stable": True}, "file"),
+        (["--stable", "file", "--seed=5"], {"stable": True, "seed": 5}, "file"),
+        (["-"], {}, "stdin"),
+        (["--", "file"], {}, "file"),
+        (["--", "--stable"], {}, "--stable"),  # a file name after --
+        (["--stable", "--", "-"], {"stable": True}, "stdin"),
+        (["file", "--"], {}, "file"),
+        (["--seed", "3", "--"], {"seed": 3}, "stdin"),
+        (["-3"], {}, "-3"),  # a negative number is not a flag
+    ],
+)
+def test_accepted_arguments(argv, fields, source, tmp_path, monkeypatch, capsys):
+    code, options, got = parse_through_main(argv, tmp_path, monkeypatch)
+    assert capsys.readouterr().out == ""
+    assert code == 0
+    assert options == cli.Options()._replace(**fields)
+    assert got == source
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--compress"],  # unknown
+        ["--bogus=1", "file"],
+        ["-x"],
+        ["-stable"],
+        ["--s"],  # ambiguous: --seed, --stable, --selfcheck
+        ["--se=3"],  # ambiguous: --seed, --selfcheck
+        ["--", "file", "--s"],
+        ["--seed=x"],  # not an int
+        ["--oracle-max-n", "1.5"],
+        ["--seed="],
+        ["--format=xml"],  # not a format
+        ["--format", "Text"],
+        ["--seed"],  # no value
+        ["--tests", "--stable"],
+        ["--flexible-samples", "-x"],
+        ["--stable=1"],  # a value on a switch
+        ["--selfcheck=yes"],
+        ["--stable="],
+        ["-hx"],
+        ["file", "other"],  # a second positional
+        ["--", "file", "other"],
+        ["file", "--stable", "other"],
+        ["file", "--stable", "--"],  # -- after the input, not directly
+        ["--seed", "--", "7"],  # a flag's value is not taken across --
+        ["--tests=-"],  # an unknown test, refused after parsing
+        ["--tests", "-"],
+    ],
+)
+def test_refused_arguments(argv, tmp_path, monkeypatch, capsys):
+    code, options, _ = parse_through_main(argv, tmp_path, monkeypatch)
+    captured = capsys.readouterr()
+    assert (code, options, captured.out) == (2, None, "")
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["--he"], ["-hh"], ["--stable", "-h", "--seed=x"],
+     ["--compress", "-h"], ["file", "other", "--help"]],
+)
+def test_help_names_every_flag_with_its_default(argv, tmp_path, monkeypatch, capsys):
+    code, options, _ = parse_through_main(argv, tmp_path, monkeypatch)
+    assert (code, options) == (0, None)
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.startswith("usage: schubvanish ")
+    for flag, default in [
+        ("--tests", "(default: schubitope)"),
+        ("--oracle-max-n", "(default: 6)"),
+        ("--flexible-samples", "(default: 0)"),
+        ("--seed", "(default: 0)"),
+        ("--stable", None),
+        ("--format", "(default: text)"),
+        ("--selfcheck", None),
+    ]:
+        assert f" {flag} " in out
+        if default is not None:
+            entry = out[out.index(f" {flag} "):]
+            assert entry.index(default) < entry.index(" --", 1)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--selfcheck", "--tests=bogus"], 0),
+        (["--selfcheck", "--flexible-samples=-1", "--stable"], 0),
+        (["--selfcheck", "--seed=x"], 2),
+    ],
+)
+def test_selfcheck_runs_before_the_option_checks(argv, code, monkeypatch, capsys):
+    runs = []
+
+    def report(out, stable):
+        runs.append(stable)
+        return True
+
+    monkeypatch.setattr(refsuite, "run_reference_report", report)
+    try:
+        assert cli.main(argv) == code
+    except SystemExit as exc:
+        assert exc.code == code
+    assert runs == ([] if code else ["--stable" in argv])
+
+
 def test_json_round_trip():
     records, _, options = run(BATCH, stable=True, fmt="jsonlines")
     text = emit(records, options)

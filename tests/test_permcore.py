@@ -239,3 +239,13 @@ def test_well_posed_degree_rule():
     assert pc.well_posed([(2, 3, 1)], (3, 2, 1)) is None  # 2 != 3
     assert pc.well_posed([(3, 2, 1)], (3, 1, 2)) is None  # 3 != 2
     assert pc.well_posed([(3, 1, 2)], (2, 3, 1)) == ([(3, 1, 2)], (2, 3, 1))
+
+
+def test_well_posed_counts_only_the_factors_against_w0(monkeypatch):
+    # w0's length is n(n-1)/2; only the factors' inversions are counted
+    counted = []
+    length = pc.length
+    monkeypatch.setattr(pc, "length", lambda w: counted.append(w) or length(w))
+    factors = [(2, 1, 3), (1, 3, 2), (2, 1, 3)]
+    assert pc.well_posed(factors, None) == (factors, (3, 2, 1))
+    assert counted == factors

@@ -15,8 +15,14 @@ import schubvanish
 
 SRC = str(Path(schubvanish.__file__).resolve().parent.parent)
 
-# needed only by --selfcheck, the oracle, reference code and error paths
+# needed only by --selfcheck, the oracle, reference code and error paths;
+# the option parser and the input decoder need none of the argparse family
 NOT_ON_BATCH_PATH = {
+    "argparse",
+    "getopt",
+    "gettext",
+    "locale",
+    "encodings.utf_8_sig",
     "dataclasses",
     "inspect",
     "fractions",

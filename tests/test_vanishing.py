@@ -1,5 +1,6 @@
 import collections
 import random
+import types
 
 import pytest
 
@@ -186,6 +187,13 @@ def test_sampler_choices_always_exist():
             for rows in d.columns:
                 assert all(r >= t for t, r in enumerate(rows, start=1))
             vn.sample_schubitope_point(d)
+
+
+def test_sampler_refuses_a_column_without_labels():
+    # no Diagram has a cell above its place in the column; a stand-in does
+    stand_in = types.SimpleNamespace(columns=((1,), (0, 2)), n_rows=2)
+    with pytest.raises(RuntimeError, match="no admissible labels for column 2"):
+        vn.sample_schubitope_point(stand_in)
 
 
 def test_sampler_points_are_members():
