@@ -60,18 +60,6 @@ class SubmodularFn:
             values.append(fn(subset))
         return cls(n, tuple(values))
 
-    def is_submodular(self) -> bool:
-        """Exhaustive check of z(I) + z(J) >= z(I u J) + z(I n J)."""
-        if self.n > 12:
-            raise ValueError("exhaustive submodularity check capped at n = 12")
-        v = self.values
-        for i in range(1 << self.n):
-            vi = v[i]
-            for j in range(i + 1, 1 << self.n):
-                if vi + v[j] < v[i | j] + v[i & j]:
-                    return False
-        return True
-
     def __add__(self, other: "SubmodularFn") -> "SubmodularFn":
         if self.n != other.n:
             raise ValueError("ground set size mismatch")
@@ -144,25 +132,3 @@ class GPermutahedron:
             if t[-1] in box[-1] and self.contains(t):
                 points.add(t)
         return frozenset(points)
-
-
-def standard_permutahedron(n: int) -> GPermutahedron:
-    """Convex hull of all permutations of (0, 1, ..., n-1)."""
-
-    def z(subset: frozenset[int]) -> int:
-        k = len(subset)
-        return sum(range(n - k, n))
-
-    return GPermutahedron(SubmodularFn.from_callable(n, z))
-
-
-def check_integer_decomposition(p: GPermutahedron, q: GPermutahedron) -> bool:
-    """Test (P cap Z^n) + (Q cap Z^n) = (P + Q) cap Z^n by enumeration.
-
-    True for all integral generalized permutahedra; exposed as an oracle so
-    tests can confirm that fact on concrete instances.
-    """
-    lp = p.lattice_points()
-    lq = q.lattice_points()
-    sums = {tuple(a + b for a, b in zip(x, y)) for x in lp for y in lq}
-    return sums == set((p + q).lattice_points())

@@ -177,21 +177,6 @@ class Filling(NamedTuple):
             counts[l - 1] += 1
         return tuple(counts)
 
-    def is_valid(self, alpha: Sequence[int]) -> bool:
-        """Check column strictness, the flag bound label <= row, and content."""
-        d = self.diagram
-        lab = dict(self.labels)
-        if set(lab) != d.cells:
-            return False
-        for c, rows in enumerate(d.columns, start=1):
-            prev = 0
-            for r in rows:
-                l = lab[(r, c)]
-                if l <= prev or l > r or l > len(alpha):
-                    return False
-                prev = l
-        return self.content(len(alpha)) == tuple(alpha)
-
 
 def label_caps(rows: Sequence[int]) -> list[int]:
     """The largest label each cell of a column can hold in a filling.

@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 
 from . import permcore
 from .permcore import Perm
-from .schubitope import schubitope_gpermutahedron
 
 Poly = dict[tuple[int, ...], int]
 
@@ -226,71 +225,6 @@ def asymmetric_coefficient(ws: Sequence[Perm], target: Perm) -> int:
     for f in sorted((schubert_polynomial(w, n) for w in factors), key=len):
         acc = poly_mul(acc, f)
     return contraction_coefficient(acc, target)
-
-
-def perm_from_code(alpha: Sequence[int]) -> Perm:
-    """The unique permutation whose code is alpha (trailing zeros allowed).
-
-    >>> perm_from_code((3, 2, 0, 0))
-    (4, 3, 1, 2)
-    """
-    alpha = tuple(alpha)
-    m = max((i + 1 + a for i, a in enumerate(alpha)), default=0)
-    m = max(m, len(alpha))
-    padded = list(alpha) + [0] * (m - len(alpha))
-    available = list(range(1, m + 1))
-    word = []
-    for a in padded:
-        word.append(available.pop(a))
-    return tuple(word)
-
-
-def expand_in_schubert_basis(f: Poly) -> dict[Perm, int]:
-    """Write f as an integer combination of Schubert polynomials.
-
-    Strips off the lexicographically smallest exponent each round; that
-    exponent is the code of the permutation whose polynomial leads with it
-    (coefficient one).  Loud failure if the lex order ever stalls.
-    """
-    out: dict[Perm, int] = {}
-    work = dict(f)
-    prev: tuple[int, ...] | None = None
-    while work:
-        alpha = min(work)
-        if prev is not None:
-            prev_padded = prev + (0,) * (len(alpha) - len(prev))
-            if alpha <= prev_padded:
-                raise RuntimeError("leading-exponent extraction did not advance")
-        prev = alpha
-        w = perm_from_code(alpha)
-        c = work[alpha]
-        out[permcore.trim(w)] = c
-        width = max(len(alpha), len(w))
-        work = pad(work, width)
-        for e, v in schubert_polynomial(w, width).items():
-            left = work.get(e, 0) - c * v
-            if left:
-                work[e] = left
-            else:
-                del work[e]
-    return out
-
-
-def verify_snp(w: Perm) -> bool:
-    """Support of the polynomial equals the lattice points of its Schubitope.
-
-    Enumerates the degree-length(w) simplex and compares the membership scan
-    against the actual monomials; holds for every permutation.
-    """
-    n = len(w)
-    d = permcore.rothe_diagram(w)
-    polytope = schubitope_gpermutahedron(d)
-    deg = permcore.length(w)
-    poly_support = support(schubert_polynomial(w, n))
-    members = {
-        alpha for alpha in compositions(deg, n) if polytope.contains(alpha)
-    }
-    return members == set(poly_support)
 
 
 def compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 """Reference deciders that tests compare ``schubitope.filling_or_cut`` against.
 
+``is_valid_filling`` checks a filling from its definition.
 ``enumerate_tab`` lists every filling by backtracking: ground truth for
 small diagrams.  ``edmonds_karp_cut`` builds the filling network as an
 explicit graph and runs a plain Edmonds-Karp on it, sharing no code with
@@ -12,6 +13,22 @@ import itertools
 
 from schubvanish.schubitope import Filling
 
+
+
+def is_valid_filling(filling, alpha):
+    """Check column strictness, the flag bound label <= row, and content alpha."""
+    d = filling.diagram
+    lab = dict(filling.labels)
+    if set(lab) != d.cells:
+        return False
+    for c, rows in enumerate(d.columns, start=1):
+        prev = 0
+        for r in rows:
+            l = lab[(r, c)]
+            if l <= prev or l > r or l > len(alpha):
+                return False
+            prev = l
+    return filling.content(len(alpha)) == tuple(alpha)
 
 def _column_label_options(rows, max_label):
     """Strictly increasing label tuples x with x_t <= min(rows_t, max_label)."""

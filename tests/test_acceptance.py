@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import pytest
 
-from fillingref import enumerate_tab
+from fillingref import enumerate_tab, is_valid_filling
+from polyref import verify_snp
 from schubvanish import permcore as pc
 from schubvanish import refsuite
 from schubvanish import rivals as rv
@@ -156,7 +157,7 @@ def test_criterion_02_polytope_data_of_21543():
         found = sb.filling_or_cut(d, a)
         if isinstance(found, sb.Filling):
             by_flow.add(a)
-            evidence_ok &= found.is_valid(a)
+            evidence_ok &= is_valid_filling(found, a)
         else:
             evidence_ok &= found.validate(d, a)
     support = set(sp.support(sp.schubert_polynomial(w)))
@@ -224,7 +225,7 @@ def test_criterion_04_equivalence_triangle():
             member = ineqs.contains(alpha)
             found = sb.filling_or_cut(d, alpha)
             if isinstance(found, sb.Filling):
-                feasible, evidence_ok = True, found.is_valid(alpha)
+                feasible, evidence_ok = True, is_valid_filling(found, alpha)
             else:
                 feasible, evidence_ok = False, found.validate(d, alpha)
             if not (has_tab == member == feasible and evidence_ok):
@@ -238,7 +239,7 @@ def test_criterion_04_equivalence_triangle():
 
 def test_criterion_05_snp_verification():
     start = time.perf_counter()
-    snp_failures = [w for w in pc.all_perms(5) if not sp.verify_snp(w)]
+    snp_failures = [w for w in pc.all_perms(5) if not verify_snp(w)]
     pair_cases = 0
     pair_failures = 0
     perms = pc.all_perms(4)

@@ -504,7 +504,7 @@ def test_console_script_runs_cli_main():
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
     section = pyproject.read_text(encoding="utf-8").split("\n[project.scripts]\n")[1]
     entries = re.findall(r'^(\S+) = "(.*)"$', section.split("\n[")[0], re.MULTILINE)
-    assert entries == [("schubvanish", "schubvanish.cli:main")]
+    assert entries == [("schubvanish", "schubvanish.cli:exit_main")]
 
 
 def test_main_selfcheck(capsys, monkeypatch):
@@ -589,17 +589,27 @@ def test_selfcheck_replays_the_certificates_it_is_given(monkeypatch):
     ]
 
 
+def child_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout.
+
+    Its standard streams are buffered, as by default, whatever this
+    process's PYTHONUNBUFFERED says.
+    """
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
 @pytest.mark.parametrize("fmt", ["text", "jsonlines"])
 def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
     # far more output than a pipe buffer holds, so the CLI is still writing
     # when the reader goes away
     problems = tmp_path / "many.txt"
     problems.write_text("sym: 1423, 1423, 1423\n" * 2000)
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "schubvanish", "--stable", f"--format={fmt}", str(problems)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.readline().startswith(b"L1 " if fmt == "text" else b"{")
     proc.stdout.close()
@@ -612,20 +622,134 @@ def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
 def test_selfcheck_on_a_closed_output_pipe_exits_1_without_a_traceback():
     # the reader is gone before the first line, so the report's first write
     # (or the flush after it) meets a closed pipe whatever the buffering
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.Popen(
             [sys.executable, "-m", "schubvanish", "--selfcheck", "--stable"],
-            stdout=write_end, stderr=subprocess.PIPE, env=env,
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
         )
     finally:
         os.close(write_end)
     _, stderr = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert stderr == b""
+
+
+@pytest.mark.parametrize("sink", ["pipe", "file"])
+@pytest.mark.parametrize("fmt", ["text", "jsonlines"])
+def test_module_run_writes_what_main_writes(fmt, sink, tmp_path, capsys):
+    # python -m ends by os._exit; output several pipe buffers long, and
+    # block-buffered into a file, must still come out whole
+    problems = tmp_path / "many.txt"
+    problems.write_text("\n".join(BATCH * 500) + "\n", encoding="utf-8")
+    argv = ["--stable", f"--format={fmt}", "--tests=schubitope,bruhat", str(problems)]
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 3 * 65536
+    command = [sys.executable, "-m", "schubvanish", *argv]
+    if sink == "pipe":
+        done = subprocess.run(command, capture_output=True, env=child_env(), timeout=60)
+        out = done.stdout
+    else:
+        with open(tmp_path / "out", "wb") as handle:
+            done = subprocess.run(
+                command, stdout=handle, stderr=subprocess.PIPE, env=child_env(), timeout=60
+            )
+        out = (tmp_path / "out").read_bytes()
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert out == expected
+
+
+def test_module_run_exits_2_on_a_malformed_line():
+    done = subprocess.run(
+        [sys.executable, "-m", "schubvanish", "--stable", "--format=jsonlines"],
+        input=b"sym: 321, 213, 231\nbroken line\n",
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert done.returncode == 2
+    first, second = [json.loads(line) for line in done.stdout.splitlines()]
+    assert first["id"] == "L1"
+    assert second == {"id": "L2", "line": 2, "error": "expected 'sym:' or 'asym:' prefix"}
+
+
+def test_exit_main_keeps_the_traceback_of_a_failing_problem():
+    script = (
+        "import sys\n"
+        "from schubvanish import cli, rivals\n"
+        "def refuse(ws):\n"
+        "    raise ValueError('refused')\n"
+        "rivals.bruhat_vanishing_test = refuse\n"
+        "sys.argv[1:] = ['--stable', '--format=jsonlines', '--tests=schubitope,bruhat']\n"
+        "cli.exit_main()\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=b"sym: 321, 213, 231\n",
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert done.returncode == 1
+    assert json.loads(done.stdout) == {"id": "L1", "line": 1, "error": "ValueError: refused"}
+    assert done.stderr.startswith(b"Traceback (most recent call last):\n")
+    assert done.stderr.endswith(b"\nValueError: refused\n")
+
+
+@pytest.mark.parametrize("reader", ["open", "closed"])
+def test_exit_main_flushes_what_main_left_buffered(reader):
+    # a main that leaves unterminated text in both streams; a closed reader
+    # gives exit code 1 and no traceback, and stderr still comes out
+    script = (
+        "import sys\n"
+        "from schubvanish import cli\n"
+        "def main():\n"
+        "    sys.stdout.write('out')\n"
+        "    sys.stderr.write('err')\n"
+        "    return 3\n"
+        "cli.main = main\n"
+        "cli.exit_main()\n"
+    )
+    read_end, write_end = os.pipe()
+    if reader == "closed":
+        os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=write_end, stderr=subprocess.PIPE, env=child_env(),
+        )
+    finally:
+        os.close(write_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert stderr == b"err"
+    if reader == "closed":
+        assert proc.returncode == 1
+    else:
+        with os.fdopen(read_end, "rb") as out:
+            assert out.read() == b"out"
+        assert proc.returncode == 3
+
+
+def test_exit_main_with_stdout_closed_at_start(tmp_path):
+    # sys.stdout is None then; a missing input still gives its exit code
+    done = subprocess.run(
+        [sys.executable, "-m", "schubvanish", str(tmp_path / "missing.txt")],
+        stderr=subprocess.PIPE, env=child_env(), timeout=60,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"error: ")
+
+
+def test_main_returns_its_code_without_ending_the_process():
+    script = (
+        "from schubvanish import cli\n"
+        "code = cli.main(['--stable'])\n"
+        "print('main returned', code)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=b"broken line\n",
+        capture_output=True, env=child_env(), timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.endswith(b"\nmain returned 2\n")
 
 
 @pytest.mark.parametrize("flag", ["--flexible-samples=-1", "--oracle-max-n=-3"])

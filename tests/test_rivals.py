@@ -6,6 +6,7 @@ from collections import deque
 
 import pytest
 
+from polyref import perm_from_code
 from schubvanish import permcore as pc
 from schubvanish import rivals as rv
 from schubvanish import schubpoly as sp
@@ -344,7 +345,7 @@ def random_perm_of_length(rng, n, ell):
     code = [0] * n
     for _ in range(ell):
         code[rng.choice([i for i in range(n) if code[i] < n - 1 - i])] += 1
-    return sp.perm_from_code(code)
+    return perm_from_code(code)
 
 
 def test_is_doomed_matches_filter_enumeration():

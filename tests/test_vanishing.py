@@ -4,6 +4,7 @@ import types
 
 import pytest
 
+from fillingref import is_valid_filling
 from schubvanish import permcore as pc
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
@@ -45,7 +46,7 @@ def test_symmetric_inconclusive_has_witness():
         [pc.rothe_diagram(w) for w in perms("1234", "1234", "4321")]
     )
     assert verdict.witness.diagram == d
-    assert verdict.witness.is_valid((3, 2, 1, 0))
+    assert is_valid_filling(verdict.witness, (3, 2, 1, 0))
 
 
 def test_asymmetric_examples():
