@@ -18,8 +18,14 @@ descent cycling on other than three factors or past its class-size cap,
 the oracle above --oracle-max-n) leaves a note in place of its verdict,
 and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
 failed to parse or the arguments or input file are bad; otherwise 1 when
-any problem raised while it was evaluated (an internal error) or the
-reader closed standard output before every record was written.
+any problem raised while it was evaluated (an internal error), or when
+the reader closed standard output before every record was written or it
+was closed at start.
+
+The command line is flags and at most one input file (``-`` or none reads
+stdin).  A word that starts with ``-``, other than ``-``, is a flag: its
+full name, a unique prefix of it, or ``-h``; a value follows as
+``--flag=value`` or as the next word, and ``--`` ends the flags.
 """
 
 from __future__ import annotations
@@ -291,8 +297,8 @@ def _format(value: str) -> str:
 
 # The command line, one row per flag: the key of its value (an Options field,
 # selfcheck or help), its conversion (None for a switch) and its help.
-# parse_args, the usage line and --help read only this table; the value
-# flags' defaults come from Options().
+# parse_args and --help read only this table; the value flags' defaults come
+# from Options().
 FLAGS: dict[str, tuple[str, Optional[Callable[[str], object]], str]] = {
     "--help": ("help", None, "show this help message and exit"),
     "--tests": ("tests", str, f"comma list from {{{','.join(KNOWN_TESTS)}}}"),
@@ -313,6 +319,8 @@ FLAGS: dict[str, tuple[str, Optional[Callable[[str], object]], str]] = {
     "--selfcheck": ("selfcheck", None, "run the pinned reference problems and report pass/fail"),
 }
 
+USAGE = "usage: schubvanish [options] [--] [input]"
+
 
 def _defaults() -> dict:
     values: dict = {key: False for key, convert, _ in FLAGS.values() if convert is None}
@@ -321,141 +329,89 @@ def _defaults() -> dict:
     return values
 
 
-def _metavar(flag: str) -> str:
-    return flag[2:].upper().replace("-", "_")
-
-
-def _usage() -> str:
-    flags = " ".join(
-        f"[{flag}]" if convert is None else f"[{flag} {_metavar(flag)}]"
-        for flag, (key, convert, _) in FLAGS.items() if key != "help"
-    )
-    return f"usage: schubvanish [-h] {flags} [input]"
-
-
-def _help() -> str:
+def _print_help(out: TextIO) -> int:
     defaults = _defaults()
-    lines = [
-        _usage(),
-        "",
+    out.write(
+        f"{USAGE}\n\n"
         "Decide vanishing of Schubert intersection numbers with exact, "
-        "certificate-producing tests.",
-        "",
-        "positional arguments:",
-        "  input",
-        "      input file of problem lines; '-' or absent reads stdin",
-        "",
-        "options:",
-    ]
+        "certificate-producing tests.\n\n"
+        "input: a file of problem lines; '-' or none reads stdin.  A word that\n"
+        "starts with '-' is a flag, so a file named like '-3' goes after '--'.\n\n"
+        "options:\n"
+    )
     for flag, (key, convert, text) in FLAGS.items():
-        if convert is None:
-            lines.append(f"  -h, {flag}" if key == "help" else f"  {flag}")
-        else:
-            lines.append(f"  {flag} {_metavar(flag)}")
+        if key == "help":
+            flag = "-h, --help"
+        elif convert is not None:
+            flag += " " + flag[2:].upper().replace("-", "_")
             text += f" (default: {defaults[key]})"
-        lines.append(f"      {text}")
-    return "\n".join(lines) + "\n"
+        out.write(f"  {flag}\n      {text}\n")
+    return 0
 
 
 def _refuse(message: str) -> NoReturn:
-    sys.stderr.write(f"{_usage()}\nschubvanish: error: {message}\n")
+    sys.stderr.write(f"{USAGE}\nschubvanish: error: {message}\n")
     raise SystemExit(2)
 
 
-def _is_negative_number(word: str) -> bool:
-    """-3, -.5 or -2.5, with one trailing line break allowed."""
-    whole, dot, fraction = word[1:].removesuffix("\n").partition(".")
-    if dot:
-        return (not whole or whole.isdecimal()) and fraction.isdecimal()
-    return whole.isdecimal()
-
-
-def _flag_of(word: str) -> Optional[tuple[Optional[str], Optional[str]]]:
-    """What a command-line word names, before any word is consumed.
-
-    (flag, explicit value or None) for a flag, spelled in full or by a
-    unique prefix of a long flag, with an optional ``=value``; (None, None)
-    for an unknown flag; None for a value or a positional: a word not
-    starting with ``-``, ``-`` itself, a negative number, or a word with a
-    space in it.  ``-h`` followed by more h's is ``-h`` repeated.  An
-    ambiguous prefix exits 2.
-    """
-    if not word.startswith("-") or word == "-":
-        return None
-    if word.startswith("--"):
-        name, eq, value = word.partition("=")
-        explicit = value if eq else None
-        if name in FLAGS:
-            return name, explicit
+def _flag_of(word: str) -> tuple[Optional[str], Optional[str]]:
+    """(flag, its ``=value`` or None) of a word that starts with ``-``; the
+    flag is None when unknown.  An ambiguous prefix exits 2."""
+    name, eq, value = word.partition("=")
+    if name == "-h":
+        name = "--help"
+    elif name.startswith("--") and name not in FLAGS:
         matches = [flag for flag in FLAGS if flag.startswith(name)]
         if len(matches) > 1:
             _refuse(f"ambiguous option: {word} could match {', '.join(matches)}")
-        if matches:
-            return matches[0], explicit
-    elif word.startswith("-h"):
-        rest = word[3:] if word.startswith("-h=") else word[2:]
-        return "--help", None if word == "-h" or set(rest) == {"h"} else rest
-    if _is_negative_number(word) or " " in word:
-        return None
-    return None, None
+        name = matches[0] if matches else name
+    return name if name in FLAGS else None, value if eq else None
 
 
 def parse_args(argv: Sequence[str]) -> dict:
     """The command line's values by key (see FLAGS), defaults filled in.
 
-    A flag's value follows it as ``--flag=value`` or as the next word, which
-    must not be a flag.  The last value given wins.  The first ``--`` ends
-    the flags: every word after it is a positional, and there is at most
-    one, the input; once the input is given, the ``--`` must directly follow
-    it.  ``-h``/``--help`` prints the help and exits 0 where it stands; an
-    unknown flag, an ambiguous prefix, a bad or missing value, a value on a
-    switch, a second positional or a misplaced ``--`` exits 2 with a message
-    on stderr.
+    A word that starts with ``-``, other than ``-`` itself, is a flag: its
+    full name, a unique prefix of it, or ``-h``.  A value flag takes its
+    value as ``--flag=value`` or as the next word, whatever that word is,
+    and the last value given wins.  ``--`` ends the flags.  Any other word
+    is the input; there is at most one.  Help stops the parse where it
+    stands, with ``values["help"]`` set.  An unknown flag or a second
+    input exits 2 once every word is read; an ambiguous prefix, a bad or
+    missing value, or a value on a switch exits 2 where it stands.
     """
-    words = list(argv)
-    end = words.index("--") if "--" in words else len(words)
-    flags = [_flag_of(word) for word in words[:end]]
     values = _defaults()
-    positionals: list[int] = []  # indices into words, as are unknown's
-    unknown: list[int] = []
-    i = 0
-    while i < end:
-        named = flags[i]
-        i += 1
-        if named is None:
-            positionals.append(i - 1)
-            continue
-        flag, value = named
-        if flag is None:
-            unknown.append(i - 1)
-            continue
-        key, convert, _ = FLAGS[flag]
-        if convert is None:
-            if value is not None:
-                _refuse(f"argument {flag}: ignored explicit argument {value!r}")
-            if key == "help":
-                sys.stdout.write(_help())
-                raise SystemExit(0)
-            values[key] = True
-            continue
-        if value is None:
-            if i == end or flags[i] is not None:
+    inputs: list[str] = []
+    unknown: list[str] = []
+    words = iter(argv)
+    for word in words:
+        if word == "--":
+            inputs.extend(words)
+        elif not word.startswith("-") or word == "-":
+            inputs.append(word)
+        else:
+            flag, value = _flag_of(word)
+            if flag is None:
+                unknown.append(word)
+                continue
+            key, convert, _ = FLAGS[flag]
+            if convert is None:
+                if value is not None:
+                    _refuse(f"argument {flag}: ignored explicit argument {value!r}")
+                values[key] = True
+                if key == "help":
+                    return values
+                continue
+            value = next(words, None) if value is None else value
+            if value is None:
                 _refuse(f"argument {flag}: expected one argument")
-            value = words[i]
-            i += 1
-        try:
-            values[key] = convert(value)
-        except ValueError as exc:
-            _refuse(f"argument {flag}: {exc}")
-    if end < len(words):
-        if positionals and positionals[0] != end - 1:
-            unknown.append(end)
-        positionals.extend(range(end + 1, len(words)))
-    extras = sorted(unknown + positionals[1:])
-    if extras:
-        _refuse(f"unrecognized arguments: {' '.join(words[k] for k in extras)}")
-    if positionals:
-        values["input"] = words[positionals[0]]
+            try:
+                values[key] = convert(value)
+            except ValueError as exc:
+                _refuse(f"argument {flag}: {exc}")
+    if unknown or inputs[1:]:
+        _refuse(f"unrecognized arguments: {' '.join(unknown + inputs[1:])}")
+    values["input"] = inputs[0] if inputs else "-"
     return values
 
 
@@ -472,34 +428,33 @@ def options_from_args(args: dict) -> Options:
     ):
         if args[key] < 0:
             raise ValueError(f"{flag} must be nonnegative, got {args[key]}")
-    return Options(
-        tests=tests,
-        oracle_max_n=args["oracle_max_n"],
-        flexible_samples=args["flexible_samples"],
-        seed=args["seed"],
-        stable=args["stable"],
-        fmt=args["fmt"],
-    )
+    return Options(**{key: args[key] for key in Options._fields})._replace(tests=tests)
 
 
-def _write_stdout(write: Callable[[TextIO], int]) -> int:
-    """Return write(sys.stdout) once stdout is flushed, or 1 if the reader left.
+def _write_stdout(write: Callable[[TextIO], int], code: int = 0) -> int:
+    """Return write(sys.stdout), the exit code, once stdout is flushed.
 
-    When the reader closed the pipe, stdout goes to devnull, so that a later
-    flush (``exit_main``'s, or the interpreter's at exit when main() ran
-    in-process) does not raise again (the SIGPIPE note of `signal`).
+    code is the exit code known before writing.  When the reader has left,
+    or stdout was closed at start (``sys.stdout`` is None), the result is
+    1, or 2 when code is 2: lost output never hides a failed parse.
+    After a closed pipe stdout goes to devnull, so that a later flush (the
+    interpreter's at exit, when main() ran in-process) does not raise again
+    (the SIGPIPE note of `signal`).
     """
     try:
-        code = write(sys.stdout)
-        sys.stdout.flush()
+        if sys.stdout is not None:
+            code = write(sys.stdout)
+            sys.stdout.flush()
+            return code
     except BrokenPipeError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return code
+    return 2 if code == 2 else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
+    if args["help"]:
+        return _write_stdout(_print_help)
     try:
         if args["selfcheck"]:
             from . import refsuite
@@ -529,7 +484,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         emit_records(records, options, out)
         return code
 
-    return _write_stdout(emit)
+    return _write_stdout(emit, code)
 
 
 def exit_main() -> NoReturn:
@@ -539,19 +494,21 @@ def exit_main() -> NoReturn:
     skips the interpreter's teardown, which frees every module and object
     and costs more CPU than a small batch's own work.  No ``atexit``
     handler runs and no other file is flushed: when this runs, only
-    ``sys.stdout`` and ``sys.stderr`` may hold buffered output.  A flush
-    that meets a closed reader gives exit code 1 and no traceback, as in
-    ``_write_stdout``.  An exception that escapes main(), ``SystemExit``
-    from ``--help`` included, takes the interpreter's usual way out.
-    Library callers call main(), which returns its code.
+    ``sys.stdout`` and ``sys.stderr`` may hold buffered output.  Stdout is
+    flushed through ``_write_stdout``, so a reader that left, or a stdout
+    closed at start, gives at least exit code 1 and no traceback; so does
+    a stderr whose reader left.  An exception that escapes main(), the
+    ``SystemExit`` of a refused command line included, takes the
+    interpreter's usual way out.  Library callers call main(), which
+    returns its code.
     """
     code = main()
-    for stream in (sys.stdout, sys.stderr):
-        try:
-            if stream is not None:  # None when the descriptor was closed at start
-                stream.flush()
-        except BrokenPipeError:
-            code = 1
+    code = _write_stdout(lambda out: code, code)
+    try:
+        if sys.stderr is not None:  # None when the descriptor was closed at start
+            sys.stderr.flush()
+    except BrokenPipeError:
+        code = 2 if code == 2 else 1
     os._exit(code)
 
 

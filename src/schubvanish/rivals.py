@@ -426,10 +426,11 @@ def is_doomed(
     """Whether some upper order filter of rank n holds more tokens than its size.
 
     tokens maps a root (a, b), 1 <= a < b <= n, to its token count, as
-    root_game_initial returns them.  The roots alpha_{a,b} are ordered by containment of intervals, with top
-    element alpha_{1,n}.  An up-closed filter meets row a in a suffix
-    {b : b >= cut_a} with a + 1 <= cut_a <= n + 1, and up-closure forces
-    the cuts to be nondecreasing.  Row a contributes
+    root_game_initial returns them.  The roots alpha_{a,b} are ordered by
+    containment of intervals, with top element alpha_{1,n}.  An up-closed
+    filter meets row a in a suffix {b : b >= cut_a} with
+    a + 1 <= cut_a <= n + 1, and up-closure forces the cuts to be
+    nondecreasing.  Row a contributes
     gain_a(c) = sum over b >= c of (tokens(a, b) - 1) to the filter's excess
     of tokens over size, so a dynamic program over rows from the bottom,
     best_a(c) = max over c' >= max(c, a + 1) of gain_a(c') + best_{a+1}(c'),

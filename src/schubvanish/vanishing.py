@@ -140,12 +140,6 @@ def flexible_test(
         raise ValueError(
             f"{alpha} is not in the target's Schubitope; the test would be unsound"
         )
-    return _flexible(ws, alpha)
-
-
-def _flexible(ws: list[Perm], alpha: tuple[int, ...]) -> VanishingVerdict:
-    """The flexible verdict on one content.  ws: the embedded factors, then
-    the target; alpha: a lattice point of the target's Schubitope."""
     if permcore.well_posed(ws[:-1], ws[-1]) is None:
         return _mismatch("flexible", "the content total")
     d = permcore.concat_diagrams([permcore.rothe_diagram(w) for w in ws[:-1]])
@@ -187,11 +181,11 @@ def sample_schubitope_point(
 
     Per column with cell rows r_1 < ... < r_z, picks labels
     x_1 < ... < x_z with x_t <= r_t; valid choices always exist because the
-    rows are distinct positive integers (r_t >= t);
+    rows are distinct positive integers (r_t >= t), and
     ``schubitope.column_caps`` raises RuntimeError for a column without
-    them.  With rng=None the
-    smallest labels are taken, giving a deterministic point.  For the Rothe
-    diagram of w the result is always a lattice point of the Schubitope of w.
+    them.  With rng=None the smallest labels are taken, giving a
+    deterministic point.  For the Rothe diagram of w the result is always a
+    lattice point of the Schubitope of w.
     """
     counts = [0] * d.n_rows
     for caps in schubitope.column_caps(d.columns):
@@ -220,19 +214,19 @@ def flexible_test_sampled(
     diagram (the code labels each cell with its row), so it lies in the
     target's Schubitope without a check.
 
-    code_verdict, when given, is ``asymmetric_test(factors, target)``: the
-    verdict on the code, which is then taken over instead of decided again,
-    and its witness's diagram serves the sampled contents.  A
-    DEGREE_MISMATCH is not taken over, since its note names another total.
-    The result is the same as without it.
+    The verdict on the code is ``asymmetric_test(factors, target)``, taken
+    over as the flexible one; a caller that has it already passes it as
+    code_verdict, so the code is not decided twice.  Its witness's diagram
+    serves the sampled contents.  A DEGREE_MISMATCH becomes the flexible
+    one, whose note names the content total.
     """
-    ws = permcore.common_embed([*factors, target])
-    target_d = permcore.rothe_diagram(ws[-1])
+    if code_verdict is None:
+        code_verdict = asymmetric_test(factors, target)
+    if code_verdict.outcome is Outcome.DEGREE_MISMATCH:
+        return _mismatch("flexible", "the content total")
+    target_d = permcore.rothe_diagram(permcore.common_embed([*factors, target])[-1])
     code = target_d.row_counts()
-    if code_verdict is None or code_verdict.outcome is Outcome.DEGREE_MISMATCH:
-        verdict = _flexible(ws, code)
-    else:
-        verdict = code_verdict._replace(method="flexible", detail=f"content={code}")
+    verdict = code_verdict._replace(method="flexible", detail=f"content={code}")
     if verdict.outcome is not Outcome.INCONCLUSIVE:
         return verdict
     d = verdict.witness.diagram

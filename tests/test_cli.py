@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,6 +12,9 @@ import pytest
 
 from schubvanish import cli, permcore, refsuite, rivals, schubitope
 from schubvanish.vanishing import SchubertProblem
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+from problemgen import asymmetric_problem, format_permutation  # noqa: E402
 
 BATCH = [
     "# a few pinned problems",
@@ -134,13 +138,18 @@ def test_flexible_in_batch():
 def test_flexible_continues_from_the_asymmetric_verdict(monkeypatch):
     # with both tests selected, the code is decided by one flow, the
     # asymmetric test's, and the flexible verdict is the one it gives alone
-    lines = [
+    pinned = [
         "asym: 4123, 1342 -> 4312",  # the code vanishes
         "asym: 1234, 1342 -> 2143",  # a sampled content vanishes
         "asym: 4265713, 1375642 -> 7654321",  # every sample is the code
         "asym: 231645, 231645 -> 451623",  # samples repeat the code
         "asym: 13427586, 12534867 -> 31582647",  # 16 distinct contents
         "asym: 4123, 1342 -> 4321",  # DEGREE_MISMATCH
+    ]
+    rng = random.Random(23)  # six seeded problems at each of the ranks 4-7
+    lines = pinned + [
+        "asym: {}, {} -> {}".format(*map(format_permutation, asymmetric_problem(n, rng)))
+        for n in range(4, 8) for _ in range(6)
     ]
     flows = []
     real = schubitope.filling_or_cut
@@ -172,8 +181,12 @@ def test_flexible_continues_from_the_asymmetric_verdict(monkeypatch):
                 "flexible"
             ), (line, key)
     outcomes = [record["verdicts"]["flexible"] for record, _ in both]
-    assert outcomes == ["VANISHES", "VANISHES", "INCONCLUSIVE", "INCONCLUSIVE",
-                        "INCONCLUSIVE", "DEGREE_MISMATCH"]
+    assert outcomes[:len(pinned)] == ["VANISHES", "VANISHES", "INCONCLUSIVE",
+                                      "INCONCLUSIVE", "INCONCLUSIVE", "DEGREE_MISMATCH"]
+    # among the seeded lines the code vanishes on some, and nothing on others
+    seeded = {(record["verdicts"]["schubitope_asymmetric"], record["verdicts"]["flexible"])
+              for record, _ in both[len(pinned):]}
+    assert seeded == {("VANISHES", "VANISHES"), ("INCONCLUSIVE", "INCONCLUSIVE")}
     assert [record["verdicts"]["schubitope_asymmetric"] for record, _ in both][:2] == [
         "VANISHES", "INCONCLUSIVE"]
     assert both[2][0]["details"]["flexible"] == "1 distinct contents tried"
@@ -357,7 +370,8 @@ def parse_through_main(argv, tmp_path, monkeypatch):
         (["--stable", "--", "-"], {"stable": True}, "stdin"),
         (["file", "--"], {}, "file"),
         (["--seed", "3", "--"], {"seed": 3}, "stdin"),
-        (["-3"], {}, "-3"),  # a negative number is not a flag
+        (["--", "-3"], {}, "-3"),  # a file whose name starts with - goes after --
+        (["file", "--stable", "--"], {"stable": True}, "file"),
     ],
 )
 def test_accepted_arguments(argv, fields, source, tmp_path, monkeypatch, capsys):
@@ -393,8 +407,9 @@ def test_accepted_arguments(argv, fields, source, tmp_path, monkeypatch, capsys)
         ["file", "other"],  # a second positional
         ["--", "file", "other"],
         ["file", "--stable", "other"],
-        ["file", "--stable", "--"],  # -- after the input, not directly
-        ["--seed", "--", "7"],  # a flag's value is not taken across --
+        ["-3"],  # a word that starts with - is a flag
+        ["-hh"],
+        ["--seed", "--", "7"],  # -- is the value of --seed here, and not an int
         ["--tests=-"],  # an unknown test, refused after parsing
         ["--tests", "-"],
     ],
@@ -408,7 +423,7 @@ def test_refused_arguments(argv, tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["-h"], ["--help"], ["--he"], ["-hh"], ["--stable", "-h", "--seed=x"],
+    [["-h"], ["--help"], ["--he"], ["--stable", "-h", "--seed=x"],
      ["--compress", "-h"], ["file", "other", "--help"]],
 )
 def test_help_names_every_flag_with_its_default(argv, tmp_path, monkeypatch, capsys):
@@ -619,6 +634,23 @@ def test_closed_output_pipe_exits_1_without_a_traceback(fmt, tmp_path):
     assert stderr == b""
 
 
+def test_closed_output_pipe_keeps_the_exit_code_of_a_failed_parse(tmp_path):
+    # as `head -c 10`: the reader takes a few bytes of the first record and
+    # leaves while the CLI is still writing; the malformed line still gives 2
+    problems = tmp_path / "many.txt"
+    problems.write_text("broken\n" + "sym: 1423, 1423, 1423\n" * 3000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "schubvanish", "--stable", str(problems)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
+    )
+    assert proc.stdout.read(10) == b"L1 ERROR l"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == b""
+
+
 def test_selfcheck_on_a_closed_output_pipe_exits_1_without_a_traceback():
     # the reader is gone before the first line, so the report's first write
     # (or the flush after it) meets a closed pipe whatever the buffering
@@ -728,7 +760,26 @@ def test_exit_main_flushes_what_main_left_buffered(reader):
 
 
 def test_exit_main_with_stdout_closed_at_start(tmp_path):
-    # sys.stdout is None then; a missing input still gives its exit code
+    # sys.stdout is None then: a run that has output to write is a reader
+    # that left at once, exit 1 without a traceback, or 2 when a line failed
+    # to parse; a missing input still gives its exit code
+    (tmp_path / "one.in").write_text("sym: 1423, 1423, 1423\n")
+    (tmp_path / "broken.in").write_text("broken\nsym: 1423, 1423, 1423\n")
+    (tmp_path / "empty.in").write_text("")
+    for args, code in [
+        (["one.in"], 1),
+        (["--format=jsonlines", "one.in"], 1),
+        (["empty.in"], 1),
+        (["broken.in"], 2),
+        (["--selfcheck", "--stable"], 1),
+        (["--help"], 1),
+    ]:
+        done = subprocess.run(
+            [sys.executable, "-m", "schubvanish", *args], cwd=tmp_path,
+            stderr=subprocess.PIPE, env=child_env(), timeout=60,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert (done.returncode, done.stderr) == (code, b""), args
     done = subprocess.run(
         [sys.executable, "-m", "schubvanish", str(tmp_path / "missing.txt")],
         stderr=subprocess.PIPE, env=child_env(), timeout=60,
