@@ -424,7 +424,8 @@ def test_refused_arguments(argv, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["-h"], ["--help"], ["--he"], ["--stable", "-h", "--seed=x"],
-     ["--compress", "-h"], ["file", "other", "--help"]],
+     ["--compress", "-h"], ["file", "other", "--help"],
+     ["--tests=bogus", "-h", "--", "file"]],
 )
 def test_help_names_every_flag_with_its_default(argv, tmp_path, monkeypatch, capsys):
     code, options, _ = parse_through_main(argv, tmp_path, monkeypatch)
