@@ -19,8 +19,11 @@ the oracle above --oracle-max-n) leaves a note in place of its verdict,
 and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
 failed to parse or the arguments or input file are bad; otherwise 1 when
 any problem raised while it was evaluated (an internal error), or when
-the reader closed standard output before every record was written or it
-was closed at start.
+output was lost.  Every write to stdout or stderr goes through ``_write``,
+under one rule: text is lost when its stream was closed at start, its
+reader left or the write failed (a full disk too), and lost text gives 1,
+or leaves 2 at 2, without a traceback.  A stdin closed at start is an
+input that cannot be read (exit 2).
 
 The command line is flags and at most one input file (``-`` or none reads
 stdin).  A word that starts with ``-``, other than ``-``, is a flag: its
@@ -30,6 +33,7 @@ full name, a unique prefix of it, or ``-h``; a value follows as
 
 from __future__ import annotations
 
+import io
 import os
 import sys
 import time
@@ -235,7 +239,7 @@ def run_batch(lines: Sequence[str], options: Options) -> tuple[list[dict], int]:
         except Exception as exc:  # one failing problem must not end the batch
             import traceback
 
-            traceback.print_exc()
+            _write("stderr", traceback.format_exc(), 1)
             run_failed = True
             error = f"{type(exc).__name__}: {exc}"
             records.append({"id": record_id, "line": lineno, "error": error})
@@ -329,9 +333,9 @@ def _defaults() -> dict:
     return values
 
 
-def _print_help(out: TextIO) -> int:
+def _help() -> str:
     defaults = _defaults()
-    out.write(
+    text = (
         f"{USAGE}\n\n"
         "Decide vanishing of Schubert intersection numbers with exact, "
         "certificate-producing tests.\n\n"
@@ -339,18 +343,18 @@ def _print_help(out: TextIO) -> int:
         "starts with '-' is a flag, so a file named like '-3' goes after '--'.\n\n"
         "options:\n"
     )
-    for flag, (key, convert, text) in FLAGS.items():
+    for flag, (key, convert, about) in FLAGS.items():
         if key == "help":
             flag = "-h, --help"
         elif convert is not None:
             flag += " " + flag[2:].upper().replace("-", "_")
-            text += f" (default: {defaults[key]})"
-        out.write(f"  {flag}\n      {text}\n")
-    return 0
+            about += f" (default: {defaults[key]})"
+        text += f"  {flag}\n      {about}\n"
+    return text
 
 
 def _refuse(message: str) -> NoReturn:
-    sys.stderr.write(f"{USAGE}\nschubvanish: error: {message}\n")
+    _write("stderr", f"{USAGE}\nschubvanish: error: {message}\n", 2)
     raise SystemExit(2)
 
 
@@ -431,41 +435,46 @@ def options_from_args(args: dict) -> Options:
     return Options(**{key: args[key] for key in Options._fields})._replace(tests=tests)
 
 
-def _write_stdout(write: Callable[[TextIO], int], code: int = 0) -> int:
-    """Return write(sys.stdout), the exit code, once stdout is flushed.
+def _write(stream: str, text: str, code: int) -> int:
+    """Write text to ``sys.<stream>``, flush it, and return the exit code.
 
-    code is the exit code known before writing.  When the reader has left,
-    or stdout was closed at start (``sys.stdout`` is None), the result is
-    1, or 2 when code is 2: lost output never hides a failed parse.
-    After a closed pipe stdout goes to devnull, so that a later flush (the
-    interpreter's at exit, when main() ran in-process) does not raise again
-    (the SIGPIPE note of `signal`).
+    code is the exit code known before writing.  The text is lost when the
+    stream was closed at start (None), when its reader has left, or when
+    the write or flush fails with any ``OSError``, a full disk too: the
+    result is then 1, or 2 when code is 2, so lost output never hides a
+    failed parse.  Empty text loses nothing.  After a failure the stream's
+    descriptor goes to devnull, so that a later flush (the interpreter's at
+    exit, when main() ran in-process) does not raise again.
     """
+    out = getattr(sys, stream)
     try:
-        if sys.stdout is not None:
-            code = write(sys.stdout)
-            sys.stdout.flush()
+        if out is not None:
+            out.write(text)
+            out.flush()
             return code
-    except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not text:  # closed at start, but nothing is lost
+            return code
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
     return 2 if code == 2 else 1
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else argv)
     if args["help"]:
-        return _write_stdout(_print_help)
+        return _write("stdout", _help(), 0)
+    out = io.StringIO()
     try:
         if args["selfcheck"]:
             from . import refsuite
 
-            return _write_stdout(
-                lambda out: 0 if refsuite.run_reference_report(out, stable=args["stable"]) else 1
-            )
+            ok = refsuite.run_reference_report(out, stable=args["stable"])
+            return _write("stdout", out.getvalue(), 0 if ok else 1)
         options = options_from_args(args)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _write("stderr", f"error: {exc}\n", 2)
+    if args["input"] == "-" and sys.stdin is None:
+        return _write("stderr", "error: standard input is closed\n", 2)
     try:
         if args["input"] == "-":
             data = sys.stdin.buffer.read()
@@ -473,18 +482,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             with open(args["input"], "rb") as handle:
                 data = handle.read()
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _write("stderr", f"error: {exc}\n", 2)
     # a leading byte-order mark is skipped; an undecodable byte stays in its
     # line, which then fails to parse alone
     lines = data.removeprefix(b"\xef\xbb\xbf").decode("utf-8", "surrogateescape").splitlines()
     records, code = run_batch(lines, options)
-
-    def emit(out: TextIO) -> int:
-        emit_records(records, options, out)
-        return code
-
-    return _write_stdout(emit, code)
+    emit_records(records, options, out)
+    return _write("stdout", out.getvalue(), code)
 
 
 def exit_main() -> NoReturn:
@@ -494,22 +498,15 @@ def exit_main() -> NoReturn:
     skips the interpreter's teardown, which frees every module and object
     and costs more CPU than a small batch's own work.  No ``atexit``
     handler runs and no other file is flushed: when this runs, only
-    ``sys.stdout`` and ``sys.stderr`` may hold buffered output.  Stdout is
-    flushed through ``_write_stdout``, so a reader that left, or a stdout
-    closed at start, gives at least exit code 1 and no traceback; so does
-    a stderr whose reader left.  An exception that escapes main(), the
-    ``SystemExit`` of a refused command line included, takes the
-    interpreter's usual way out.  Library callers call main(), which
-    returns its code.
+    ``sys.stdout`` and ``sys.stderr`` may hold buffered output.  Both are
+    flushed through ``_write``, under its rule for lost output: text lost
+    on either stream (closed at start, a reader that left, a full disk)
+    gives exit code 1, or leaves 2 at 2, and no traceback.  An exception
+    that escapes main(), the ``SystemExit`` of a refused command line
+    included, takes the interpreter's usual way out.  Library callers call
+    main(), which returns its code.
     """
-    code = main()
-    code = _write_stdout(lambda out: code, code)
-    try:
-        if sys.stderr is not None:  # None when the descriptor was closed at start
-            sys.stderr.flush()
-    except BrokenPipeError:
-        code = 2 if code == 2 else 1
-    os._exit(code)
+    os._exit(_write("stderr", "", _write("stdout", "", main())))
 
 
 if __name__ == "__main__":

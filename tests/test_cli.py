@@ -760,34 +760,77 @@ def test_exit_main_flushes_what_main_left_buffered(reader):
         assert proc.returncode == 3
 
 
-def test_exit_main_with_stdout_closed_at_start(tmp_path):
-    # sys.stdout is None then: a run that has output to write is a reader
-    # that left at once, exit 1 without a traceback, or 2 when a line failed
-    # to parse; a missing input still gives its exit code
+# `python -m schubvanish` as a -c script, given a stream condition first:
+# under "full disk" stdout fails on every write as a full disk does, and
+# under "bruhat raises" the bruhat test raises on every problem
+STAND_IN = """
+import errno, io, sys
+from schubvanish import cli, rivals
+
+class FullDisk(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return 1
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+def refuse(factors):
+    raise ValueError("refused")
+
+condition = sys.argv.pop(1)
+if "bruhat raises" in condition:
+    rivals.bruhat_vanishing_test = refuse
+if "full disk" in condition:
+    sys.stdout = io.TextIOWrapper(io.BufferedWriter(FullDisk()))
+cli.exit_main()
+"""
+
+CLOSED_AT_START = {"stdin closed": 0, "stdout closed": 1, "stderr closed": 2}
+RAISES = ["--stable", "--format=jsonlines", "--tests=schubitope,bruhat", "one.in"]
+RAISED = b'{"error": "ValueError: refused", "id": "L1", "line": 1}\n'
+MISSING = b"error: [Errno 2] No such file or directory: 'missing.txt'\n"
+
+# (argv, stream condition) -> (exit code, stdout, stderr): lost text gives 1,
+# or leaves 2 at 2, with no traceback; empty text loses nothing; stderr text
+# never reaches stdout
+STREAM_ROWS = [
+    (["one.in"], "stdout closed", 1, b"", b""),
+    (["--format=jsonlines", "one.in"], "stdout closed", 1, b"", b""),
+    (["empty.in"], "stdout closed", 0, b"", b""),
+    (["broken.in"], "stdout closed", 2, b"", b""),
+    (["--selfcheck", "--stable"], "stdout closed", 1, b"", b""),
+    (["--help"], "stdout closed", 1, b"", b""),
+    (["missing.txt"], "stdout closed", 2, b"", MISSING),
+    (["missing.txt"], "stderr closed", 2, b"", b""),
+    (["--bogus"], "stderr closed", 2, b"", b""),
+    (RAISES, "stderr closed, bruhat raises", 1, RAISED, b""),
+    ([], "stdin closed", 2, b"", b"error: standard input is closed\n"),
+    (["--help"], "full disk", 1, b"", b""),
+    (["one.in"], "full disk", 1, b"", b""),
+    (["broken.in"], "full disk", 2, b"", b""),
+    (["--selfcheck", "--stable"], "full disk", 1, b"", b""),
+]
+
+
+def test_exit_main_under_each_stream_condition(tmp_path):
     (tmp_path / "one.in").write_text("sym: 1423, 1423, 1423\n")
     (tmp_path / "broken.in").write_text("broken\nsym: 1423, 1423, 1423\n")
     (tmp_path / "empty.in").write_text("")
-    for args, code in [
-        (["one.in"], 1),
-        (["--format=jsonlines", "one.in"], 1),
-        (["empty.in"], 1),
-        (["broken.in"], 2),
-        (["--selfcheck", "--stable"], 1),
-        (["--help"], 1),
-    ]:
+    wrong = []
+    for args, condition, *expected in STREAM_ROWS:
+        fd = next((fd for name, fd in CLOSED_AT_START.items() if name in condition), None)
         done = subprocess.run(
-            [sys.executable, "-m", "schubvanish", *args], cwd=tmp_path,
-            stderr=subprocess.PIPE, env=child_env(), timeout=60,
-            preexec_fn=lambda: os.close(1),
+            [sys.executable, "-c", STAND_IN, condition, *args], cwd=tmp_path,
+            capture_output=True, env=child_env(), timeout=60,
+            preexec_fn=None if fd is None else lambda: os.close(fd),
         )
-        assert (done.returncode, done.stderr) == (code, b""), args
-    done = subprocess.run(
-        [sys.executable, "-m", "schubvanish", str(tmp_path / "missing.txt")],
-        stderr=subprocess.PIPE, env=child_env(), timeout=60,
-        preexec_fn=lambda: os.close(1),
-    )
-    assert done.returncode == 2
-    assert done.stderr.startswith(b"error: ")
+        got = [done.returncode, done.stdout, done.stderr]
+        if got != expected:
+            wrong.append((args, condition, got))
+    assert wrong == []
 
 
 def test_main_returns_its_code_without_ending_the_process():

@@ -136,8 +136,8 @@ def test_flexible_with_code_matches_asymmetric():
         assert flex._replace(method="", detail="") == asym._replace(method="", detail=""), (
             factors, target)
         outcomes.add(flex.outcome)
-        alone = vn.flexible_test_sampled(factors, target, 8, seed=5)
-        assert vn.flexible_test_sampled(factors, target, 8, 5, asym) == alone
+        assert vn.flexible_test_sampled(factors, target, 8, 5, asym) == (
+            reference_flexible_sampled(factors, target, 8, 5)), (factors, target)
     assert outcomes == {Outcome.VANISHES, Outcome.INCONCLUSIVE}
 
 
