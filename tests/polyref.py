@@ -3,13 +3,45 @@
 Only the tests use these: exhaustive submodularity, the standard
 permutahedron, integer decomposition by enumeration, expansion in the
 Schubert basis by leading exponents, and the saturated Newton polytope
-(SNP) property of a Schubert polynomial checked against its Schubitope.
+(SNP) property of a Schubert polynomial checked against its Schubitope;
+and the pinned polytope data of the Schubitope of 21543.
 """
 
 from schubvanish import permcore
 from schubvanish.gpermutahedron import GPermutahedron, SubmodularFn
 from schubvanish.schubitope import schubitope_gpermutahedron
 from schubvanish.schubpoly import compositions, pad, schubert_polynomial, support
+
+# Support of the polynomial of 21543: thirteen exponent vectors.
+SUPPORT_21543 = frozenset(
+    {
+        (3, 1, 0, 0, 0),
+        (3, 0, 1, 0, 0),
+        (3, 0, 0, 1, 0),
+        (2, 2, 0, 0, 0),
+        (2, 0, 2, 0, 0),
+        (2, 1, 1, 0, 0),
+        (2, 1, 0, 1, 0),
+        (2, 0, 1, 1, 0),
+        (1, 1, 2, 0, 0),
+        (1, 2, 1, 0, 0),
+        (1, 2, 0, 1, 0),
+        (1, 0, 2, 1, 0),
+        (1, 1, 1, 1, 0),
+    }
+)
+
+# Minimal inequality data of that polytope: theta on these subsets.
+THETA_21543 = {
+    (1,): 3,
+    (2,): 2,
+    (3,): 2,
+    (4,): 1,
+    (1, 2, 3): 4,
+    (1, 2, 4): 4,
+    (1, 3, 4): 4,
+    (2, 3, 4): 3,
+}
 
 
 def is_submodular(z: SubmodularFn) -> bool:

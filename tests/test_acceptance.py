@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import pytest
 
 from fillingref import enumerate_tab, is_valid_filling
-from polyref import verify_snp
+from polyref import SUPPORT_21543, THETA_21543, verify_snp
 from schubvanish import permcore as pc
 from schubvanish import refsuite
 from schubvanish import rivals as rv
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
 from schubvanish import vanishing as vn
-from schubvanish.refsuite import SUPPORT_21543, THETA_21543
 from schubvanish.vanishing import Outcome
 
 # A vanishing symmetric triple at rank 23, above the old subset-scan cap.
@@ -288,9 +287,8 @@ def test_criterion_06_asymmetric_dominates_symmetric(s4_sweep):
 
 
 def test_criterion_07_incomparability_matrix():
-    # each case pins the verdicts of every test on one problem, the oracle
-    # value, and where it matters the nine members of a descent-cycling class
-    cases = dict(refsuite.CASES)
+    # each case pins the verdicts of every test on its problem lines, the
+    # oracle value, and where it matters the size of a descent-cycling class
     names = (
         "bruhat_strictly_stronger",
         "cube_of_1423",
@@ -299,7 +297,10 @@ def test_criterion_07_incomparability_matrix():
         "root_game_misses",
         "inherently_inconclusive",
     )
-    failing = {name: found for name in names if (found := cases[name]())}
+    failing = {}
+    for name in names:
+        if found := list(refsuite.check_pinned(refsuite.PINNED[name])):
+            failing[name] = found
     report(
         "C7 incomparability matrix",
         not failing,

@@ -527,22 +527,24 @@ def test_main_selfcheck(capsys, monkeypatch):
     rc = cli.main(["--selfcheck"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "all cases pass" in out
     lines = out.splitlines()
-    assert len(lines) == len(refsuite.CASES) + 1
     assert all(re.fullmatch(r"ok   \w+ \d+ ms", line) for line in lines[:-1])
-    # --stable zeroes every case time, so two runs print the same bytes
+    # --stable zeroes every case time, so two runs print the same bytes: one
+    # line per case of PINNED, in its order, then the summary
     assert cli.main(["--selfcheck", "--stable"]) == 0
     stable = capsys.readouterr().out
     assert cli.main(["--selfcheck", "--stable"]) == 0
     assert capsys.readouterr().out == stable
     assert stable == re.sub(r"\d+ ms", "0 ms", out)
+    golden = Path(__file__).resolve().parent / "golden" / "selfcheck.txt"
+    assert stable.encode("utf-8") == golden.read_bytes()
 
-    def slow_failure():
+    def slow_failure(pins):
         time.sleep(0.03)
-        return ["pinned failure"]
+        yield "pinned failure"
 
-    monkeypatch.setattr(refsuite, "CASES", (("slow", slow_failure),))
+    monkeypatch.setattr(refsuite, "PINNED", {"slow": ()})
+    monkeypatch.setattr(refsuite, "check_pinned", slow_failure)
     assert cli.main(["--selfcheck"]) == 1
     head, message, summary = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"FAIL slow \d+ ms", head) and int(head.split()[2]) >= 30
@@ -572,7 +574,7 @@ def test_selfcheck_fails_on_a_wrong_pin(case, index, change, message, capsys, mo
     monkeypatch.setitem(refsuite.PINNED, case, tuple(pins))
     assert cli.main(["--selfcheck", "--stable"]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == len(refsuite.CASES) + 2
+    assert len(lines) == len(refsuite.PINNED) + 2
     assert [line for line in lines if not line.startswith("ok   ")] == [
         f"FAIL {case} 0 ms",
         f"     {message}",
@@ -594,11 +596,11 @@ def test_selfcheck_replays_the_certificates_it_is_given(monkeypatch):
         return records, code
 
     monkeypatch.setattr(cli, "run_batch", tampered)
-    cases = dict(refsuite.CASES)
-    assert cases["seven_letter_triple"]() == [
+    found = list(refsuite.check_pinned(refsuite.PINNED["seven_letter_triple"]))
+    assert found == [
         "sym: 3256147, 2143657, 4632175: schubitope_symmetric certificate does not replay"
     ]
-    found = cases["descent_cycling_and_root_game_win"]()
+    found = list(refsuite.check_pinned(refsuite.PINNED["descent_cycling_and_root_game_win"]))
     assert found == [
         "sym: 1423, 1423, 1342: descent_cycling vanishes without a note",
         "sym: 1423, 1423, 1342: root_game vanishes without a note",
@@ -761,10 +763,13 @@ def test_exit_main_flushes_what_main_left_buffered(reader):
 
 
 # `python -m schubvanish` as a -c script, given a stream condition first:
-# under "full disk" stdout fails on every write as a full disk does, and
-# under "bruhat raises" the bruhat test raises on every problem
+# under "full disk" stdout fails on every write as a full disk does, under
+# "bruhat raises" the bruhat test raises on every problem, under "reader
+# gone" stdout is a pipe whose read end is closed, and under "main returns"
+# the script ends by sys.exit(cli.main()), so the interpreter's exit flush
+# runs on what main() left behind
 STAND_IN = """
-import errno, io, sys
+import errno, io, os, sys
 from schubvanish import cli, rivals
 
 class FullDisk(io.RawIOBase):
@@ -785,6 +790,12 @@ if "bruhat raises" in condition:
     rivals.bruhat_vanishing_test = refuse
 if "full disk" in condition:
     sys.stdout = io.TextIOWrapper(io.BufferedWriter(FullDisk()))
+if "reader gone" in condition:
+    r, w = os.pipe()
+    os.close(r)
+    os.dup2(w, 1)
+if "main returns" in condition:
+    sys.exit(cli.main())
 cli.exit_main()
 """
 
@@ -812,6 +823,9 @@ STREAM_ROWS = [
     (["one.in"], "full disk", 1, b"", b""),
     (["broken.in"], "full disk", 2, b"", b""),
     (["--selfcheck", "--stable"], "full disk", 1, b"", b""),
+    (["--help"], "reader gone, main returns", 1, b"", b""),
+    (["one.in"], "reader gone, main returns", 1, b"", b""),
+    (["--selfcheck", "--stable"], "reader gone, main returns", 1, b"", b""),
 ]
 
 

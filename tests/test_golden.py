@@ -6,7 +6,8 @@ perfbench/problemgen.py, run with the workload's flags, the README example
 0 and no output at all); each runs through cli.main under --stable, in text
 and in JSON lines.  Any change to a verdict, certificate, note or byte of
 formatting fails here; write the files again only for a change that means
-to alter the output.
+to alter the output.  golden/selfcheck.txt, the --selfcheck --stable report,
+is checked by test_cli.py's test_main_selfcheck.
 """
 
 import contextlib

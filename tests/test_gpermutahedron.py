@@ -6,11 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import exactlp
-from polyref import check_integer_decomposition, is_submodular, standard_permutahedron
+from polyref import (
+    SUPPORT_21543,
+    check_integer_decomposition,
+    is_submodular,
+    standard_permutahedron,
+)
 from schubvanish import permcore as pc
 from schubvanish import schubpoly as sp
 from schubvanish.gpermutahedron import GPermutahedron, SubmodularFn
-from schubvanish.refsuite import SUPPORT_21543
 from schubvanish.schubitope import schubitope_gpermutahedron
 
 

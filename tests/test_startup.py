@@ -88,3 +88,5 @@ def test_oracle_and_selfcheck_import_their_modules():
     assert "schubvanish.refsuite" not in loaded
     loaded = modules_loaded_by("from schubvanish import cli\ncli.main(['--selfcheck', '--stable'])")
     assert "schubvanish.refsuite" in loaded
+    # the report is its pinned problem lines: no polytope or reference code
+    assert not loaded & {"schubvanish.gpermutahedron", "dataclasses"}

@@ -52,9 +52,10 @@ def test_symmetric_inconclusive_has_witness():
 def test_asymmetric_examples():
     v1 = vn.asymmetric_test(perms("4123", "1342"), pc.parse_permutation("4312"))
     assert v1.outcome is Outcome.VANISHES
-    v2 = vn.asymmetric_test(
-        perms("3216547", "3216547"), pc.parse_permutation("7236415")
-    )
+    # 7236415 is w0 * 1652473: the asymmetric form of (3216547, 3216547, 1652473)
+    target = pc.parse_permutation("7236415")
+    assert pc.multiply(pc.w0(7), pc.parse_permutation("1652473")) == target
+    v2 = vn.asymmetric_test(perms("3216547", "3216547"), target)
     assert v2.outcome is Outcome.VANISHES
     v3 = vn.asymmetric_test(perms("1423", "1423"), pc.parse_permutation("4213"))
     assert v3.outcome is Outcome.INCONCLUSIVE
@@ -98,11 +99,11 @@ def test_flexible_rejects_alpha_outside_target_polytope():
 def test_flexible_inconclusive_for_every_monomial():
     u = pc.parse_permutation("231645")
     target = pc.parse_permutation("451623")
-    for alpha in (
-        (3, 3, 0, 2, 0, 0),
-        (3, 3, 1, 1, 0, 0),
-        (3, 3, 2, 0, 0, 0),
-    ):
+    assert pc.code(target) == (3, 3, 0, 2, 0, 0)
+    # the polynomial of the target has exactly these three monomials
+    monomials = {(3, 3, 0, 2, 0, 0), (3, 3, 1, 1, 0, 0), (3, 3, 2, 0, 0, 0)}
+    assert set(sp.support(sp.schubert_polynomial(target))) == monomials
+    for alpha in sorted(monomials):
         verdict = vn.flexible_test((u, u), target, alpha)
         assert verdict.outcome is Outcome.INCONCLUSIVE, alpha
         product = sp.poly_mul(
