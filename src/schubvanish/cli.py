@@ -439,23 +439,31 @@ def _write(stream: str, text: str, code: int) -> int:
     """Write text to ``sys.<stream>``, flush it, and return the exit code.
 
     code is the exit code known before writing.  The text is lost when the
-    stream was closed at start (None), when its reader has left, or when
-    the write or flush fails with any ``OSError``, a full disk too: the
-    result is then 1, or 2 when code is 2, so lost output never hides a
-    failed parse.  Empty text loses nothing.  After a failure the stream's
-    descriptor goes to devnull, so that a later flush (the interpreter's at
-    exit, when main() ran in-process) does not raise again.
+    stream was closed at start (None) or by the caller, when its reader has
+    left, or when the write or flush fails with any ``OSError``, a full disk
+    too: the result is then 1, or 2 when code is 2, so lost output never
+    hides a failed parse.  Empty text loses nothing.  After a failure the
+    stream's descriptor, if it has one, goes to devnull, so that a later
+    flush (the interpreter's at exit, when main() ran in-process) does not
+    raise again.
     """
     out = getattr(sys, stream)
     try:
-        if out is not None:
+        if out is not None and not getattr(out, "closed", False):
             out.write(text)
             out.flush()
             return code
-        if not text:  # closed at start, but nothing is lost
+        if not text:  # closed, but nothing is lost
             return code
     except OSError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        try:
+            fd = out.fileno()
+        except (AttributeError, OSError):  # no descriptor behind the stream
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
     return 2 if code == 2 else 1
 
 

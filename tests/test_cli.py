@@ -765,9 +765,10 @@ def test_exit_main_flushes_what_main_left_buffered(reader):
 # `python -m schubvanish` as a -c script, given a stream condition first:
 # under "full disk" stdout fails on every write as a full disk does, under
 # "bruhat raises" the bruhat test raises on every problem, under "reader
-# gone" stdout is a pipe whose read end is closed, and under "main returns"
-# the script ends by sys.exit(cli.main()), so the interpreter's exit flush
-# runs on what main() left behind
+# gone" stdout is a pipe whose read end is closed, under "closed by caller"
+# the script closes sys.stdout, under "no descriptor" FullDisk has no fileno,
+# and under "main returns" the script ends by sys.exit(cli.main()), so the
+# interpreter's exit flush runs on what main() left behind
 STAND_IN = """
 import errno, io, os, sys
 from schubvanish import cli, rivals
@@ -788,8 +789,12 @@ def refuse(factors):
 condition = sys.argv.pop(1)
 if "bruhat raises" in condition:
     rivals.bruhat_vanishing_test = refuse
+if "no descriptor" in condition:
+    del FullDisk.fileno
 if "full disk" in condition:
     sys.stdout = io.TextIOWrapper(io.BufferedWriter(FullDisk()))
+if "closed by caller" in condition:
+    sys.stdout.close()
 if "reader gone" in condition:
     r, w = os.pipe()
     os.close(r)
@@ -823,6 +828,8 @@ STREAM_ROWS = [
     (["one.in"], "full disk", 1, b"", b""),
     (["broken.in"], "full disk", 2, b"", b""),
     (["--selfcheck", "--stable"], "full disk", 1, b"", b""),
+    (["one.in"], "full disk, no descriptor", 1, b"", b""),
+    (["one.in"], "stdout closed by caller", 1, b"", b""),
     (["--help"], "reader gone, main returns", 1, b"", b""),
     (["one.in"], "reader gone, main returns", 1, b"", b""),
     (["--selfcheck", "--stable"], "reader gone, main returns", 1, b"", b""),
@@ -835,7 +842,7 @@ def test_exit_main_under_each_stream_condition(tmp_path):
     (tmp_path / "empty.in").write_text("")
     wrong = []
     for args, condition, *expected in STREAM_ROWS:
-        fd = next((fd for name, fd in CLOSED_AT_START.items() if name in condition), None)
+        fd = next((fd for name, fd in CLOSED_AT_START.items() if name in condition.split(", ")), None)
         done = subprocess.run(
             [sys.executable, "-c", STAND_IN, condition, *args], cwd=tmp_path,
             capture_output=True, env=child_env(), timeout=60,
@@ -845,6 +852,16 @@ def test_exit_main_under_each_stream_condition(tmp_path):
         if got != expected:
             wrong.append((args, condition, got))
     assert wrong == []
+
+
+def test_lost_output_leaves_no_descriptor_open(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", open("/dev/full", "w"))  # every write: ENOSPC
+    probe = os.open(os.devnull, os.O_RDONLY)
+    os.close(probe)
+    assert cli._write("stdout", "x", 0) == 1
+    assert os.open(os.devnull, os.O_RDONLY) == probe  # the lowest free descriptor
+    os.close(probe)
+    sys.stdout.close()
 
 
 def test_main_returns_its_code_without_ending_the_process():

@@ -1,21 +1,13 @@
 import doctest
 
-import exactlp
-import schubvanish.gpermutahedron
 import schubvanish.permcore
 import schubvanish.schubitope
 import schubvanish.schubpoly
 
 
 def test_module_doctests():
-    failures = 0
-    for module in (
-        schubvanish.permcore,
-        schubvanish.schubpoly,
-        schubvanish.schubitope,
-        schubvanish.gpermutahedron,
-        exactlp,
-    ):
+    # each module must have examples, so the test cannot pass vacuously
+    for module in (schubvanish.permcore, schubvanish.schubpoly, schubvanish.schubitope):
         result = doctest.testmod(module)
-        failures += result.failed
-    assert failures == 0
+        assert result.attempted > 0, module.__name__
+        assert result.failed == 0, module.__name__

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import exactlp
 from polyref import (
     SUPPORT_21543,
     check_integer_decomposition,
@@ -18,28 +17,48 @@ from schubvanish.gpermutahedron import GPermutahedron, SubmodularFn
 from schubvanish.schubitope import schubitope_gpermutahedron
 
 
+def _row_reduce(rows):
+    """Gauss-Jordan elimination over Fractions: the reduced rows and their pivot columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pick = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if pick is None:
+            continue
+        lead = rows[pick][col]
+        rows[top], rows[pick] = rows[pick], rows[top]
+        rows[top] = [v / lead for v in rows[top]]
+        for r, row in enumerate(rows):
+            if r != top and row[col]:
+                rows[r] = [a - row[col] * b for a, b in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def is_hull_vertex(point, points):
     """True if point is a vertex of the convex hull of points (exact test).
 
-    Decides whether point lies in the convex hull of the other points via
-    exact LP feasibility.
+    point is a vertex exactly when no convex combination of the other points
+    gives it.  By Caratheodory, if one does, one on an affinely independent
+    subset of at most k + 1 of them does too, k the affine dimension of all
+    the points.  Each subset's barycentric weights come from Fraction
+    elimination, and a combination needs every weight >= 0.
     """
-    others = [tuple(q) for q in points if tuple(q) != tuple(point)]
-    if not others:
-        return True
-    dim = len(point)
-    nvars = len(others)
-    rows = [
-        exactlp.LinearRow(
-            tuple((k, others[k][i]) for k in range(nvars)), exactlp.EQ, point[i]
-        )
-        for i in range(dim)
-    ]
-    rows.append(
-        exactlp.LinearRow(tuple((k, 1) for k in range(nvars)), exactlp.EQ, 1)
-    )
-    res = exactlp.solve_feasibility(nvars, [1] * nvars, rows)
-    return isinstance(res, exactlp.InfeasibleResult)
+    point = tuple(point)
+    others = list(dict.fromkeys(tuple(q) for q in points if tuple(q) != point))
+    k = len(_row_reduce([[a - b for a, b in zip(q, point)] for q in others])[1])
+    for size in range(1, k + 2):
+        for q0, *rest in itertools.combinations(others, size):
+            # coordinate i: sum_j mu_j (q_j - q0)_i = (point - q0)_i
+            system = [[q[i] - q0[i] for q in rest] + [point[i] - q0[i]] for i in range(len(point))]
+            reduced, pivots = _row_reduce(system)
+            # other pivots: rest - q0 dependent, or point off their affine hull
+            if pivots == list(range(len(rest))):
+                mu = [row[-1] for row in reduced[: len(rest)]]
+                if all(w >= 0 for w in [1 - sum(mu), *mu]):
+                    return False
+    return True
 
 
 @st.composite
@@ -110,6 +129,26 @@ def test_random_submodular_vertices_inside(z):
     p = GPermutahedron(z)
     for w in pc.all_perms(z.n):
         assert p.contains(p.vertex(w))
+
+
+SQUARE = [(0, 0), (2, 0), (0, 2), (2, 2)]
+SIMPLEX = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+
+# name -> (points, their hull vertices); (1, 1, 1) needs all four corners
+HULL_CASES = {
+    "square and centre": (SQUARE + [(1, 1)], SQUARE),
+    "collinear triple": ([(0, 0), (1, 1), (2, 2)], [(0, 0), (2, 2)]),
+    "triangle": ([(0, 0), (3, 1), (1, 3)], [(0, 0), (3, 1), (1, 3)]),
+    "simplex and interior point": (SIMPLEX + [(1, 1, 1)], SIMPLEX),
+    "duplicated points": ([(0, 0), (0, 0), (2, 0), (1, 0), (1, 0)], [(0, 0), (2, 0)]),
+    "single point": ([(3, 1)], [(3, 1)]),
+}
+
+
+@pytest.mark.parametrize("name", HULL_CASES)
+def test_is_hull_vertex_hand_cases(name):
+    points, vertices = HULL_CASES[name]
+    assert {p for p in points if is_hull_vertex(p, points)} == set(vertices)
 
 
 def test_schubitope_vertex_is_support_vertex():
