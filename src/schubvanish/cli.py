@@ -37,7 +37,7 @@ import io
 import os
 import sys
 import time
-from typing import Callable, NamedTuple, NoReturn, Optional, Sequence, TextIO
+from typing import Callable, NoReturn, Optional, Sequence, TextIO
 
 from . import permcore, vanishing
 from .schubitope import FarkasCertificate, InfeasibleSubset
@@ -45,8 +45,8 @@ from .vanishing import Outcome, SchubertProblem, VanishingVerdict
 
 # Every batch is a fresh process, so this module imports only what a batch
 # runs: rivals (Bruhat, descent cycling, root games), refsuite (--selfcheck),
-# schubpoly (the oracle), json (jsonlines output) and traceback (a failing
-# problem) are imported where they are used.
+# schubpoly (the oracle) and traceback (a failing problem) are imported where
+# they are used.  JSON lines are written by to_json, not by the json module.
 
 KNOWN_TESTS = (
     "schubitope",
@@ -60,13 +60,28 @@ KNOWN_TESTS = (
 DEFAULT_TESTS = ("schubitope",)
 
 
-class Options(NamedTuple):
-    tests: tuple[str, ...] = DEFAULT_TESTS
-    oracle_max_n: int = 6
-    flexible_samples: int = 0
-    seed: int = 0
-    stable: bool = False
-    fmt: str = "text"
+class Options(permcore.Frozen):
+    """The settings of a batch; the value flags of FLAGS set them."""
+
+    __slots__ = _fields = (
+        "tests", "oracle_max_n", "flexible_samples", "seed", "stable", "fmt"
+    )
+
+    def __init__(
+        self,
+        tests: tuple[str, ...] = DEFAULT_TESTS,
+        oracle_max_n: int = 6,
+        flexible_samples: int = 0,
+        seed: int = 0,
+        stable: bool = False,
+        fmt: str = "text",
+    ) -> None:
+        object.__setattr__(self, "tests", tests)
+        object.__setattr__(self, "oracle_max_n", oracle_max_n)
+        object.__setattr__(self, "flexible_samples", flexible_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stable", stable)
+        object.__setattr__(self, "fmt", fmt)
 
 
 def parse_problem_line(line: str) -> SchubertProblem:
@@ -274,12 +289,59 @@ def _emit_text(record: dict, out: TextIO) -> None:
     out.write(f"  elapsed_ms: {record['elapsed_ms']}\n\n")
 
 
+# json.dumps's escapes with ensure_ascii, other than \uXXXX
+_ESCAPES = {"\\": "\\\\", '"': '\\"', "\b": "\\b", "\f": "\\f", "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _escape(char: str) -> str:
+    escaped = _ESCAPES.get(char)
+    if escaped:
+        return escaped
+    if " " <= char <= "~":
+        return char
+    code = ord(char)
+    if code > 0xFFFF:  # a surrogate pair
+        code -= 0x10000
+        return f"\\u{0xD800 | code >> 10:04x}\\u{0xDC00 | code & 0x3FF:04x}"
+    return f"\\u{code:04x}"
+
+
+def _json_str(text: str) -> str:
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return '"' + "".join(map(_escape, text)) + '"'
+
+
+def to_json(value: object) -> str:
+    """``json.dumps(value, sort_keys=True)`` for the types a record holds.
+
+    Those are ``str``, ``int``, ``list`` and ``dict`` with ``str`` keys, each
+    matched by its exact type; any other value raises TypeError.  Text is
+    escaped as with ``ensure_ascii``, so the result is ASCII.  A batch that
+    writes JSON lines then need not import ``json``, which costs each CLI
+    process more than its records take to write.
+    """
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return repr(value)
+    if kind is list:
+        return "[" + ", ".join(map(to_json, value)) + "]"
+    if kind is dict:
+        items = []
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_json_str(key)}: {to_json(value[key])}")
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def emit_records(records: Sequence[dict], options: Options, out: TextIO) -> None:
     if options.fmt == "jsonlines":
-        import json
-
         for record in records:
-            out.write(json.dumps(record, sort_keys=True))
+            out.write(to_json(record))
             out.write("\n")
     else:
         for record in records:

@@ -185,12 +185,16 @@ def all_perms(n: int) -> list[Perm]:
 class Frozen:
     """Field-wise equality, hash and repr over ``_fields``, as in a frozen dataclass.
 
-    A base for the package's small value classes on the batch path.  They
-    avoid ``dataclasses``, whose import and class building would add
-    milliseconds to the start-up of every CLI process.  Equality needs the
-    same class.  ``__init__`` sets each field once through
-    ``object.__setattr__``; assigning or deleting an attribute afterwards
-    raises AttributeError.
+    The base of the package's value classes on the batch path.  With the
+    ``str`` subclass ``vanishing.Outcome`` in place of an Enum, it stands in
+    for ``dataclasses``, ``typing.NamedTuple`` and ``enum``, whose imports
+    and class building (namedtuple compiles each class's ``__new__``) would
+    add milliseconds to the start-up of every CLI process.  Equality needs the
+    same class.  ``__init__`` takes the fields in ``_fields`` order, by
+    position or keyword, and sets each once through ``object.__setattr__``;
+    assigning or deleting an attribute afterwards raises AttributeError.
+    ``_replace`` and ``_asdict`` work as NamedTuple's do, and copies and
+    pickles are rebuilt through ``__init__``.
     """
 
     __slots__ = ()
@@ -198,6 +202,17 @@ class Frozen:
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self) -> dict:
+        """The fields by name, in ``_fields`` order."""
+        return dict(zip(self._fields, self._values()))
+
+    def _replace(self, **changes: object):
+        """A new instance with the given fields changed."""
+        return type(self)(**{**self._asdict(), **changes})
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -303,20 +318,17 @@ def parse_permutation(text: str) -> Perm:
     if not text:
         raise ValueError("empty permutation")
     tokens = text.replace(",", " ").split()
+    # ASCII digits only: str.isdigit and int also take other scripts' digits
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError(f"cannot parse permutation from {text!r}")
     if len(tokens) == 1 and len(tokens[0]) > 1:
         tok = tokens[0]
-        if not tok.isdigit():
-            raise ValueError(f"cannot parse permutation from {text!r}")
         if "0" in tok:
             raise ValueError(
                 f"contiguous digit form only covers values 1..9: {text!r}"
             )
         return check_permutation(int(ch) for ch in tok)
-    try:
-        values = [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValueError(f"cannot parse permutation from {text!r}") from exc
-    return check_permutation(values)
+    return check_permutation(int(t) for t in tokens)
 
 
 def format_permutation(w: Perm) -> str:

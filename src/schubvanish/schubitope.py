@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import collections
 import functools
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
-from .permcore import Cell, Diagram
+from .permcore import Cell, Diagram, Frozen
 
 if TYPE_CHECKING:
     from .gpermutahedron import GPermutahedron
@@ -89,12 +89,15 @@ def theta(d: Diagram, rows_in_s: Iterable[int]) -> int:
     )
 
 
-class InfeasibleSubset(NamedTuple):
+class InfeasibleSubset(Frozen):
     """A violated Schubitope inequality: sum over rows exceeds theta."""
 
-    rows: tuple[int, ...]
-    lhs: int
-    rhs: int
+    __slots__ = _fields = ("rows", "lhs", "rhs")
+
+    def __init__(self, rows: tuple[int, ...], lhs: int, rhs: int) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
         """Recompute both sides from scratch."""
@@ -161,11 +164,14 @@ def schubitope_gpermutahedron(d: Diagram) -> GPermutahedron:
     return GPermutahedron(SubmodularFn.from_callable(d.n_rows, lambda s: theta(d, s)))
 
 
-class Filling(NamedTuple):
+class Filling(Frozen):
     """Labels on the cells of a diagram, stored as sorted (cell, label) pairs."""
 
-    diagram: Diagram
-    labels: tuple[tuple[Cell, int], ...]
+    __slots__ = _fields = ("diagram", "labels")
+
+    def __init__(self, diagram: Diagram, labels: tuple[tuple[Cell, int], ...]) -> None:
+        object.__setattr__(self, "diagram", diagram)
+        object.__setattr__(self, "labels", labels)
 
     @classmethod
     def from_dict(cls, d: Diagram, labels: dict[Cell, int]) -> "Filling":
@@ -370,7 +376,7 @@ def filling_or_cut(d: Diagram, alpha: Sequence[int]) -> Union[Filling, Infeasibl
     return Filling.from_dict(d, labels)
 
 
-class FarkasCertificate(NamedTuple):
+class FarkasCertificate(Frozen):
     """LP multipliers proving the relaxation polytope of (D, alpha) empty.
 
     The relaxation has a variable x_ij in [0, 1] for each label i and each
@@ -382,9 +388,17 @@ class FarkasCertificate(NamedTuple):
     exact numbers, ``Fraction`` included.
     """
 
-    content: tuple[int, ...]
-    prefix: tuple[tuple[tuple[int, int], int], ...]
-    columns: tuple[int, ...]
+    __slots__ = _fields = ("content", "prefix", "columns")
+
+    def __init__(
+        self,
+        content: tuple[int, ...],
+        prefix: tuple[tuple[tuple[int, int], int], ...],
+        columns: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "content", content)
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "columns", columns)
 
     def validate(self, d: Diagram, alpha: Sequence[int]) -> bool:
         """Check that the combined row's maximum over the box is below its right side."""

@@ -14,26 +14,70 @@ filling the flow found.  The tests are one-sided.
 from __future__ import annotations
 
 import random
-from enum import Enum
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import permcore, schubitope
 from .permcore import Diagram, Frozen, Perm
 from .schubitope import Filling, InfeasibleSubset
 
 
-class Outcome(str, Enum):
-    VANISHES = "VANISHES"
-    INCONCLUSIVE = "INCONCLUSIVE"
-    DEGREE_MISMATCH = "DEGREE_MISMATCH"
+class Outcome(str):
+    """A verdict's outcome: VANISHES, INCONCLUSIVE or DEGREE_MISMATCH.
+
+    The three instances are the class attributes of those names, so
+    outcomes compare with ``is``.  Each is a ``str`` equal to its name, as
+    the members of a ``(str, Enum)`` are, and ``value`` is that name as a
+    plain ``str``; ``enum`` is not used, since building an Enum class would
+    add to the start-up of every CLI process.  ``Outcome(name)`` returns
+    the instance and refuses any other name.
+    """
+
+    __slots__ = ()
+    VANISHES: Outcome
+    INCONCLUSIVE: Outcome
+    DEGREE_MISMATCH: Outcome
+
+    def __new__(cls, value: str) -> Outcome:
+        outcome = cls.__dict__.get(value)
+        if type(outcome) is not cls:
+            raise ValueError(f"{value!r} is not a valid Outcome")
+        return outcome
+
+    @property
+    def value(self) -> str:
+        return str.__str__(self)
+
+    def __repr__(self) -> str:
+        return f"<Outcome.{self.value}: {self.value!r}>"
 
 
-class VanishingVerdict(NamedTuple):
-    outcome: Outcome
-    method: str
-    certificate: Optional[InfeasibleSubset] = None
-    witness: Optional[Filling] = None
-    detail: str = ""
+Outcome.VANISHES = str.__new__(Outcome, "VANISHES")
+Outcome.INCONCLUSIVE = str.__new__(Outcome, "INCONCLUSIVE")
+Outcome.DEGREE_MISMATCH = str.__new__(Outcome, "DEGREE_MISMATCH")
+
+
+class VanishingVerdict(Frozen):
+    """The outcome of one test by one method, with its evidence.
+
+    A VANISHES verdict of the Schubitope tests carries its certificate, an
+    INCONCLUSIVE one the filling it found as witness; detail is a note.
+    """
+
+    __slots__ = _fields = ("outcome", "method", "certificate", "witness", "detail")
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        method: str,
+        certificate: Optional[InfeasibleSubset] = None,
+        witness: Optional[Filling] = None,
+        detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "detail", detail)
 
 
 class SchubertProblem(Frozen):

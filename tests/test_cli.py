@@ -9,9 +9,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schubvanish import cli, permcore, refsuite, rivals, schubitope
-from schubvanish.vanishing import SchubertProblem
+from schubvanish.vanishing import Outcome, SchubertProblem
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from problemgen import asymmetric_problem, format_permutation  # noqa: E402
@@ -477,6 +479,47 @@ def test_json_round_trip():
     assert len(lines) == len(records)
     for line, record in zip(lines, records):
         assert json.loads(line) == record
+
+
+# text with lone surrogates, DEL, C0 controls, astral characters and the
+# characters json escapes by name; ints past 2^64 either way
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.sampled_from("\x00\x1f\x7f\x80\"\\\b\f\n\r\t\ud800\udcff\udfff\U0001f600\U0010ffff")
+)
+JSON_VALUES = st.recursive(
+    JSON_TEXT | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64)),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_writer_equals_json_dumps(value):
+    assert cli.to_json(value) == json.dumps(value, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [True, None, 1.5, (1,), {1: 2}, [b"x"], {"k": Outcome.VANISHES}, Outcome.VANISHES]
+)
+def test_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli.to_json(value)
+
+
+def test_error_records_with_undecodable_and_non_ascii_text(capsys, monkeypatch):
+    data = "sym: \xb21, 12\nsym: \uff11\uff12, \uff12\uff11\n".encode() + b"sym: 2\xff13, 213\n"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    assert cli.main(["--stable", "--format=jsonlines"]) == 2
+    out = capsys.readouterr().out
+    records, _ = cli.run_batch(data.decode("utf-8", "surrogateescape").splitlines(), cli.Options())
+    assert [r["error"] for r in records] == [
+        "cannot parse permutation from '\xb21'",
+        "cannot parse permutation from '\uff11\uff12'",
+        "cannot parse permutation from '2\\udcff13'",
+    ]
+    assert out == "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
 
 
 def test_stable_output_is_deterministic():

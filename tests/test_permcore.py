@@ -197,10 +197,12 @@ def test_parse_and_format_round_trip():
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "1 1 2", "0 1 2", "12x", "3 2", "10", "1021"]
+    "bad", ["", "1 1 2", "0 1 2", "12x", "3 2", "10", "1021", "\u00b21", "\uff11\uff12", "\uff12 1"]
 )
 def test_parse_rejects_bad_input(bad):
-    with pytest.raises(ValueError):
+    # str.isdigit and int() take digits of other scripts; the grammar does not
+    match = None if bad.isascii() else "cannot parse permutation"
+    with pytest.raises(ValueError, match=match):
         pc.parse_permutation(bad)
 
 

@@ -2,10 +2,12 @@
 
 Every batch runs in a fresh process, so import cost is paid per batch.
 These checks look at which modules get loaded, not at timings, so they are
-deterministic.  Modules the interpreter had loaded before the import (its
-``site`` hooks may load some) do not count against the package.
+deterministic.  The probe interpreter runs with ``-S``, so no ``site`` hook
+loads modules before it; modules loaded before the probe's code runs do
+not count against the package.
 """
 
+import enum
 import os
 import subprocess
 import sys
@@ -28,6 +30,11 @@ NOT_ON_BATCH_PATH = {
     "fractions",
     "decimal",
     "traceback",
+    "json",
+    "json.decoder",
+    "json.encoder",
+    "json.scanner",
+    "_json",
     "schubvanish.refsuite",
     "schubvanish.schubpoly",
     "schubvanish.gpermutahedron",
@@ -35,7 +42,7 @@ NOT_ON_BATCH_PATH = {
 
 
 def modules_loaded_by(code: str, stdin: str = "") -> set[str]:
-    """Modules a fresh interpreter loads while it runs code."""
+    """Modules a fresh interpreter, without ``site``, loads while it runs code."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
@@ -44,7 +51,7 @@ def modules_loaded_by(code: str, stdin: str = "") -> set[str]:
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         input=stdin, env=env, capture_output=True, text=True, check=True,
     )
     return set(done.stderr.split())
@@ -54,7 +61,6 @@ def test_importing_the_cli_skips_what_a_batch_does_not_run():
     loaded = modules_loaded_by("import schubvanish.cli")
     assert "schubvanish.cli" in loaded
     assert not loaded & NOT_ON_BATCH_PATH
-    assert "json" not in loaded  # only jsonlines output needs it
 
 
 def test_running_a_batch_skips_what_it_does_not_run():
@@ -65,7 +71,7 @@ def test_running_a_batch_skips_what_it_does_not_run():
         "          '--tests=schubitope,flexible,bruhat,descent_cycling,root_game'])",
         stdin=batch,
     )
-    assert "json" in loaded
+    assert "json" not in loaded  # cli.to_json writes the JSON lines
     assert not loaded & NOT_ON_BATCH_PATH
 
 
@@ -90,3 +96,18 @@ def test_oracle_and_selfcheck_import_their_modules():
     assert "schubvanish.refsuite" in loaded
     # the report is its pinned problem lines: no polytope or reference code
     assert not loaded & {"schubvanish.gpermutahedron", "dataclasses"}
+
+
+def test_a_batch_builds_no_namedtuple_or_enum_class():
+    # namedtuple compiles each class's __new__ and Enum builds its members
+    # at import; the package's value classes are permcore.Frozen instead
+    from schubvanish import cli, permcore, rivals, schubitope, vanishing
+
+    options = cli.Options(tests=cli.KNOWN_TESTS, flexible_samples=4, stable=True)
+    records, code = cli.run_batch(["sym: 1423, 1423, 1423", "asym: 4123, 1342 -> 4312"], options)
+    assert code == 0 and len(records) == 2
+    for module in (cli, vanishing, schubitope, permcore, rivals):
+        for value in vars(module).values():
+            if isinstance(value, type):
+                assert not hasattr(value, "_make"), value
+                assert not issubclass(value, enum.Enum), value

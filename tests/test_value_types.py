@@ -1,4 +1,9 @@
-"""The value classes keep the semantics the frozen dataclasses had."""
+"""The value classes keep the semantics the frozen dataclasses, NamedTuples
+and the Enum they replace had."""
+
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +25,7 @@ def make_all():
             Outcome.VANISHES, "m", schubitope.InfeasibleSubset((1,), 4, 3)
         ),
         "Options": lambda: cli.Options(tests=("schubitope", "oracle"), seed=3),
+        "FarkasCertificate": lambda: schubitope.lp_feasible(d, (4, 0, 0, 0, 0)),
     }
 
 
@@ -41,6 +47,65 @@ def test_fields_cannot_be_assigned(name):
         setattr(value, field, None)
     with pytest.raises(AttributeError):
         delattr(value, field)
+
+
+@pytest.mark.parametrize("name", sorted(make_all()))
+def test_copies_and_pickles_are_equal(name):
+    value = make_all()[name]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and type(twin) is type(value)
+
+
+def test_outcomes_are_three_strings_compared_by_identity():
+    outcomes = (Outcome.VANISHES, Outcome.INCONCLUSIVE, Outcome.DEGREE_MISMATCH)
+    for outcome, name in zip(outcomes, ("VANISHES", "INCONCLUSIVE", "DEGREE_MISMATCH")):
+        assert outcome.value == name and type(outcome.value) is str
+        assert outcome == name and name == outcome and hash(outcome) == hash(name)
+        assert isinstance(outcome, str) and isinstance(outcome, Outcome)
+        assert Outcome(name) is outcome
+        assert copy.deepcopy(outcome) is outcome
+        assert pickle.loads(pickle.dumps(outcome)) is outcome
+        assert repr(outcome) == f"<Outcome.{name}: {name!r}>"
+    assert len(set(outcomes)) == 3
+    for other in ("vanishes", "value", "__new__"):
+        with pytest.raises(ValueError, match="not a valid Outcome"):
+            Outcome(other)
+    verdict = vanishing.symmetric_test([(1, 2, 3)] * 3)
+    assert verdict.outcome is Outcome.DEGREE_MISMATCH
+
+
+def test_replace_and_asdict():
+    verdict = vanishing.VanishingVerdict(Outcome.INCONCLUSIVE, "m", detail="a")
+    assert verdict._asdict() == {
+        "outcome": Outcome.INCONCLUSIVE, "method": "m", "certificate": None,
+        "witness": None, "detail": "a",
+    }
+    changed = verdict._replace(method="flexible", detail="b")
+    assert changed == vanishing.VanishingVerdict(Outcome.INCONCLUSIVE, "flexible", None, None, "b")
+    assert verdict.method == "m" and verdict.detail == "a"
+    options = cli.Options(seed=3)
+    assert list(options._asdict()) == list(cli.Options._fields) == [
+        "tests", "oracle_max_n", "flexible_samples", "seed", "stable", "fmt",
+    ]
+    assert options._replace(tests=("oracle",)) == cli.Options(("oracle",), 6, 0, 3, False, "text")
+    with pytest.raises(TypeError):
+        options._replace(jobs=2)
+
+
+def test_certificates_build_from_positional_fields():
+    # as perfbench/outcheck.py rebuilds them from a JSON record
+    d, alpha = permcore.rothe_diagram((2, 1, 5, 4, 3)), (4, 0, 0, 0, 0)
+    subset = schubitope.InfeasibleSubset((1,), 4, 3)
+    assert (subset.rows, subset.lhs, subset.rhs) == ((1,), 4, 3)
+    assert subset.validate(d, alpha)
+    found = schubitope.lp_feasible(d, alpha)
+    farkas = schubitope.FarkasCertificate(
+        tuple(Fraction(x) for x in found.content),
+        tuple(((s, j), Fraction(m)) for (s, j), m in found.prefix),
+        found.columns,
+    )
+    assert type(farkas).__name__ == "FarkasCertificate"
+    assert farkas == found and farkas.validate(d, alpha)
 
 
 def test_reprs_show_the_fields():

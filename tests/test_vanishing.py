@@ -276,7 +276,7 @@ def test_flexible_sampled_matches_per_content_reference():
         got = vn.flexible_test_sampled((u, v), target, samples=6, seed=seed)
         assert got == reference_flexible_sampled((u, v), target, 6, seed)
         outcomes.add(got.outcome)
-    assert outcomes == set(Outcome)
+    assert outcomes == {Outcome.VANISHES, Outcome.INCONCLUSIVE, Outcome.DEGREE_MISMATCH}
 
 
 @pytest.mark.parametrize(
