@@ -5,8 +5,8 @@ conditions for a Schubert intersection number of the complete flag variety
 to vanish, and emits certificates a reader can check by hand.  One
 max-flow on the filling network (``schubitope.filling_or_cut``) decides
 every Schubitope verdict: it returns a filling, or the min cut as one
-violated subset inequality.  A brute-force polynomial oracle and three
-classical rival tests are included for cross-validation at small rank.
+violated subset inequality.  An exact oracle, which works in the Schubert
+basis, and three classical rival tests are included for cross-validation.
 
 Names live in their modules (``permcore``, ``schubitope``, ``vanishing``,
 ``rivals``, ``schubpoly``, ``gpermutahedron``, ``cli``); import them from

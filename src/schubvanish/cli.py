@@ -45,8 +45,8 @@ from .vanishing import Outcome, SchubertProblem, VanishingVerdict
 
 # Every batch is a fresh process, so this module imports only what a batch
 # runs: rivals (Bruhat, descent cycling, root games), refsuite (--selfcheck),
-# schubpoly (the oracle) and traceback (a failing problem) are imported where
-# they are used.  JSON lines are written by to_json, not by the json module.
+# schubpoly (the exact oracle) and traceback (a failing problem) are imported
+# where they are used.  JSON lines are written by to_json, not by json.
 
 KNOWN_TESTS = (
     "schubitope",
@@ -70,7 +70,7 @@ class Options(permcore.Frozen):
     def __init__(
         self,
         tests: tuple[str, ...] = DEFAULT_TESTS,
-        oracle_max_n: int = 6,
+        oracle_max_n: int = 9,
         flexible_samples: int = 0,
         seed: int = 0,
         stable: bool = False,
@@ -370,7 +370,8 @@ FLAGS: dict[str, tuple[str, Optional[Callable[[str], object]], str]] = {
     "--tests": ("tests", str, f"comma list from {{{','.join(KNOWN_TESTS)}}}"),
     "--oracle-max-n": (
         "oracle_max_n", _int,
-        "largest rank the brute-force oracle runs at; above it the record gets a note",
+        "largest rank the exact oracle runs at (by default the largest where its p99 "
+        "time on random symmetric triples is within 10 ms); above it the record gets a note",
     ),
     "--flexible-samples": (
         "flexible_samples", _int,

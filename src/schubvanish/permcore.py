@@ -160,19 +160,20 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
     """Bruhat order via the tableau criterion.
 
     For every k, the sorted set {u(1),...,u(k)} must be entrywise <= the
-    sorted {v(1),...,v(k)}.  Words of different lengths are embedded first.
+    sorted {v(1),...,v(k)}; it suffices to check the descents k of u
+    (Björner–Brenti, Theorem 2.6.3).  Words of different lengths are
+    embedded first.
 
     >>> bruhat_leq((1, 3, 4, 2), (2, 4, 1, 3))
     False
     """
     u, v = common_embed([u, v])
-    n = len(u)
     su: list[int] = []
     sv: list[int] = []
-    for k in range(n):
+    for k in range(len(u) - 1):
         bisect.insort(su, u[k])
         bisect.insort(sv, v[k])
-        if any(a > b for a, b in zip(su, sv)):
+        if u[k] > u[k + 1] and not all(map(operator.le, su, sv)):
             return False
     return True
 

@@ -107,7 +107,7 @@ def check_pinned(pins: Sequence[Pin]) -> Iterator[str]:
         tests = {"schubitope" if t.startswith("schubitope_") else t for t in pin.verdicts}
         if pin.oracle is not None:
             tests.add("oracle")
-        options = cli.Options(tests=tuple(sorted(tests)), oracle_max_n=7, stable=True)
+        options = cli.Options(tests=tuple(sorted(tests)), stable=True)
         (record,), _ = cli.run_batch([pin.line], options)
         if "error" in record:
             yield f"{pin.line}: {record['error']}"

@@ -1,16 +1,112 @@
-"""Reference checks on generalized permutahedra and Schubert polynomials.
+"""Reference checks on Schubert polynomials and generalized permutahedra.
 
-Only the tests use these: exhaustive submodularity, the standard
-permutahedron, integer decomposition by enumeration, expansion in the
-Schubert basis by leading exponents, and the saturated Newton polytope
-(SNP) property of a Schubert polynomial checked against its Schubitope;
-and the pinned polytope data of the Schubitope of 21543.
+Only the tests use these.  A polynomial is a dict from exponent tuples, all
+of one length, to nonzero int coefficients.  Schubert polynomials come from
+the staircase monomial of w0 by divided differences, memoised on stable
+representatives; callers receive fresh padded copies.  Also: exhaustive
+submodularity, the standard permutahedron, integer decomposition by
+enumeration, expansion in the Schubert basis by leading exponents, the
+saturated Newton polytope (SNP) property of a Schubert polynomial checked
+against its Schubitope, and the pinned polytope data of the Schubitope of
+21543.
 """
+
+import itertools
 
 from schubvanish import permcore
 from schubvanish.gpermutahedron import GPermutahedron, SubmodularFn
 from schubvanish.schubitope import schubitope_gpermutahedron
-from schubvanish.schubpoly import compositions, pad, schubert_polynomial, support
+from schubvanish.schubpoly import divided_difference
+
+_schub_cache = {}
+
+
+def poly_one(nvars):
+    return {(0,) * nvars: 1}
+
+
+def poly_mul(f, g):
+    """The exact product."""
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def pad(f, nvars):
+    """Extend every exponent tuple with zeros up to nvars variables."""
+    out = {}
+    for e, c in f.items():
+        if len(e) > nvars:
+            if any(e[nvars:]):
+                raise ValueError("cannot truncate variables with nonzero exponents")
+            out[e[:nvars]] = c
+        else:
+            out[e + (0,) * (nvars - len(e))] = c
+    return out
+
+
+def schubert_polynomial(w, nvars=None):
+    """The Schubert polynomial of w, with exponent tuples of nvars entries.
+
+    Memoized on the stable representative of w, so embeddings share work.
+    Meant for small ranks; the recursion touches one chain up to the longest
+    element, each step one divided difference.
+    """
+    if nvars is None:
+        nvars = len(w)
+    return pad(_schubert(permcore.trim(w)), nvars)
+
+
+def _schubert(w):
+    """The memo entry of a trimmed w, in len(w) variables.
+
+    w0(m) is the staircase monomial; any other w is the divided difference
+    at its first ascent i of the polynomial of w * s_i.
+    """
+    f = _schub_cache.get(w)
+    if f is None:
+        m = len(w)
+        if w == permcore.w0(m):
+            f = {tuple(range(m - 1, -1, -1)): 1}
+        else:
+            i = permcore.ascents(w)[0]
+            up = _schubert(permcore.trim(permcore.right_mult_s(w, i)))
+            f = divided_difference(pad(up, m), i)
+        _schub_cache[w] = f
+    return f
+
+
+def staircase_coefficient(ws):
+    """[x^(n-1, n-2, ..., 1, 0)] of the full product of the factors.
+
+    Only an upper bound for the intersection number: basis elements from
+    larger symmetric groups can feed the staircase monomial of rank n, so
+    this can be positive while the intersection number is zero.  It is the
+    quantity bounded by the symmetric polytope test: the staircase lies in
+    the product's Newton polytope iff this is nonzero.
+    """
+    ws = permcore.common_embed(ws)
+    n = len(ws[0]) if ws else 0
+    acc = poly_one(n)
+    for w in ws:
+        acc = poly_mul(acc, schubert_polynomial(w, n))
+    return acc.get(tuple(range(n - 1, -1, -1)), 0)
+
+
+def compositions(total, parts):
+    """All tuples of `parts` nonnegative ints summing to total: the gaps
+    between the bars of each choice of parts - 1 bars among total + parts - 1
+    places."""
+    if parts == 0:
+        return [()] if total == 0 else []
+    return [
+        tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, total + parts - 1)))
+        for bars in itertools.combinations(range(total + parts - 1), parts - 1)
+    ]
+
 
 # Support of the polynomial of 21543: thirteen exponent vectors.
 SUPPORT_21543 = frozenset(
@@ -124,4 +220,4 @@ def verify_snp(w) -> bool:
     members = {
         alpha for alpha in compositions(permcore.length(w), n) if polytope.contains(alpha)
     }
-    return members == set(support(schubert_polynomial(w, n)))
+    return members == set(schubert_polynomial(w, n))

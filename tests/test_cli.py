@@ -99,31 +99,37 @@ def test_run_batch_all_tests_with_oracle():
     assert second["oracle"] == 0
 
 
+# Monk triples of rank 10, above the default --oracle-max-n, of values 0 and 1
+RANK_10_ZERO = "sym: 10 9 8 7 6 5 3 4 2 1, 1 2 4 3 5 6 7 8 9 10, 1 2 3 4 5 6 7 8 9 10"
+RANK_10_ONE = "sym: 10 9 8 7 6 5 4 2 3 1, 1 2 3 4 5 6 7 9 8 10, 1 2 3 4 5 6 7 8 9 10"
+
+
 def test_oracle_gating_by_rank():
-    line = ["sym: 3256147, 2143657, 4632175"]
-    records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True)
-    assert "oracle" not in records[0]
-    records, _, _ = run(line, tests=("schubitope", "oracle"), stable=True, oracle_max_n=7)
-    assert records[0]["oracle"] == 0
-    assert "details" not in records[0]
+    lines = [RANK_10_ZERO, RANK_10_ONE, "sym: 3256147, 2143657, 4632175"]
+    records, _, _ = run(lines, tests=("schubitope", "oracle"), stable=True)
+    assert ["oracle" in record for record in records] == [False, False, True]
+    assert records[2]["oracle"] == 0
+    records, _, _ = run(lines, tests=("schubitope", "oracle"), stable=True, oracle_max_n=10)
+    assert [record["oracle"] for record in records] == [0, 1, 0]
+    assert not any("details" in record for record in records)
 
 
 def test_oracle_above_its_cap_leaves_a_note(tmp_path, capsys):
-    src = tmp_path / "seven.txt"
-    src.write_text("sym: 3256147, 2143657, 4632175\n", encoding="utf-8")
+    src = tmp_path / "ten.txt"
+    src.write_text(RANK_10_ZERO + "\n", encoding="utf-8")
     args = [str(src), "--stable", "--tests=schubitope,oracle"]
     assert cli.main(args) == 0
     assert capsys.readouterr().out == (
-        "L1 mode=symmetric n=7\n"
+        "L1 mode=symmetric n=10\n"
         "  schubitope_symmetric: VANISHES\n"
-        "    certificate: rows {5,6} give 3 > 2\n"
-        "  oracle not run: rank 7 above --oracle-max-n=6\n"
+        "    certificate: rows {7} give 3 > 2\n"
+        "  oracle not run: rank 10 above --oracle-max-n=9\n"
         "  elapsed_ms: 0\n\n"
     )
     assert cli.main(args + ["--format=jsonlines"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert "oracle" not in record
-    assert record["details"] == {"oracle": "rank 7 above --oracle-max-n=6"}
+    assert record["details"] == {"oracle": "rank 10 above --oracle-max-n=9"}
 
 
 def test_flexible_in_batch():
@@ -436,7 +442,7 @@ def test_help_names_every_flag_with_its_default(argv, tmp_path, monkeypatch, cap
     assert out.startswith("usage: schubvanish ")
     for flag, default in [
         ("--tests", "(default: schubitope)"),
-        ("--oracle-max-n", "(default: 6)"),
+        ("--oracle-max-n", "(default: 9)"),
         ("--flexible-samples", "(default: 0)"),
         ("--seed", "(default: 0)"),
         ("--stable", None),

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from fillingref import edmonds_karp_cut, enumerate_tab, is_valid_filling
-from polyref import is_submodular
+from polyref import compositions, is_submodular
 from schubvanish import cli
 from schubvanish import permcore as pc
 from schubvanish import schubitope as sb
-from schubvanish import schubpoly as sp
 
 
 def seven_letter_diagram():
@@ -200,7 +199,7 @@ def test_equivalence_triangle_s3():
     for w in pc.all_perms(3):
         d = pc.rothe_diagram(w)
         ineqs = sb.SchubitopeInequalities(d)
-        for alpha in sp.compositions(pc.length(w), 3):
+        for alpha in compositions(pc.length(w), 3):
             has_tab = bool(enumerate_tab(d, alpha))
             assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
@@ -210,7 +209,7 @@ def test_feasible_points_admit_integral_fillings():
     # the flow finds one whenever the enumeration does
     for w in pc.all_perms(4):
         d = pc.rothe_diagram(w)
-        for alpha in sp.compositions(pc.length(w), 4):
+        for alpha in compositions(pc.length(w), 4):
             res = sb.filling_or_cut(d, alpha)
             fillings = enumerate_tab(d, alpha)
             if isinstance(res, sb.Filling):
@@ -254,7 +253,7 @@ def test_equivalence_triangle_sampled_rank5():
         w = rng.choice(perms)
         d = pc.rothe_diagram(w)
         ineqs = sb.SchubitopeInequalities(d)
-        alpha = rng.choice(list(sp.compositions(pc.length(w), 5)))
+        alpha = rng.choice(list(compositions(pc.length(w), 5)))
         has_tab = bool(enumerate_tab(d, alpha))
         assert has_tab == assert_flow_agrees(d, alpha, ineqs), (w, alpha)
 
@@ -269,7 +268,7 @@ def test_lp_matches_scan_on_random_concatenations():
         d = pc.concat_diagrams([pc.rothe_diagram(u), pc.rothe_diagram(v)])
         ineqs = sb.SchubitopeInequalities(d)
         alpha = rng.choice(
-            list(sp.compositions(pc.length(u) + pc.length(v), 4))
+            list(compositions(pc.length(u) + pc.length(v), 4))
         )
         assert_flow_agrees(d, alpha, ineqs)
 
@@ -324,7 +323,7 @@ def test_lp_feasible_farkas_multipliers_replay():
     for _ in range(150):
         u, v = rng.choice(perms), rng.choice(perms)
         d = pc.concat_diagrams([pc.rothe_diagram(u), pc.rothe_diagram(v)])
-        alpha = rng.choice(list(sp.compositions(d.cell_count, 4)))
+        alpha = rng.choice(list(compositions(d.cell_count, 4)))
         res = sb.lp_feasible(d, alpha)
         if isinstance(res, sb.Filling):
             assert is_valid_filling(res, alpha)

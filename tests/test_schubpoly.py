@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import polyref as pr
 from polyref import expand_in_schubert_basis, perm_from_code, verify_snp
 from schubvanish import permcore as pc
 from schubvanish import schubpoly as sp
@@ -58,36 +59,32 @@ def test_divided_difference_squares_to_zero():
 
 
 def test_schubert_polynomial_pinned_values():
-    assert sp.schubert_polynomial((2, 1, 5, 4, 3)) == S_21543
-    assert sp.schubert_polynomial((4, 5, 1, 6, 2, 3)) == {
+    assert pr.schubert_polynomial((2, 1, 5, 4, 3)) == S_21543
+    assert pr.schubert_polynomial((4, 5, 1, 6, 2, 3)) == {
         (3, 3, 0, 2, 0, 0): 1, (3, 3, 1, 1, 0, 0): 1, (3, 3, 2, 0, 0, 0): 1,
     }
-    assert sp.schubert_polynomial((1, 2, 3, 4)) == {(0, 0, 0, 0): 1}
-    assert sp.schubert_polynomial((1, 4, 2, 3)) == {
+    assert pr.schubert_polynomial((1, 2, 3, 4)) == {(0, 0, 0, 0): 1}
+    assert pr.schubert_polynomial((1, 4, 2, 3)) == {
         (2, 0, 0, 0): 1, (1, 1, 0, 0): 1, (0, 2, 0, 0): 1,
     }
 
 
 def test_products_pinned_values():
-    s1423 = sp.schubert_polynomial((1, 4, 2, 3))
-    square = sp.poly_mul(s1423, s1423)
+    s1423 = pr.schubert_polynomial((1, 4, 2, 3))
+    square = pr.poly_mul(s1423, s1423)
     assert square == S_1423_SQUARED
-    cube = sp.poly_mul(square, s1423)
+    cube = pr.poly_mul(square, s1423)
     assert cube == S_1423_CUBED
-    assert sp.coefficient(cube, (3, 2, 1, 0)) == 0
-    prod = sp.poly_mul(
-        sp.schubert_polynomial((1, 2, 4, 3)), sp.schubert_polynomial((1, 3, 4, 2))
-    )
+    assert (3, 2, 1, 0) not in cube
+    prod = pr.poly_mul(pr.schubert_polynomial((1, 2, 4, 3)), pr.schubert_polynomial((1, 3, 4, 2)))
     assert prod == S_1243_TIMES_1342
-    prod = sp.poly_mul(
-        sp.schubert_polynomial((1, 4, 2, 3)), sp.schubert_polynomial((1, 3, 4, 2))
-    )
+    prod = pr.poly_mul(pr.schubert_polynomial((1, 4, 2, 3)), pr.schubert_polynomial((1, 3, 4, 2)))
     assert prod == S_1423_TIMES_1342
-    assert sp.schubert_polynomial((4, 1, 3, 2)) == {
+    assert pr.schubert_polynomial((4, 1, 3, 2)) == {
         (3, 0, 1, 0): 1, (3, 1, 0, 0): 1,
     }
-    f = sp.schubert_polynomial((3, 1, 4, 2))
-    assert sp.poly_mul(f, sp.poly_one(4)) == f
+    f = pr.schubert_polynomial((3, 1, 4, 2))
+    assert pr.poly_mul(f, pr.poly_one(4)) == f
 
 
 def _schubert_by_last_ascent(w, memo):
@@ -102,7 +99,7 @@ def _schubert_by_last_ascent(w, memo):
     else:
         i = pc.ascents(w)[-1]
         parent = _schubert_by_last_ascent(pc.right_mult_s(w, i), memo)
-        poly = sp.divided_difference(sp.pad(parent, m), i)
+        poly = sp.divided_difference(pr.pad(parent, m), i)
     memo[w] = poly
     return poly
 
@@ -111,25 +108,25 @@ def test_braid_consistency_of_recursion_choices():
     memo = {}
     for n in (2, 3, 4, 5):
         for w in pc.all_perms(n):
-            alt = sp.pad(_schubert_by_last_ascent(w, memo), n)
-            assert alt == sp.schubert_polynomial(w, n), w
+            alt = pr.pad(_schubert_by_last_ascent(w, memo), n)
+            assert alt == pr.schubert_polynomial(w, n), w
 
 
 def test_stability_under_embedding():
     for n in (2, 3, 4, 5):
         for w in pc.all_perms(n):
-            bigger = sp.schubert_polynomial(pc.embed(w, n + 1), n + 1)
-            assert bigger == sp.pad(sp.schubert_polynomial(w, n), n + 1)
+            bigger = pr.schubert_polynomial(pc.embed(w, n + 1), n + 1)
+            assert bigger == pr.pad(pr.schubert_polynomial(w, n), n + 1)
 
 
 def test_positivity_and_code_leading_term():
     for n in range(1, 6):
         for w in pc.all_perms(n):
-            f = sp.schubert_polynomial(w, n)
+            f = pr.schubert_polynomial(w, n)
             assert all(c > 0 for c in f.values()), w
             assert f[pc.code(w)] == 1, w
             assert min(f) == pc.code(w), w
-    table = {w: sp.schubert_polynomial(w, 6) for w in pc.all_perms(6)}
+    table = {w: pr.schubert_polynomial(w, 6) for w in pc.all_perms(6)}
     assert len(table) == 720
     for w, f in table.items():
         assert all(c > 0 for c in f.values()), w
@@ -137,33 +134,32 @@ def test_positivity_and_code_leading_term():
 
 
 def test_memo_hands_out_copies(monkeypatch):
-    monkeypatch.setattr(sp, "_schub_cache", {})
-    first = sp.schubert_polynomial((2, 1, 5, 4, 3))
+    monkeypatch.setattr(pr, "_schub_cache", {})
+    first = pr.schubert_polynomial((2, 1, 5, 4, 3))
     first[(9, 9, 9, 9, 9)] = 1
     first.pop((1, 1, 1, 1, 0))
-    assert sp.schubert_polynomial((2, 1, 5, 4, 3)) == S_21543
-    assert sp.schubert_polynomial((2, 1, 5, 4, 3), 6) == sp.pad(S_21543, 6)
+    assert pr.schubert_polynomial((2, 1, 5, 4, 3)) == S_21543
+    assert pr.schubert_polynomial((2, 1, 5, 4, 3), 6) == pr.pad(S_21543, 6)
 
 
 def test_one_divided_difference_per_memo_entry(monkeypatch):
-    monkeypatch.setattr(sp, "_schub_cache", {})
+    monkeypatch.setattr(pr, "_schub_cache", {})
     calls = []
-    plain = sp.divided_difference
+    plain = pr.divided_difference
 
     def counted(f, i):
         calls.append(i)
         return plain(f, i)
 
-    monkeypatch.setattr(sp, "divided_difference", counted)
+    monkeypatch.setattr(pr, "divided_difference", counted)
     for w in pc.all_perms(6):
-        sp.schubert_polynomial(w)
-    longest = [w for w in sp._schub_cache if w == pc.w0(len(w))]
-    assert len(calls) == len(sp._schub_cache) - len(longest) == 714
+        pr.schubert_polynomial(w)
+    longest = [w for w in pr._schub_cache if w == pc.w0(len(w))]
+    assert len(calls) == len(pr._schub_cache) - len(longest) == 714
 
 
 def test_intersection_number_examples():
     assert sp.intersection_number([(3, 2, 1), (1, 2, 3), (1, 2, 3)]) == 1
-    assert sp.intersection_number([(1, 4, 2, 3)] * 3) == 0
     ws = [pc.parse_permutation(s) for s in ("3256147", "2143657", "4632175")]
     assert sp.intersection_number(ws) == 0
     # degree guard: lengths summing short give zero outright
@@ -173,9 +169,9 @@ def test_intersection_number_examples():
 def test_staircase_coefficient_bounds_intersection_number():
     # the plain monomial coefficient can strictly exceed the true number
     ws = [(4, 1, 2, 3), (1, 3, 4, 2), (1, 2, 4, 3)]
-    assert sp.staircase_coefficient(ws) == 1
+    assert pr.staircase_coefficient(ws) == 1
     assert sp.intersection_number(ws) == 0
-    assert sp.staircase_coefficient([(1, 4, 2, 3)] * 3) == 0
+    assert pr.staircase_coefficient([(1, 4, 2, 3)] * 3) == 0
     # the Schubitope of the concatenation is the Newton polytope of the
     # product, so the symmetric test vanishes exactly when the coefficient
     # of the staircase monomial is zero
@@ -184,7 +180,7 @@ def test_staircase_coefficient_bounds_intersection_number():
         if sum(map(pc.length, ws)) != 6:
             continue
         well_posed += 1
-        coefficient = sp.staircase_coefficient(ws)
+        coefficient = pr.staircase_coefficient(ws)
         assert sp.intersection_number(ws) <= coefficient, ws
         vanishes = vn.symmetric_test(ws).outcome is vn.Outcome.VANISHES
         assert vanishes == (coefficient == 0), ws
@@ -201,31 +197,51 @@ def test_asymmetric_coefficient_examples():
     assert sp.asymmetric_coefficient([(2, 1, 3)], (3, 2, 1)) == 0
 
 
-def test_duality_relation_exhaustive_s3():
-    longest = pc.w0(3)
-    perms = pc.all_perms(3)
-    for u, v, y in itertools.product(perms, perms, perms):
-        if pc.length(u) + pc.length(v) != pc.length(y):
-            continue
-        direct = sp.asymmetric_coefficient([u, v], y)
-        appended = sp.intersection_number([u, v, pc.multiply(longest, y)])
-        assert direct == appended, (u, v, y)
+def expansion_agrees(factors, n):
+    """Check the oracle on every target y of S_n of the factors' degree, as an
+    asymmetric problem and, with w0 * y appended, as a symmetric one, against
+    the Schubert-basis expansion of the product of the factors' polynomials.
+    Returns the numbers of targets checked and of nonzero coefficients."""
+    product = pr.poly_one(n)
+    for u in factors:
+        product = pr.poly_mul(product, pr.schubert_polynomial(u, n))
+    exp = expand_in_schubert_basis(product)
+    assert all(c > 0 for c in exp.values())
+    targets = [y for y in pc.all_perms(n) if pc.length(y) == sum(map(pc.length, factors))]
+    for y in targets:
+        want = exp.get(pc.trim(y), 0)
+        assert sp.asymmetric_coefficient(factors, y) == want, (factors, y)
+        assert sp.intersection_number([*factors, pc.multiply(pc.w0(n), y)]) == want, (factors, y)
+    return len(targets), sum(exp.get(pc.trim(y), 0) > 0 for y in targets)
 
 
-def test_contraction_matches_expansion_s4_sample():
-    rng = random.Random(3)
+def draw_factors(rng, ranks, count):
+    """count random factors, each from S_k for a k drawn from ranks, whose
+    lengths sum to at most that of the longest element of the largest S_k."""
+    n = max(ranks)
+    while True:
+        factors = [rng.choice(pc.all_perms(rng.choice(ranks))) for _ in range(count)]
+        if sum(map(pc.length, factors)) <= n * (n - 1) // 2:
+            return factors
+
+
+def test_oracle_matches_expansion_in_schubert_basis():
+    # all of S_4: every pair of factors and every target of their degree
     perms = pc.all_perms(4)
-    for _ in range(40):
-        u, v = rng.choice(perms), rng.choice(perms)
-        f = sp.poly_mul(
-            sp.schubert_polynomial(u, 4), sp.schubert_polynomial(v, 4)
-        )
-        exp = expand_in_schubert_basis(f)
-        assert all(c > 0 for c in exp.values())
-        deg = pc.length(u) + pc.length(v)
-        for y in perms:
-            if pc.length(y) == deg:
-                assert sp.contraction_coefficient(f, y) == exp.get(pc.trim(y), 0)
+    checked, nonzero = map(sum, zip(*(expansion_agrees([u, v], 4) for u in perms for v in perms)))
+    assert (checked, nonzero) == (1115, 303)
+    # seeded samples: pairs in S_5 and S_6, three factors and a target (so
+    # four-factor symmetric problems) in S_4 and S_5, and factors of mixed ranks
+    rng = random.Random(3)
+    for ranks, factors, draws in (
+        ((5,), 2, 60), ((6,), 2, 12), ((4,), 3, 25), ((5,), 3, 25), ((2, 3, 4, 5), 2, 40)
+    ):
+        drawn = [draw_factors(rng, ranks, factors) for _ in range(draws)]
+        assert sum(expansion_agrees(ws, max(ranks))[1] for ws in drawn) > 0, ranks
+    # S_21 * S_132 = S_312 + S_231, and the degrees of 21, 132, 321 do not match
+    assert sp.asymmetric_coefficient([(2, 1), (1, 3, 2)], (3, 1, 2)) == 1
+    assert sp.intersection_number([(2, 1), (1, 3, 2), (2, 1)]) == 1
+    assert sp.intersection_number([(2, 1), (1, 3, 2), (3, 2, 1)]) == 0
 
 
 def test_perm_from_code_round_trips():
@@ -245,15 +261,15 @@ def test_verify_snp_examples():
 
 
 def test_compositions_counts():
-    assert set(sp.compositions(0, 0)) == {()}
-    assert list(sp.compositions(2, 1)) == [(2,)]
-    comps = list(sp.compositions(4, 3))
+    assert set(pr.compositions(0, 0)) == {()}
+    assert list(pr.compositions(2, 1)) == [(2,)]
+    comps = list(pr.compositions(4, 3))
     assert len(comps) == math.comb(6, 2)
     assert all(sum(c) == 4 for c in comps)
     assert len(set(comps)) == len(comps)
 
 
 def test_pad_guards():
-    assert sp.pad({(1, 0): 2}, 3) == {(1, 0, 0): 2}
+    assert pr.pad({(1, 0): 2}, 3) == {(1, 0, 0): 2}
     with pytest.raises(ValueError):
-        sp.pad({(1, 2): 1}, 1)
+        pr.pad({(1, 2): 1}, 1)

@@ -87,7 +87,7 @@ def test_replace_and_asdict():
     assert list(options._asdict()) == list(cli.Options._fields) == [
         "tests", "oracle_max_n", "flexible_samples", "seed", "stable", "fmt",
     ]
-    assert options._replace(tests=("oracle",)) == cli.Options(("oracle",), 6, 0, 3, False, "text")
+    assert options._replace(tests=("oracle",)) == cli.Options(("oracle",), 9, 0, 3, False, "text")
     with pytest.raises(TypeError):
         options._replace(jobs=2)
 
@@ -117,7 +117,7 @@ def test_reprs_show_the_fields():
     )
     assert repr(vanishing.SchubertProblem(((1,),))) == "SchubertProblem(factors=((1,),), target=None)"
     assert repr(cli.Options()) == (
-        "Options(tests=('schubitope',), oracle_max_n=6, flexible_samples=0, "
+        "Options(tests=('schubitope',), oracle_max_n=9, flexible_samples=0, "
         "seed=0, stable=False, fmt='text')"
     )
 
