@@ -101,10 +101,10 @@ def _mask(positions: Iterable[int]) -> int:
 
 # S_3 permutes the factors of a triple.  Element g acts on m as
 # (m[p[0]], m[p[1]], m[p[2]]) with p = _S3[g]; 0 is the identity, and acting
-# by _MUL[g][h] is acting by h and then by g.
+# by _MUL[6 * g + h] is acting by h and then by g.
 _S3 = tuple(itertools.permutations(range(3)))
-_MUL = tuple(tuple(_S3.index(tuple(q[i] for i in p)) for q in _S3) for p in _S3)
-_INV = tuple(row.index(0) for row in _MUL)
+_MUL = tuple(_S3.index(tuple(q[i] for i in p)) for p in _S3 for q in _S3)
+_INV = tuple(_MUL[6 * g : 6 * g + 6].index(0) for g in range(6))
 
 _Node = tuple[int, int, int]
 
@@ -134,14 +134,14 @@ def _stabilizer(node: _Node) -> int:
 
 def _conjugate(mask: int, tau: int) -> int:
     """Bitmask of tau * g * tau^-1 over the elements g of mask."""
-    return _mask(_MUL[_MUL[tau][g]][_INV[tau]] for g in range(6) if mask >> g & 1)
+    return _mask(_MUL[6 * _MUL[6 * tau + g] + _INV[tau]] for g in range(6) if mask >> g & 1)
 
 
 def _generated(mask: int) -> tuple[int, ...]:
     """The elements of the subgroup of S_3 that the elements of mask generate."""
     while True:
         elements = [g for g in range(6) if mask >> g & 1]
-        grown = mask | _mask({_MUL[g][h] for g in elements for h in elements})
+        grown = mask | _mask({_MUL[6 * g + h] for g in elements for h in elements})
         if grown == mask:
             return tuple(elements)
         mask = grown
@@ -238,36 +238,57 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     for some h they generate (induction along a path of moves from the
     start).  Another node with a repeated factor needs no such step: if g
     fixes the member m' reached from m = tau * N by a move at i, then g * m
-    is the third triple of the triangle at i (see below).  The parent
-    reached it too, on its own node N with the transport g * tau, and so
-    recorded g.
+    is the third triple of the triangle at i (see below).  m and g * m lie
+    on one node, and whichever member expanded that triangle saw both, as
+    itself or as a neighbour, each with a transport; the two transports
+    differ by g, conjugated, so g is recorded.
 
     At a position i where exactly one word has a descent, the three triples
-    that pass s_i around among the words form a triangle, so a node reached
-    by a move at i skips i: its parent reached both ends of those moves.
+    that pass s_i around among the words form a triangle, and the members
+    of a triangle are pairwise related by moves at i.  Expanding it from one
+    member looks up the other two, which finds their nodes and records
+    every transport discrepancy that expanding it from them would.  So each
+    node carries a mask of the positions whose triangle some member already
+    expanded: expanding at i sets bit i on the two other nodes, new or still
+    on the stack, and a node popped expands only its unset moves.
+
+    The walk counts the nodes by the order of their stabilizer as it inserts
+    them, which takes no second pass.  The members on a node N are the orbit
+    of tau_N * N under H, and the stabilizer of tau_N * N lies in H (the
+    start's by construction, any other's by the argument above).  So its
+    order divides |H|, and the orbit has exactly |H| / |Stab(N)| members:
+    size is h * n1 + h / 2 * n2 + h / 6 * n6 for |H| = h and n_k nodes of
+    stabilizer order k.
 
     Raises ClassSizeExceeded when the class has more than DC_CLASS_CAP
     members: as soon as the nodes do, or when the walk is over.
     """
     cap = DC_CLASS_CAP
+    mul = _MUL
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
-        s = rows[k][i] = number(permcore.right_mult_s(perms[k], i))
+        x = perms[k]
+        s = rows[k][i] = number(x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :])
         return s
 
     every = _mask(range(1, table.n))  # a common ascent is a descent of none
     transports = {start: transport}
-    found = _conjugate(_stabilizer(start), transport)
+    done = {start: 0}  # per node, the positions whose triangle was expanded
+    stabilizer = _stabilizer(start)
+    found = _conjugate(stabilizer, transport)
+    order = stabilizer.bit_count()
+    n2, n6 = int(order == 2), int(order == 6)  # nodes of stabilizer order 2, 6
     trivial: list[_Node] = []
-    stack = [(start, transport, 0)]
+    stack = [start]
     while stack:
-        node, tau, skip = stack.pop()
+        node = stack.pop()
         a, b, c = node
         da, db, dc = descents[a], descents[b], descents[c]
         if every & ~(da | db | dc):
             trivial.append(node)
-        moves = (da ^ db ^ dc) & ~(da & db & dc) & ~skip
+        moves = (da ^ db ^ dc) & ~(da & db & dc) & ~done[node]
+        tau = 6 * transports[node]
         while moves:
             low = moves & -moves
             moves ^= low
@@ -288,19 +309,41 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
                 x, y = (sa, b, sc), (sa, sb, c)
             else:
                 x, y = (a, sb, sc), (sa, sb, c)
-            for neighbour in (x, y):
-                nxt, rho = _sort3(*neighbour)
-                reached = _MUL[tau][rho]
+            for p, q, r in (x, y):
+                # nxt, rho = _sort3(p, q, r), inline
+                if p <= q:
+                    if q <= r:
+                        nxt, rho = (p, q, r), 0
+                    elif p <= r:
+                        nxt, rho = (p, r, q), 1
+                    else:
+                        nxt, rho = (r, p, q), 3
+                elif p <= r:
+                    nxt, rho = (q, p, r), 2
+                elif q <= r:
+                    nxt, rho = (q, r, p), 4
+                else:
+                    nxt, rho = (r, q, p), 5
+                reached = mul[tau + rho]
                 known = transports.get(nxt)
                 if known is None:
                     transports[nxt] = reached
-                    stack.append((nxt, reached, low))
-                elif known != reached:
-                    found |= 1 << _MUL[reached][_INV[known]]
+                    done[nxt] = low
+                    stack.append(nxt)
+                    if p == q or q == r or p == r:
+                        if p == q == r:
+                            n6 += 1
+                        else:
+                            n2 += 1
+                else:
+                    done[nxt] |= low
+                    if known != reached:
+                        found |= 1 << mul[6 * reached + _INV[known]]
         if len(transports) > cap:
             raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
     group = _generated(found)
-    size = sum(len(group) // _stabilizer(node).bit_count() for node in transports)
+    h = len(group)
+    size = h * (len(transports) - n2 - n6) + h // 2 * n2 + h // 6 * n6
     if size > cap:
         raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
     return _DcClass(transports, group, size, trivial)
@@ -323,8 +366,8 @@ def _dc_lookup(t: Triple) -> tuple[_RankTable, _DcClass, tuple[int, ...]]:
             table.classes.update(dict.fromkeys(cls.transports, cls))
     elif cls.size > DC_CLASS_CAP:
         raise ClassSizeExceeded(f"descent-cycling class exceeds {DC_CLASS_CAP}")
-    g = _MUL[rho][_INV[cls.transports[node]]]
-    return table, cls, tuple(_MUL[g][h] for h in cls.group)
+    g = _MUL[6 * rho + _INV[cls.transports[node]]]
+    return table, cls, tuple(_MUL[6 * g + h] for h in cls.group)
 
 
 def _members(
@@ -335,7 +378,7 @@ def _members(
     for node in nodes:
         tau = transports[node]
         for g in coset:
-            p = _S3[_MUL[g][tau]]
+            p = _S3[_MUL[6 * g + tau]]
             yield perms[node[p[0]]], perms[node[p[1]]], perms[node[p[2]]]
 
 

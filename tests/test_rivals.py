@@ -543,6 +543,58 @@ def test_dc_all_six_factor_orders_agree(size, monkeypatch):
         assert re.search(r"class of (\d+)", verdict.detail).group(1) == str(size), p
 
 
+def test_dc_counted_size_matches_the_members(monkeypatch):
+    # the walk counts members by the stabilizers of the nodes it inserts;
+    # the (u, u, u) triples and those with two equal factors, in every order
+    # of their factors, give nodes of stabilizer order 6 and 2
+    triples = well_posed_triples(3) + well_posed_triples(4)
+    triples += [factors for factors, _ in interleaved_rank_4_and_5_cases()]
+    reference = {}
+    orders = set()
+    for factors in triples:
+        monkeypatch.setattr(rv, "_rank_tables", {})  # a walk from this triple
+        t = rv.Triple(*factors)
+        cls = rv._dc_lookup(t)[1]
+        if t.factors not in reference:
+            members = reference_dc_class(t)
+            reference.update(dict.fromkeys(members, len(members)))
+        assert cls.size == len(rv.dc_class(t)) == reference[t.factors], factors
+        orders.update(rv._stabilizer(node).bit_count() for node in cls.transports)
+    assert orders == {1, 2, 6}
+    assert any(u == v == w for u, v, w in triples)
+
+
+@pytest.mark.parametrize("size", [8331, 1327, 220])
+def test_dc_walk_does_not_depend_on_its_start(size):
+    # each walk numbers the permutations in a table of its own, so nodes are
+    # compared as the sorted words they stand for
+    factors = next(f for f, d in interleaved_rank_4_and_5_cases() if f"class of {size}" in d)
+    members = rv.dc_class(rv.Triple(*factors))
+    on_node = {}
+    for member in sorted(members):
+        on_node.setdefault(tuple(sorted(member)), []).append(member)
+    rng = random.Random(size)
+    walks = set()
+    for key in rng.sample(sorted(on_node), 20):
+        table = rv._RankTable(len(factors[0]))
+        node, rho = rv._sort3(*map(table.number, rng.choice(on_node[key])))
+        cls = rv._dc_walk(table, node, rho)
+
+        def words(node):
+            return tuple(sorted(table.perms[k] for k in node))
+
+        walks.add((
+            frozenset(map(words, cls.transports)),
+            cls.group,
+            cls.size,
+            tuple(sorted(map(words, cls.trivial))),
+        ))
+        assert set(rv._members(table, cls, cls.group, cls.transports)) == members, key
+    assert len(walks) == 1
+    nodes, _, counted, _ = walks.pop()
+    assert counted == size and nodes == set(on_node)
+
+
 def test_dc_node_keys_stay_exact_past_2_17(monkeypatch):
     # a key packed into fields of 17 bits would merge (0, 1, 2^17) with
     # (0, 2, 0), since 1 << 17 | 2^17 == 2 << 17
