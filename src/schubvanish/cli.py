@@ -15,7 +15,7 @@ raises while it is evaluated, becomes an error record
 ``{"id", "line", "error"}`` at its position; every other record still
 prints.  A test that cannot run on a problem (flexible without samples,
 descent cycling on other than three factors or past its class-size cap,
-the oracle above --oracle-max-n) leaves a note in place of its verdict,
+the oracle past its step cap) leaves a note in place of its verdict,
 and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
 failed to parse or the arguments or input file are bad; otherwise 1 when
 any problem raised while it was evaluated (an internal error), or when
@@ -63,21 +63,17 @@ DEFAULT_TESTS = ("schubitope",)
 class Options(permcore.Frozen):
     """The settings of a batch; the value flags of FLAGS set them."""
 
-    __slots__ = _fields = (
-        "tests", "oracle_max_n", "flexible_samples", "seed", "stable", "fmt"
-    )
+    __slots__ = _fields = ("tests", "flexible_samples", "seed", "stable", "fmt")
 
     def __init__(
         self,
         tests: tuple[str, ...] = DEFAULT_TESTS,
-        oracle_max_n: int = 9,
         flexible_samples: int = 0,
         seed: int = 0,
         stable: bool = False,
         fmt: str = "text",
     ) -> None:
         object.__setattr__(self, "tests", tests)
-        object.__setattr__(self, "oracle_max_n", oracle_max_n)
         object.__setattr__(self, "flexible_samples", flexible_samples)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "stable", stable)
@@ -152,8 +148,7 @@ def run_problem(
     """
     start = time.perf_counter()
     embedded = problem.embedded()
-    n = len(embedded.factors[0])
-    record: dict = {"id": record_id, "n": n, "mode": problem.mode,
+    record: dict = {"id": record_id, "n": len(embedded.factors[0]), "mode": problem.mode,
                     "verdicts": {}, "certificates": {}, "details": {}}
     details = record["details"]
 
@@ -206,17 +201,17 @@ def run_problem(
             _record_verdict(record, rivals.root_game_test(factors))
 
     if "oracle" in options.tests:
-        if n > options.oracle_max_n:
-            details["oracle"] = f"rank {n} above --oracle-max-n={options.oracle_max_n}"
-        else:
-            from . import schubpoly
+        from . import schubpoly
 
+        try:
             if problem.mode == "symmetric":
                 record["oracle"] = schubpoly.intersection_number(embedded.factors)
             else:
                 record["oracle"] = schubpoly.asymmetric_coefficient(
                     embedded.factors, embedded.target
                 )
+        except schubpoly.StepsExceeded as exc:
+            details["oracle"] = str(exc)
 
     for key in ("certificates", "details"):
         if not record[key]:
@@ -368,11 +363,6 @@ def _format(value: str) -> str:
 FLAGS: dict[str, tuple[str, Optional[Callable[[str], object]], str]] = {
     "--help": ("help", None, "show this help message and exit"),
     "--tests": ("tests", str, f"comma list from {{{','.join(KNOWN_TESTS)}}}"),
-    "--oracle-max-n": (
-        "oracle_max_n", _int,
-        "largest rank the exact oracle runs at (by default the largest where its p99 "
-        "time on random symmetric triples is within 10 ms); above it the record gets a note",
-    ),
     "--flexible-samples": (
         "flexible_samples", _int,
         "sampled contents the flexible test may try per problem; with 0 it does "
@@ -489,12 +479,8 @@ def options_from_args(args: dict) -> Options:
     unknown = [t for t in tests if t not in KNOWN_TESTS]
     if unknown:
         raise ValueError(f"unknown tests: {', '.join(unknown)}")
-    for flag, key in (
-        ("--oracle-max-n", "oracle_max_n"),
-        ("--flexible-samples", "flexible_samples"),
-    ):
-        if args[key] < 0:
-            raise ValueError(f"{flag} must be nonnegative, got {args[key]}")
+    if args["flexible_samples"] < 0:
+        raise ValueError(f"--flexible-samples must be nonnegative, got {args['flexible_samples']}")
     return Options(**{key: args[key] for key in Options._fields})._replace(tests=tests)
 
 

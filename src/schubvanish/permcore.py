@@ -96,13 +96,6 @@ def apply_transposition(w: Perm, i: int, j: int) -> Perm:
     return tuple(lst)
 
 
-def right_mult_s(w: Perm, i: int) -> Perm:
-    """w * s_i for a simple transposition, 1 <= i <= n-1."""
-    if not (1 <= i < len(w)):
-        raise IndexError(f"simple reflection index {i} out of range 1..{len(w) - 1}")
-    return apply_transposition(w, i, i + 1)
-
-
 def descents(w: Perm) -> tuple[int, ...]:
     """Positions i with w(i) > w(i+1).
 

@@ -8,7 +8,8 @@ S_w = x_r * S_v plus the S_{v * t_qr} over the q < r with v * t_qr covering
 v.  Monk's rule multiplies by x_r: x_r * S_x is the sum of the S_{x * t_ra}
 over a > r minus the S_{x * t_ar} over a < r, both over covers of x.  Monk
 steps only go up in Bruhat order, and S_w * S_y only holds classes above w
-and y, so dropping every term that is not below the target is exact.
+and y, so dropping every term that is not below the target is exact.  The
+cap is on work, not rank: a product raises StepsExceeded past ORACLE_STEP_CAP.
 
 ``divided_difference`` serves the tests' polynomial reference
 (``tests/polyref.py``); the oracle does not use it.
@@ -24,6 +25,14 @@ from .permcore import Perm
 
 Poly = dict[tuple[int, ...], int]
 Terms = dict[Perm, int]
+
+# Steps one product may take: a memoised node or a term it forms, weighted by
+# the rank n.  The cost follows the Bruhat interval below the target, not n.
+ORACLE_STEP_CAP = 10**5
+
+
+class StepsExceeded(RuntimeError):
+    """The oracle's work passed ORACLE_STEP_CAP steps."""
 
 
 def divided_difference(f: Poly, i: int) -> Poly:
@@ -73,7 +82,8 @@ def asymmetric_coefficient(ws: Sequence[Perm], target: Perm) -> int:
 
     The product starts from the longest factor, and each shorter one
     multiplies it by the transition formula, keeping only the classes below
-    the target; zero when the degrees do not match.
+    the target; zero when the degrees do not match.  Raises StepsExceeded
+    past ORACLE_STEP_CAP steps, counted over all the factors.
     """
     posed = permcore.well_posed(ws, target)
     if posed is None:
@@ -83,19 +93,23 @@ def asymmetric_coefficient(ws: Sequence[Perm], target: Perm) -> int:
     start = factors.pop() if factors else permcore.identity(len(target))
     below = functools.cache(lambda x: permcore.bruhat_leq(x, target))
     terms = {start: 1} if below(start) else {}
+    budget = [ORACLE_STEP_CAP // len(target)]  # the steps left, each of weight n
     for u in reversed(factors):
-        terms = _times(u, terms, below) if terms else terms
+        terms = _times(u, terms, below, budget) if terms else terms
     return terms.get(target, 0)
 
 
-def _times(u: Perm, terms: Terms, below: Callable[[Perm], bool]) -> Terms:
-    """S_u times the terms, keeping the classes below; memoised on the
-    first factor of each product the transition formula asks for."""
+def _times(u: Perm, terms: Terms, below: Callable[[Perm], bool], budget: list[int]) -> Terms:
+    """S_u times the terms, keeping the classes below; memoised on the first
+    factor of each product the transition formula asks for.  Each node and
+    each term it forms take a step from budget[0]; a node that has formed its
+    terms with budget[0] below zero raises StepsExceeded."""
     memo: dict[Perm, Terms] = {}
 
     def times(w: Perm) -> Terms:
         if w in memo:
             return memo[w]
+        budget[0] -= 1
         descents = permcore.descents(w)
         found: Terms = {}
         if not descents:
@@ -106,13 +120,17 @@ def _times(u: Perm, terms: Terms, below: Callable[[Perm], bool]) -> Terms:
             v = permcore.apply_transposition(w, r, s)
             for x, c in times(v).items():
                 for a, sign in _covers(x, r):
+                    budget[0] -= 1
                     y = permcore.apply_transposition(x, r, a)
                     if below(y):
                         found[y] = found.get(y, 0) + sign * c
             for q, sign in _covers(v, r):
                 if sign < 0:
                     for y, c in times(permcore.apply_transposition(v, q, r)).items():
+                        budget[0] -= 1
                         found[y] = found.get(y, 0) + c
+            if budget[0] < 0:
+                raise StepsExceeded(f"oracle work exceeds {ORACLE_STEP_CAP} steps")
             found = {y: c for y, c in found.items() if c}
         memo[w] = found
         return found

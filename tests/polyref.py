@@ -3,7 +3,7 @@
 Only the tests use these.  A polynomial is a dict from exponent tuples, all
 of one length, to nonzero int coefficients.  Schubert polynomials come from
 the staircase monomial of w0 by divided differences, memoised on stable
-representatives; callers receive fresh padded copies.  Also: exhaustive
+representatives; callers receive fresh padded copies.  Also: w * s_i, exhaustive
 submodularity, the standard permutahedron, integer decomposition by
 enumeration, expansion in the Schubert basis by leading exponents, the
 saturated Newton polytope (SNP) property of a Schubert polynomial checked
@@ -73,10 +73,17 @@ def _schubert(w):
             f = {tuple(range(m - 1, -1, -1)): 1}
         else:
             i = permcore.ascents(w)[0]
-            up = _schubert(permcore.trim(permcore.right_mult_s(w, i)))
+            up = _schubert(permcore.trim(right_mult_s(w, i)))
             f = divided_difference(pad(up, m), i)
         _schub_cache[w] = f
     return f
+
+
+def right_mult_s(w, i):
+    """w * s_i for a simple transposition, 1 <= i <= n-1."""
+    if not (1 <= i < len(w)):
+        raise IndexError(f"simple reflection index {i} out of range 1..{len(w) - 1}")
+    return permcore.apply_transposition(w, i, i + 1)
 
 
 def staircase_coefficient(ws):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubvanish import cli, permcore, refsuite, rivals, schubitope
+from schubvanish import cli, permcore, refsuite, rivals, schubitope, schubpoly
 from schubvanish.vanishing import Outcome, SchubertProblem
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -99,37 +99,62 @@ def test_run_batch_all_tests_with_oracle():
     assert second["oracle"] == 0
 
 
-# Monk triples of rank 10, above the default --oracle-max-n, of values 0 and 1
+# Monk triples of rank 10, of values 0 and 1
 RANK_10_ZERO = "sym: 10 9 8 7 6 5 3 4 2 1, 1 2 4 3 5 6 7 8 9 10, 1 2 3 4 5 6 7 8 9 10"
 RANK_10_ONE = "sym: 10 9 8 7 6 5 4 2 3 1, 1 2 3 4 5 6 7 9 8 10, 1 2 3 4 5 6 7 8 9 10"
+# a rank-10 zero whose product takes 5,660 steps of the oracle
+RANK_10_COSTLY = "sym: 1 2 5 3 7 6 9 4 10 8, 9 5 4 10 2 1 8 7 6 3, 1 4 5 2 3 7 10 8 6 9"
 
 
 def test_oracle_gating_by_rank():
-    lines = [RANK_10_ZERO, RANK_10_ONE, "sym: 3256147, 2143657, 4632175"]
+    # the oracle's cap is on its work, so rank 10 runs with the default options
+    lines = [RANK_10_ZERO, RANK_10_ONE, RANK_10_COSTLY, "sym: 3256147, 2143657, 4632175"]
     records, _, _ = run(lines, tests=("schubitope", "oracle"), stable=True)
-    assert ["oracle" in record for record in records] == [False, False, True]
-    assert records[2]["oracle"] == 0
-    records, _, _ = run(lines, tests=("schubitope", "oracle"), stable=True, oracle_max_n=10)
-    assert [record["oracle"] for record in records] == [0, 1, 0]
+    assert [record["oracle"] for record in records] == [0, 1, 0, 0]
     assert not any("details" in record for record in records)
 
 
-def test_oracle_above_its_cap_leaves_a_note(tmp_path, capsys):
+def test_oracle_above_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(schubpoly, "ORACLE_STEP_CAP", 1000)
     src = tmp_path / "ten.txt"
-    src.write_text(RANK_10_ZERO + "\n", encoding="utf-8")
+    src.write_text(RANK_10_COSTLY + "\n", encoding="utf-8")
     args = [str(src), "--stable", "--tests=schubitope,oracle"]
     assert cli.main(args) == 0
-    assert capsys.readouterr().out == (
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == (
         "L1 mode=symmetric n=10\n"
-        "  schubitope_symmetric: VANISHES\n"
-        "    certificate: rows {7} give 3 > 2\n"
-        "  oracle not run: rank 10 above --oracle-max-n=9\n"
+        "  schubitope_symmetric: INCONCLUSIVE\n"
+        "  oracle not run: oracle work exceeds 1000 steps\n"
         "  elapsed_ms: 0\n\n"
     )
     assert cli.main(args + ["--format=jsonlines"]) == 0
     record = json.loads(capsys.readouterr().out)
     assert "oracle" not in record
-    assert record["details"] == {"oracle": "rank 10 above --oracle-max-n=9"}
+    assert record["verdicts"] == {"schubitope_symmetric": "INCONCLUSIVE"}
+    assert record["details"] == {"oracle": "oracle work exceeds 1000 steps"}
+
+
+def test_oracle_note_is_the_same_in_fresh_processes():
+    # the step count is deterministic: no hash order can move the stop
+    script = (
+        "import sys\n"
+        "from schubvanish import cli, schubpoly\n"
+        "schubpoly.ORACLE_STEP_CAP = 1000\n"
+        "sys.exit(cli.main(['--stable', '--format=jsonlines', '--tests=oracle']))\n"
+    )
+    outputs = []
+    for hash_seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", script], input=(RANK_10_COSTLY + "\n").encode(),
+            capture_output=True, env=dict(child_env(), PYTHONHASHSEED=hash_seed), timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1] == (
+        b'{"details": {"oracle": "oracle work exceeds 1000 steps"}, "elapsed_ms": 0, '
+        b'"id": "L1", "mode": "symmetric", "n": 10, "verdicts": {}}\n'
+    )
 
 
 def test_flexible_in_batch():
@@ -318,7 +343,7 @@ def test_failing_problem_becomes_one_error_record(tmp_path, capsys, monkeypatch)
     assert len(capsys.readouterr().out.strip().split("\n\n")) == 3
 
 
-@pytest.mark.parametrize("flag", ["--compress", "--jobs=2", "--force-oracle"])
+@pytest.mark.parametrize("flag", ["--compress", "--jobs=2", "--force-oracle", "--oracle-max-n=9"])
 def test_removed_flags_are_unknown(flag, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--stable", flag])
@@ -360,8 +385,8 @@ def parse_through_main(argv, tmp_path, monkeypatch):
         (["--format", "jsonlines"], {"fmt": "jsonlines"}, "stdin"),
         (["--form=jsonlines"], {"fmt": "jsonlines"}, "stdin"),
         (["--flex", "16"], {"flexible_samples": 16}, "stdin"),
-        (["--flexible-samples=16", "--oracle-max-n", "7"],
-         {"flexible_samples": 16, "oracle_max_n": 7}, "stdin"),
+        (["--flexible-samples=16", "--seed", "7"],
+         {"flexible_samples": 16, "seed": 7}, "stdin"),
         (["--seed", "-3"], {"seed": -3}, "stdin"),
         (["--seed=-3"], {"seed": -3}, "stdin"),
         (["--seed", "+4"], {"seed": 4}, "stdin"),
@@ -401,7 +426,7 @@ def test_accepted_arguments(argv, fields, source, tmp_path, monkeypatch, capsys)
         ["--se=3"],  # ambiguous: --seed, --selfcheck
         ["--", "file", "--s"],
         ["--seed=x"],  # not an int
-        ["--oracle-max-n", "1.5"],
+        ["--flexible-samples", "1.5"],
         ["--seed="],
         ["--format=xml"],  # not a format
         ["--format", "Text"],
@@ -442,7 +467,6 @@ def test_help_names_every_flag_with_its_default(argv, tmp_path, monkeypatch, cap
     assert out.startswith("usage: schubvanish ")
     for flag, default in [
         ("--tests", "(default: schubitope)"),
-        ("--oracle-max-n", "(default: 9)"),
         ("--flexible-samples", "(default: 0)"),
         ("--seed", "(default: 0)"),
         ("--stable", None),
@@ -927,7 +951,7 @@ def test_main_returns_its_code_without_ending_the_process():
     assert done.stdout.endswith(b"\nmain returned 2\n")
 
 
-@pytest.mark.parametrize("flag", ["--flexible-samples=-1", "--oracle-max-n=-3"])
+@pytest.mark.parametrize("flag", ["--flexible-samples=-1"])
 def test_negative_counts_are_rejected(flag, tmp_path, capsys):
     src = tmp_path / "one.txt"
     src.write_text("asym: 4123, 1342 -> 4312\n", encoding="utf-8")
@@ -1010,6 +1034,7 @@ ILL_POSED = [
     "sym: 2134, 1243",
     "asym: 231, 312 -> 4321",
     "sym: 12, 21",
+    "sym: 10 9 8 7 6 5 4 3 2 1 11, 1 2 3 4 5 6 7 8 9 10 11, 1 2 3 4 5 6 7 8 9 10 11",
 ]
 ALL_TESTS = "--tests=schubitope,flexible,bruhat,descent_cycling,root_game,oracle"
 SYM_NOTE = "factor lengths do not sum to n(n-1)/2"
@@ -1070,12 +1095,23 @@ L5 mode=symmetric n=2
   oracle: 1
   elapsed_ms: 0
 
+L6 mode=symmetric n=11
+  bruhat: {MISMATCH}
+  descent_cycling: {MISMATCH}
+  root_game: {MISMATCH}
+  schubitope_symmetric: {MISMATCH}
+    note: {SYM_NOTE}
+  flexible not run: only defined for asymmetric problems
+  oracle: 0
+  elapsed_ms: 0
+
 """
 
 
 def test_degree_mismatch_in_both_formats(tmp_path, capsys):
     # too long, too short, two factors of the wrong total, a target of the
-    # wrong length, and one well-posed line in S_2; every test selected
+    # wrong length, one well-posed line in S_2, and a rank-11 line too short,
+    # whose zero costs the oracle nothing; every test selected
     src = tmp_path / "ill_posed.txt"
     src.write_text("\n".join(ILL_POSED) + "\n", encoding="utf-8")
     args = [str(src), "--stable", ALL_TESTS, "--flexible-samples=4"]
@@ -1113,5 +1149,10 @@ def test_degree_mismatch_in_both_formats(tmp_path, capsys):
             "id": "L5", "mode": "symmetric", "n": 2, "oracle": 1, "elapsed_ms": 0,
             "verdicts": {key: "INCONCLUSIVE" for key in sym_rivals},
             "details": {**three_note, **flexible_note},
+        },
+        {
+            "id": "L6", "mode": "symmetric", "n": 11, "oracle": 0, "elapsed_ms": 0,
+            "verdicts": {**sym_rivals, "descent_cycling": MISMATCH},
+            "details": {**flexible_note, "schubitope_symmetric": SYM_NOTE},
         },
     ]

@@ -6,7 +6,7 @@ from collections import deque
 
 import pytest
 
-from polyref import perm_from_code
+from polyref import perm_from_code, right_mult_s
 from schubvanish import permcore as pc
 from schubvanish import rivals as rv
 from schubvanish import schubpoly as sp
@@ -36,7 +36,7 @@ def reference_dc_neighbors(factors):
     u, v, w = factors
     for i in range(1, len(u)):
         du, dv, dw = u[i - 1] > u[i], v[i - 1] > v[i], w[i - 1] > w[i]
-        us, vs, ws = (pc.right_mult_s(x, i) for x in (u, v, w))
+        us, vs, ws = (right_mult_s(x, i) for x in (u, v, w))
         if not du and not dv and dw:
             yield from ((us, v, ws), (u, vs, ws))
         elif du and not dv and not dw:

@@ -98,7 +98,7 @@ def _schubert_by_last_ascent(w, memo):
         poly = {tuple(range(m - 1, -1, -1)): 1}
     else:
         i = pc.ascents(w)[-1]
-        parent = _schubert_by_last_ascent(pc.right_mult_s(w, i), memo)
+        parent = _schubert_by_last_ascent(pr.right_mult_s(w, i), memo)
         poly = sp.divided_difference(pr.pad(parent, m), i)
     memo[w] = poly
     return poly
@@ -242,6 +242,29 @@ def test_oracle_matches_expansion_in_schubert_basis():
     assert sp.asymmetric_coefficient([(2, 1), (1, 3, 2)], (3, 1, 2)) == 1
     assert sp.intersection_number([(2, 1), (1, 3, 2), (2, 1)]) == 1
     assert sp.intersection_number([(2, 1), (1, 3, 2), (3, 2, 1)]) == 0
+
+
+def test_oracle_steps_are_counted_across_the_factors(monkeypatch):
+    # S_1324 S_2314 S_2134 S_2143 = 1: two products of 4 and 6 steps of weight 4
+    ws = [pc.parse_permutation(w) for w in ("1324", "2314", "2134", "2143")]
+    spent = []
+    times = sp._times
+
+    def counted(u, terms, below, budget):
+        before = budget[0]
+        found = times(u, terms, below, budget)
+        spent.append(before - budget[0])
+        return found
+
+    monkeypatch.setattr(sp, "_times", counted)
+    assert sp.intersection_number(ws) == 1
+    assert spent == [4, 6]
+    monkeypatch.setattr(sp, "ORACLE_STEP_CAP", 4 * 10)
+    assert sp.intersection_number(ws) == 1
+    # one step short of the two products together, though each fits alone
+    monkeypatch.setattr(sp, "ORACLE_STEP_CAP", 4 * 10 - 1)
+    with pytest.raises(sp.StepsExceeded, match="^oracle work exceeds 39 steps$"):
+        sp.intersection_number(ws)
 
 
 def test_perm_from_code_round_trips():

@@ -85,9 +85,9 @@ def test_replace_and_asdict():
     assert verdict.method == "m" and verdict.detail == "a"
     options = cli.Options(seed=3)
     assert list(options._asdict()) == list(cli.Options._fields) == [
-        "tests", "oracle_max_n", "flexible_samples", "seed", "stable", "fmt",
+        "tests", "flexible_samples", "seed", "stable", "fmt",
     ]
-    assert options._replace(tests=("oracle",)) == cli.Options(("oracle",), 9, 0, 3, False, "text")
+    assert options._replace(tests=("oracle",)) == cli.Options(("oracle",), 0, 3, False, "text")
     with pytest.raises(TypeError):
         options._replace(jobs=2)
 
@@ -117,8 +117,8 @@ def test_reprs_show_the_fields():
     )
     assert repr(vanishing.SchubertProblem(((1,),))) == "SchubertProblem(factors=((1,),), target=None)"
     assert repr(cli.Options()) == (
-        "Options(tests=('schubitope',), oracle_max_n=9, flexible_samples=0, "
-        "seed=0, stable=False, fmt='text')"
+        "Options(tests=('schubitope',), flexible_samples=0, seed=0, stable=False, "
+        "fmt='text')"
     )
 
 
