@@ -159,8 +159,13 @@ def bruhat_leq(u: Perm, v: Perm) -> bool:
 
     >>> bruhat_leq((1, 3, 4, 2), (2, 4, 1, 3))
     False
+    >>> bruhat_leq((2, 1), (3, 2, 1))
+    True
+    >>> bruhat_leq((1, 2, 3, 5, 4), (2, 1))
+    False
     """
-    u, v = common_embed([u, v])
+    if len(u) != len(v):
+        u, v = common_embed([u, v])
     su: list[int] = []
     sv: list[int] = []
     for k in range(len(u) - 1):

@@ -9,7 +9,8 @@ verdicts as the main tests.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from collections import deque
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import permcore
 from .permcore import Frozen, Perm
@@ -124,6 +125,12 @@ def _sort3(p: int, q: int, r: int) -> tuple[_Node, int]:
     return (r, q, p), 5
 
 
+def _act(g: int, node: _Node) -> _Node:
+    """The triple g acting on node."""
+    p = _S3[g]
+    return node[p[0]], node[p[1]], node[p[2]]
+
+
 def _stabilizer(node: _Node) -> int:
     """Bitmask of the elements of S_3 that fix a sorted triple."""
     a, b, c = node
@@ -190,28 +197,28 @@ class _RankTable:
 
 
 class _DcClass:
-    """A descent-cycling class C, as the walk over its S_3-orbits leaves it.
+    """A descent-cycling class C, as a walk over its S_3-orbits leaves it.
 
     transports maps each node of C to its transport tau: tau acting on the
     node is a member of C.  group lists the stabilizer H of C in S_3, the g
     with gC = C.  The members of C on a node N are h * tau acting on N for
     h in H, so size, the number of members, is the sum over the nodes of
     |H| / |Stab(N)|.  Reordering the factors maps C onto a class gC with the
-    same nodes.  trivial lists the dc-trivial nodes, and firsts maps each
-    coset gH asked for, keyed by its smallest element, to the first
-    dc-trivial member of gC, or None.
+    same nodes.
     """
 
-    __slots__ = ("transports", "group", "size", "trivial", "firsts")
+    __slots__ = ("transports", "group", "size")
 
-    def __init__(self, transports: dict[_Node, int], group: tuple[int, ...],
-                 size: int, trivial: list[_Node]) -> None:
+    def __init__(self, transports: dict[_Node, int], group: tuple[int, ...], size: int) -> None:
         self.transports = transports
         self.group = group
         self.size = size
-        self.trivial = trivial
-        self.firsts: dict[int, Optional[Factors]] = {}
 
+
+# A path of descent-cycling moves to a dc-trivial member: the member, and
+# per move (i, giver, receiver), the factor giver (0-based), which has a
+# descent at i, passing s_i to the factor receiver.
+_DcPath = tuple[Factors, list[tuple[int, int, int]]]
 
 _rank_tables: dict[int, _RankTable] = {}
 
@@ -224,16 +231,18 @@ def _rank_table(n: int) -> _RankTable:
     return table
 
 
-def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
-    """Walk the class of the member transport * start, one node at a time.
+def _dc_walk(
+    table: _RankTable, start: _Node, transport: int, whole: bool
+) -> Union[_DcClass, _DcPath]:
+    """Walk the class of the member transport * start breadth first, one node at a time.
 
     A move treats u, v and w alike, so permuting the factors of a triple
-    permutes its neighbours the same way.  The walk therefore expands each
-    node from the node itself: a neighbour (p, q, r) of node N with
-    transport tau, and rho with rho acting on N' = sorted(p, q, r) as
-    (p, q, r), gives N' the transport tau * rho.  When a node is reached
-    again with another transport, the two differ by an element of H, and
-    the start adds its own stabilizer, conjugated by its transport.  These
+    permutes its neighbours the same way.  The walk therefore visits each
+    node once, as the member that first reached it: a neighbour (p, q, r)
+    of that member, and rho with rho acting on N' = sorted(p, q, r) as
+    (p, q, r), give N' the transport rho.  When a node is reached again
+    with another transport, the two differ by an element of H, and the
+    start adds its own stabilizer, conjugated by its transport.  These
     elements generate H: every member is then h * tau_N acting on its node N
     for some h they generate (induction along a path of moves from the
     start).  Another node with a repeated factor needs no such step: if g
@@ -250,7 +259,18 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     every transport discrepancy that expanding it from them would.  So each
     node carries a mask of the positions whose triangle some member already
     expanded: expanding at i sets bit i on the two other nodes, new or still
-    on the stack, and a node popped expands only its unset moves.
+    queued, and a node dequeued expands only its unset moves.  The moves it
+    skips reach only nodes already found.
+
+    A node's member expands its moves by position ascending, then by
+    receiving factor ascending.  Whether a member's node was reached before
+    depends on the members alone, so the order in which the walk reaches
+    members does not depend on how the table numbered the permutations:
+    it depends only on the start member.  Unless whole, the walk stops at
+    the first dc-trivial node it dequeues and returns its member and the
+    moves that first reached it; being breadth first, no dc-trivial member
+    is fewer moves from the start.  A walk that does not stop returns the
+    _DcClass of the whole class.
 
     The walk counts the nodes by the order of their stabilizer as it inserts
     them, which takes no second pass.  The members on a node N are the orbit
@@ -260,11 +280,11 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     size is h * n1 + h / 2 * n2 + h / 6 * n6 for |H| = h and n_k nodes of
     stabilizer order k.
 
-    Raises ClassSizeExceeded when the class has more than DC_CLASS_CAP
-    members: as soon as the nodes do, or when the walk is over.
+    Raises ClassSizeExceeded when the walk finds more than DC_CLASS_CAP
+    nodes before it stops, or when a whole class has more than
+    DC_CLASS_CAP members.
     """
     cap = DC_CLASS_CAP
-    mul = _MUL
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
@@ -275,20 +295,18 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     every = _mask(range(1, table.n))  # a common ascent is a descent of none
     transports = {start: transport}
     done = {start: 0}  # per node, the positions whose triangle was expanded
+    parents = {start: start}  # per node, the node whose member first reached it
     stabilizer = _stabilizer(start)
     found = _conjugate(stabilizer, transport)
     order = stabilizer.bit_count()
     n2, n6 = int(order == 2), int(order == 6)  # nodes of stabilizer order 2, 6
-    trivial: list[_Node] = []
-    stack = [start]
-    while stack:
-        node = stack.pop()
-        a, b, c = node
+    queue = deque([(start, _act(transport, start))])
+    while queue:
+        node, (a, b, c) = queue.popleft()
         da, db, dc = descents[a], descents[b], descents[c]
-        if every & ~(da | db | dc):
-            trivial.append(node)
+        if not whole and every & ~(da | db | dc):
+            return _dc_path(table, node, parents, transports)
         moves = (da ^ db ^ dc) & ~(da & db & dc) & ~done[node]
-        tau = 6 * transports[node]
         while moves:
             low = moves & -moves
             moves ^= low
@@ -302,14 +320,16 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
             sc = rows[c][i]
             if sc < 0:
                 sc = swapped(c, i)
-            # s_i moves between the word with the descent and either other
-            if dc & low:
-                x, y = (sa, b, sc), (a, sb, sc)
-            elif da & low:
-                x, y = (sa, b, sc), (sa, sb, c)
+            # the factor with the descent passes s_i to each other factor,
+            # in factor order
+            if da & low:
+                x, y = (sa, sb, c), (sa, b, sc)
+            elif db & low:
+                x, y = (sa, sb, c), (a, sb, sc)
             else:
-                x, y = (a, sb, sc), (sa, sb, c)
-            for p, q, r in (x, y):
+                x, y = (sa, b, sc), (a, sb, sc)
+            for nbr in (x, y):
+                p, q, r = nbr
                 # nxt, rho = _sort3(p, q, r), inline
                 if p <= q:
                     if q <= r:
@@ -324,12 +344,12 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
                     nxt, rho = (q, r, p), 4
                 else:
                     nxt, rho = (r, q, p), 5
-                reached = mul[tau + rho]
                 known = transports.get(nxt)
                 if known is None:
-                    transports[nxt] = reached
+                    transports[nxt] = rho
                     done[nxt] = low
-                    stack.append(nxt)
+                    parents[nxt] = node
+                    queue.append((nxt, nbr))
                     if p == q or q == r or p == r:
                         if p == q == r:
                             n6 += 1
@@ -337,8 +357,8 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
                             n2 += 1
                 else:
                     done[nxt] |= low
-                    if known != reached:
-                        found |= 1 << mul[6 * reached + _INV[known]]
+                    if known != rho:
+                        found |= 1 << _MUL[6 * rho + _INV[known]]
         if len(transports) > cap:
             raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
     group = _generated(found)
@@ -346,28 +366,59 @@ def _dc_walk(table: _RankTable, start: _Node, transport: int) -> _DcClass:
     size = h * (len(transports) - n2 - n6) + h // 2 * n2 + h // 6 * n6
     if size > cap:
         raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
-    return _DcClass(transports, group, size, trivial)
+    return _DcClass(transports, group, size)
 
 
-def _dc_lookup(t: Triple) -> tuple[_RankTable, _DcClass, tuple[int, ...]]:
-    """t's rank table, the record of a class C and the coset gH with t in gC.
+def _dc_path(
+    table: _RankTable, node: _Node, parents: dict[_Node, _Node], transports: dict[_Node, int]
+) -> _DcPath:
+    """The member on node and the moves from the start that reached it.
 
-    The record is the table's, or comes from a walk started at t, which the
-    table then remembers under every node unless there are more than
-    DC_TABLE_BOUND.  A closure that overflows DC_CLASS_CAP is not
-    remembered.
+    A move changes two factors, the giver and the receiver, each by s_i,
+    where i is one more than the first 0-based index at which their words
+    change; of the two, the giver is the one with a descent at i.
+    """
+    perms, descents = table.perms, table.descents
+    moves = []
+    end = _act(transports[node], node)
+    while parents[node] != node:
+        before = _act(transports[parents[node]], parents[node])
+        after = _act(transports[node], node)
+        giver, receiver = (k for k in range(3) if before[k] != after[k])
+        x, y = perms[before[giver]], perms[after[giver]]
+        i = next(k for k in range(table.n) if x[k] != y[k]) + 1
+        if not descents[before[giver]] >> i & 1:
+            giver, receiver = receiver, giver
+        moves.append((i, giver, receiver))
+        node = parents[node]
+    moves.reverse()
+    return (perms[end[0]], perms[end[1]], perms[end[2]]), moves
+
+
+def _dc_lookup(
+    t: Triple, whole: bool
+) -> tuple[_RankTable, _Node, int, Union[_DcClass, _DcPath]]:
+    """t's rank table, node and transport, and what the walk from t found.
+
+    That is the path to a dc-trivial member, unless whole, or the record of
+    a class C with t in gC for g in S_3.  The record comes from the table,
+    or from a walk started at t.  The table remembers the classes of the
+    walks that did not stop, and so found no dc-trivial member, under every
+    node unless there are more than DC_TABLE_BOUND; a whole walk may have
+    passed dc-trivial nodes and is not remembered.  A closure that
+    overflows DC_CLASS_CAP is not remembered either.
     """
     table = _rank_table(t.n)
     node, rho = _sort3(*map(table.number, t.factors))
-    cls = table.classes.get(node)
-    if cls is None:
-        cls = _dc_walk(table, node, rho)
-        if len(cls.transports) <= DC_TABLE_BOUND:
-            table.classes.update(dict.fromkeys(cls.transports, cls))
-    elif cls.size > DC_CLASS_CAP:
+    found = table.classes.get(node)
+    if found is None:
+        found = _dc_walk(table, node, rho, whole)
+        if (not whole and isinstance(found, _DcClass)
+                and len(found.transports) <= DC_TABLE_BOUND):
+            table.classes.update(dict.fromkeys(found.transports, found))
+    elif found.size > DC_CLASS_CAP:
         raise ClassSizeExceeded(f"descent-cycling class exceeds {DC_CLASS_CAP}")
-    g = _MUL[6 * rho + _INV[cls.transports[node]]]
-    return table, cls, tuple(_MUL[6 * g + h] for h in cls.group)
+    return table, node, rho, found
 
 
 def _members(
@@ -378,8 +429,8 @@ def _members(
     for node in nodes:
         tau = transports[node]
         for g in coset:
-            p = _S3[_MUL[6 * g + tau]]
-            yield perms[node[p[0]]], perms[node[p[1]]], perms[node[p[2]]]
+            a, b, c = _act(_MUL[6 * g + tau], node)
+            yield perms[a], perms[b], perms[c]
 
 
 def dc_class(t: Triple) -> frozenset[Factors]:
@@ -391,44 +442,48 @@ def dc_class(t: Triple) -> frozenset[Factors]:
     are never revalidated, and every member has the same intersection number.
 
     The closure is the walk over S_3-orbits of triples that dc_test runs
-    (see _dc_walk), expanded into its members; a class its rank's table
-    remembers is expanded without a walk.  Raises ClassSizeExceeded when
-    the class has more than DC_CLASS_CAP members.
+    (see _dc_walk), carried on past any dc-trivial node and expanded into
+    its members; a class its rank's table remembers is expanded without a
+    walk.  Raises ClassSizeExceeded when the class has more than
+    DC_CLASS_CAP members.
     """
-    table, cls, coset = _dc_lookup(t)
+    table, node, rho, cls = _dc_lookup(t, whole=True)
+    assert isinstance(cls, _DcClass)
+    g = _MUL[6 * rho + _INV[cls.transports[node]]]
+    coset = [_MUL[6 * g + h] for h in cls.group]
     return frozenset(_members(table, cls, coset, cls.transports))
 
 
 def dc_test(t: Triple) -> VanishingVerdict:
     """Vanishes when some member of the closure has a common ascent.
 
-    Reports the first such member in sorted order of factor tuples.  The
-    closure is walked over S_3-orbits of triples (see _dc_walk), once per
-    process for a class and all its reorderings: its rank's table remembers
-    the walk under every node, the sorted triple of factor numbers, and a
-    later triple on one of those nodes gets its class size from the record.
-    The first dc-trivial member of a reordering gC of the class walked is
-    the least image of the dc-trivial nodes under the coset gH of its
-    stabilizer, computed once per coset, when first asked for.  The cap
-    holds on a remembered class too: a class of more than DC_CLASS_CAP
-    members raises ClassSizeExceeded.
+    Every member of a class has the same intersection number, so one
+    dc-trivial member reached by moves shows that t's intersection number
+    vanishes.  The walk (see _dc_walk) is breadth first over S_3-orbits of
+    triples and stops at the first dc-trivial member; the note names it and
+    the moves from t to it, as in "dc-trivial member U,V,W after 2 moves: s3 1>2, s1 3>2",
+    where "s3 1>2" has factor 1, which has a descent at 3, pass s_3 to
+    factor 2.  No dc-trivial member is fewer moves from t, and the note
+    depends on t alone, not on the triples met before it.  A class with
+    no dc-trivial member is walked whole and gets the note "class of N,
+    none dc-trivial"; its rank's table remembers it under every node, the
+    sorted triple of factor numbers, so its reorderings need no walk.
+    Raises ClassSizeExceeded when the walk finds more than DC_CLASS_CAP
+    nodes before a dc-trivial one, or the class, remembered or not, has
+    more than DC_CLASS_CAP members.
     """
     method = "descent_cycling"
-    table, cls, coset = _dc_lookup(t)
-    key = min(coset)
-    if key not in cls.firsts:
-        cls.firsts[key] = min(_members(table, cls, coset, cls.trivial), default=None)
-    size, first = cls.size, cls.firsts[key]
-    if first is not None:
-        detail = (
-            "dc-trivial member "
-            + ",".join(permcore.format_permutation(x) for x in first)
-            + f" in a class of {size}"
+    found = _dc_lookup(t, whole=False)[3]
+    if isinstance(found, _DcClass):
+        return VanishingVerdict(
+            Outcome.INCONCLUSIVE, method, detail=f"class of {found.size}, none dc-trivial"
         )
-        return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
-    return VanishingVerdict(
-        Outcome.INCONCLUSIVE, method, detail=f"class of {size}, none dc-trivial"
-    )
+    end, moves = found
+    detail = "dc-trivial member " + ",".join(map(permcore.format_permutation, end))
+    detail += f" after {len(moves)} move" + ("" if len(moves) == 1 else "s")
+    if moves:
+        detail += ": " + ", ".join(f"s{i} {g + 1}>{r + 1}" for i, g, r in moves)
+    return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
 
 
 def root_game_initial(ws: Sequence[Perm]) -> dict[tuple[int, int], int]:

@@ -1,16 +1,22 @@
 import functools
 import itertools
 import random
-import re
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 
+import dcreplay
 from polyref import perm_from_code, right_mult_s
+from schubvanish import cli
 from schubvanish import permcore as pc
 from schubvanish import rivals as rv
 from schubvanish import schubpoly as sp
 from schubvanish.vanishing import Outcome
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import problemgen  # noqa: E402
 
 
 def perm(text):
@@ -59,17 +65,38 @@ def reference_dc_class(t, cap=None):
     return seen
 
 
+def has_common_ascent(member):
+    """True when the words of member share an ascent."""
+    return bool(set.intersection(*(set(pc.ascents(x)) for x in member)))
+
+
 def reference_dc_detail(cls):
-    """dc_test's detail string, from factor tuples and sets of ascents."""
-    for member in sorted(cls):
-        if set.intersection(*(set(pc.ascents(x)) for x in member)):
-            words = ",".join(pc.format_permutation(x) for x in member)
-            return f"dc-trivial member {words} in a class of {len(cls)}"
+    """dc_test's note on a class with no dc-trivial member; None when it has one."""
+    if any(has_common_ascent(member) for member in cls):
+        return None
     return f"class of {len(cls)}, none dc-trivial"
 
 
+def reference_dc_distances(cls):
+    """Per member, the least number of moves to a member with a common ascent.
+
+    A breadth-first search over factor tuples from all those members at
+    once: moves are reversible, so a member's distance from them is its
+    distance to them.  Empty when the class has no such member.
+    """
+    distances = {member: 0 for member in cls if has_common_ascent(member)}
+    queue = deque(distances)
+    while queue:
+        member = queue.popleft()
+        for nxt in reference_dc_neighbors(member):
+            if nxt not in distances:
+                distances[nxt] = distances[member] + 1
+                queue.append(nxt)
+    return distances
+
+
 def reference_dc_classes(triples, cap=None):
-    """Each triple's reference class and detail, keyed by every member.
+    """Each triple's reference class, distances and detail, keyed by every member.
 
     Keys are the factor tuples of Triples.  Triples whose reference class
     has more than cap members are left out.
@@ -80,8 +107,25 @@ def reference_dc_classes(triples, cap=None):
         if t.factors not in reference:
             cls = reference_dc_class(t, cap)
             if cls is not None:
-                reference.update(dict.fromkeys(cls, (cls, reference_dc_detail(cls))))
+                entry = cls, reference_dc_distances(cls), reference_dc_detail(cls)
+                reference.update(dict.fromkeys(cls, entry))
     return reference
+
+
+def assert_dc_note(factors, detail, reference):
+    """detail is a right dc_test note on factors, given their reference.
+
+    reference is the class, distances and detail of factors, as
+    reference_dc_classes gives them.  A note on a class with a dc-trivial
+    member must replay from factors, in as few moves as the reference's;
+    any other note must equal reference_dc_detail.
+    """
+    _, distances, expected = reference
+    if distances:
+        k = dcreplay.replay(factors, detail)
+        assert k == distances[rv.Triple(*factors).factors], (factors, detail)
+    else:
+        assert detail == expected, factors
 
 
 def assert_dc_matches_reference(triples, cap=None):
@@ -94,19 +138,18 @@ def assert_dc_matches_reference(triples, cap=None):
     for factors in triples:
         t = rv.Triple(*factors)
         if t.factors in reference:
-            cls, detail = reference[t.factors]
-            assert rv.dc_class(t) == cls, factors
-            assert rv.dc_test(t).detail == detail, factors
-    return list({id(cls): len(cls) for cls, _ in reference.values()}.values())
+            assert rv.dc_class(t) == reference[t.factors][0], factors
+            assert_dc_note(factors, rv.dc_test(t).detail, reference[t.factors])
+    return list({id(cls): len(cls) for cls, _, _ in reference.values()}.values())
 
 
 @functools.cache
 def interleaved_rank_4_and_5_cases():
-    """(factors, reference dc_test detail) for rank-5 and rank-4 triples in turn.
+    """(factors, reference class, distances and detail) for rank-5 and rank-4 triples in turn.
 
     The rank-5 triples are (53241, v, w) for every v, w of total length 2:
-    they meet 18 classes, up to the one of 8331 members.  The rank-4 triples
-    are sampled.
+    they meet 18 classes, up to the one of 8331 members, which has no
+    dc-trivial member.  The rank-4 triples are sampled.
     """
     perms5 = pc.all_perms(5)
     u = perm("53241")
@@ -114,7 +157,12 @@ def interleaved_rank_4_and_5_cases():
     rank4 = random.Random(31).sample(well_posed_triples(4), len(rank5))
     triples = [t for pair in zip(rank5, rank4) for t in pair]
     reference = reference_dc_classes(triples)
-    return [(t, reference[rv.Triple(*t).factors][1]) for t in triples]
+    return [(t, reference[rv.Triple(*t).factors]) for t in triples]
+
+
+def case_of_size(size):
+    """The first interleaved case whose class has size members."""
+    return next(case for case in interleaved_rank_4_and_5_cases() if len(case[1][0]) == size)
 
 
 @pytest.fixture(autouse=True)
@@ -240,19 +288,25 @@ def test_dc_test_vanishing_and_cap(monkeypatch):
 )
 def test_dc_cap_boundary(words, monkeypatch):
     # the cap counts members: a class of exactly DC_CLASS_CAP members is
-    # returned whole, by a fresh walk and from the table alike
+    # returned whole, by a fresh walk and from the table alike; dc_test
+    # walks a class with no dc-trivial member whole and raises past the cap,
+    # and stops at the first dc-trivial member of the other long before it
     assert rv.DC_CLASS_CAP == 10**6
     t = rv.Triple(*(perm(w) for w in words))
     cls = rv.dc_class(t)
     verdict = rv.dc_test(t)
     assert len(cls) > 1
+    assert (verdict.outcome is Outcome.VANISHES) == any(map(rv.dc_trivial, cls))
     for tables in ({}, rv._rank_tables):  # a fresh walk, then the remembered class
         monkeypatch.setattr(rv, "_rank_tables", tables)
         monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls) - 1)
         with pytest.raises(rv.ClassSizeExceeded):
             rv.dc_class(t)
-        with pytest.raises(rv.ClassSizeExceeded):
-            rv.dc_test(t)
+        if verdict.outcome is Outcome.VANISHES:
+            assert rv.dc_test(t) == verdict
+        else:
+            with pytest.raises(rv.ClassSizeExceeded):
+                rv.dc_test(t)
         monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls))
         assert rv.dc_class(t) == cls
         assert rv.dc_test(t) == verdict
@@ -462,31 +516,57 @@ def test_rival_soundness_sampled_s5():
 
 
 def test_dc_test_does_not_depend_on_order(monkeypatch):
-    # one key space shared across ranks would hand a rank-4 triple the
-    # verdict of a rank-5 class
+    # a note depends on its triple alone: it is the same with a fresh table,
+    # after a shuffled prefix of other triples (which numbers the
+    # permutations in another order), and after dc_class walked the class;
+    # one key space shared across ranks would hand a rank-4 triple the note
+    # of a rank-5 class
     cases = interleaved_rank_4_and_5_cases()
-    assert "class of 8331, none dc-trivial" in {detail for _, detail in cases}
-    for factors, detail in cases:
-        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    assert "class of 8331, none dc-trivial" in {detail for _, (_, _, detail) in cases}
+    fresh = {}
+    for factors, reference in cases:
+        monkeypatch.setattr(rv, "_rank_tables", {})
+        fresh[factors] = rv.dc_test(rv.Triple(*factors)).detail
+        assert_dc_note(factors, fresh[factors], reference)
+    others = random.Random(3).sample(well_posed_triples(5), 200)
+    for seed in range(3):
+        monkeypatch.setattr(rv, "_rank_tables", {})
+        rng = random.Random(seed)
+        for factors in rng.sample(others, 50 * seed):
+            rv.dc_test(rv.Triple(*factors))
+        for factors, _ in rng.sample(cases, len(cases)):
+            assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], (seed, factors)
+    # tables that number every permutation first, in a shuffled order
+    for seed in range(4):
+        rng = random.Random(seed)
+        for n in (4, 5):
+            table = rv._rank_tables[n] = rv._RankTable(n)
+            perms = pc.all_perms(n)
+            for x in rng.sample(perms, len(perms)):
+                table.number(x)
+        for factors, _ in cases:
+            assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], (seed, factors)
+    monkeypatch.setattr(rv, "_rank_tables", {})
+    for factors, _ in cases:
+        t = rv.Triple(*factors)
+        rv.dc_class(t)
+        assert rv.dc_test(t).detail == fresh[factors], factors
+    # only the classes with no dc-trivial member are remembered, and then
+    # walked once: the counter sees walks
     walked = []
     walk = rv._dc_walk
     monkeypatch.setattr(rv, "_dc_walk", lambda *args: walked.append(args[1]) or walk(*args))
-    for factors, detail in reversed(cases):
-        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
-    assert walked == []  # every class was remembered on the first pass
-    # the counter sees walks: a fresh table walks each class once more
-    monkeypatch.setattr(rv, "_rank_tables", {})
-    for factors, detail in cases:
-        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
-    sizes = {int(re.search(r"class of (\d+)", detail).group(1)) for _, detail in cases}
-    assert len(sizes) <= len(walked) <= len(cases)
+    for factors, _ in cases:
+        assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], factors
+    assert len(walked) == sum(1 for _, (_, distances, _) in cases if distances)
 
 
 def test_dc_cap_holds_on_a_remembered_class(monkeypatch):
-    factors, detail = next(c for c in interleaved_rank_4_and_5_cases() if "class of 220" in c[1])
+    factors, (_, _, detail) = case_of_size(303)
+    assert detail == "class of 303, none dc-trivial"
     t = rv.Triple(*factors)
     default = rv.DC_CLASS_CAP
-    monkeypatch.setattr(rv, "DC_CLASS_CAP", 219)
+    monkeypatch.setattr(rv, "DC_CLASS_CAP", 302)
     with pytest.raises(rv.ClassSizeExceeded):
         rv.dc_test(t)
     # the overflow left nothing behind: the full closure still runs
@@ -494,53 +574,73 @@ def test_dc_cap_holds_on_a_remembered_class(monkeypatch):
     assert rv.dc_test(t).detail == detail
     other = rv.Triple(*next(m for m in rv.dc_class(t) if m != factors))
     for member in (t, other):
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", 219)
-        with pytest.raises(rv.ClassSizeExceeded, match="exceeds 219"):
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", 302)
+        with pytest.raises(rv.ClassSizeExceeded, match="exceeds 302"):
             rv.dc_test(member)
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", 220)
+        monkeypatch.setattr(rv, "DC_CLASS_CAP", 303)
         assert rv.dc_test(member).detail == detail
 
 
 def test_dc_tables_are_rebuilt_past_their_bound(monkeypatch):
-    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 50)
+    # the class of 303 members has 55 nodes, and that of 8331 has 1417
+    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 60)
     cases = interleaved_rank_4_and_5_cases()
     tables = []
-    for factors, detail in cases + cases[::-1]:
-        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    for factors, reference in cases + cases[::-1]:
+        assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, reference)
         tables.append(rv._rank_tables[len(factors[0])])
     assert len({id(table) for table in tables}) > 2
     # a class of more nodes than the bound is never remembered
     remembered = [cls for table in tables for cls in table.classes.values()]
-    assert remembered and all(len(cls.transports) <= 50 for cls in remembered)
+    assert remembered and all(len(cls.transports) <= 60 for cls in remembered)
 
 
 def test_dc_matches_reference_on_all_of_s4_and_s5_shuffled():
     # one table serves both ranks and every ordering of each class, met in
     # a seeded shuffled order
+    # a seeded shuffled order; every note replays from the triple alone,
+    # in the least number of moves to a dc-trivial member
     triples = well_posed_triples(4) + well_posed_triples(5)
     assert len(triples) == 1115 + 74199
     random.Random(41).shuffle(triples)
     reference = reference_dc_classes(triples)
+    notes = {}
     for factors in triples:
         t = rv.Triple(*factors)
-        assert rv.dc_test(t).detail == reference[t.factors][1], factors
+        notes[factors] = rv.dc_test(t).detail
+        assert_dc_note(factors, notes[factors], reference[t.factors])
+    assert max(max(distances.values(), default=0) for _, distances, _ in reference.values()) > 2
+    # the notes with moves again, in the reverse order, from tables that
+    # number the permutations in reverse: a walk that expanded a member's
+    # moves in the order of the numbers would print other paths
+    for n in (4, 5):
+        table = rv._rank_tables[n] = rv._RankTable(n)
+        for x in reversed(pc.all_perms(n)):
+            table.number(x)
+    for factors in reversed(triples):
+        if "after 0 moves" not in notes[factors]:
+            assert rv.dc_test(rv.Triple(*factors)).detail == notes[factors], factors
 
 
 @pytest.mark.parametrize("size", [8331, 1327, 220])
 def test_dc_all_six_factor_orders_agree(size, monkeypatch):
-    factors = next(f for f, d in interleaved_rank_4_and_5_cases() if f"class of {size}" in d)
-    members = rv.dc_class(rv.Triple(*factors))
-    assert len(members) == size
+    # the six orders of a triple's factors give classes of one size, and
+    # either all have a dc-trivial member, as many moves away, or none has
+    factors, (members, distances, _) = case_of_size(size)
     orders = list(itertools.permutations(range(3)))
     shared = [rv.dc_test(rv.Triple(*(factors[i] for i in p))) for p in orders]
     for p, verdict in zip(orders, shared):
+        reordered = tuple(factors[i] for i in p)
+        if distances:
+            assert dcreplay.replay(reordered, verdict.detail) == distances[factors], p
+        else:
+            assert verdict.detail == f"class of {size}, none dc-trivial", p
         # a fresh table walks the class from this ordering
         monkeypatch.setattr(rv, "_rank_tables", {})
-        t = rv.Triple(*(factors[i] for i in p))
+        t = rv.Triple(*reordered)
         assert rv.dc_test(t) == verdict, p
         assert rv.dc_class(t) == {tuple(m[i] for i in p) for m in members}, p
-        assert verdict.outcome is shared[0].outcome, p
-        assert re.search(r"class of (\d+)", verdict.detail).group(1) == str(size), p
+        assert rv.dc_test(t) == verdict, p
 
 
 def test_dc_counted_size_matches_the_members(monkeypatch):
@@ -554,7 +654,7 @@ def test_dc_counted_size_matches_the_members(monkeypatch):
     for factors in triples:
         monkeypatch.setattr(rv, "_rank_tables", {})  # a walk from this triple
         t = rv.Triple(*factors)
-        cls = rv._dc_lookup(t)[1]
+        cls = rv._dc_lookup(t, whole=True)[3]
         if t.factors not in reference:
             members = reference_dc_class(t)
             reference.update(dict.fromkeys(members, len(members)))
@@ -568,7 +668,7 @@ def test_dc_counted_size_matches_the_members(monkeypatch):
 def test_dc_walk_does_not_depend_on_its_start(size):
     # each walk numbers the permutations in a table of its own, so nodes are
     # compared as the sorted words they stand for
-    factors = next(f for f, d in interleaved_rank_4_and_5_cases() if f"class of {size}" in d)
+    factors, _ = case_of_size(size)
     members = rv.dc_class(rv.Triple(*factors))
     on_node = {}
     for member in sorted(members):
@@ -578,7 +678,7 @@ def test_dc_walk_does_not_depend_on_its_start(size):
     for key in rng.sample(sorted(on_node), 20):
         table = rv._RankTable(len(factors[0]))
         node, rho = rv._sort3(*map(table.number, rng.choice(on_node[key])))
-        cls = rv._dc_walk(table, node, rho)
+        cls = rv._dc_walk(table, node, rho, whole=True)
 
         def words(node):
             return tuple(sorted(table.perms[k] for k in node))
@@ -587,11 +687,10 @@ def test_dc_walk_does_not_depend_on_its_start(size):
             frozenset(map(words, cls.transports)),
             cls.group,
             cls.size,
-            tuple(sorted(map(words, cls.trivial))),
         ))
         assert set(rv._members(table, cls, cls.group, cls.transports)) == members, key
     assert len(walks) == 1
-    nodes, _, counted, _ = walks.pop()
+    nodes, _, counted = walks.pop()
     assert counted == size and nodes == set(on_node)
 
 
@@ -609,7 +708,67 @@ def test_dc_node_keys_stay_exact_past_2_17(monkeypatch):
     table.descents.extend([0] * big)
     table.rows.extend([[]] * big)
     cases = [c for c in interleaved_rank_4_and_5_cases() if len(c[0][0]) == 5]
-    for factors, detail in cases:
-        assert rv.dc_test(rv.Triple(*factors)).detail == detail, factors
+    for factors, reference in cases:
+        assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, reference)
     assert rv._rank_tables[5] is table
     assert min(min(node) for node in table.classes) >= big
+
+
+def test_dc_notes_name_the_moves():
+    # 2143 alone has a descent at 1; it passes s_1 to factor 2, then to
+    # factor 3, and the second of these has the common ascent 2
+    t = rv.Triple(perm("2143"), perm("1342"), perm("1423"))
+    assert rv.dc_test(t).detail == "dc-trivial member 1243,1342,4123 after 1 move: s1 1>3"
+    t = rv.Triple(perm("1423"), perm("1423"), perm("1342"))
+    assert rv.dc_test(t).detail == "dc-trivial member 1423,1423,1342 after 0 moves"
+    # words past rank 9 are printed with spaces, and factors given shorter
+    # are embedded; w0 * s_5 has the single ascent 5
+    s5 = pc.apply_transposition(pc.identity(10), 5, 6)
+    words = ((2, 1), pc.identity(10), pc.multiply(pc.w0(10), s5))
+    detail = rv.dc_test(rv.Triple(*words)).detail
+    assert detail.startswith("dc-trivial member 2 1 3 4 5 6 7 8 9 10,1 2 3 4 5 6 7 8 9 10,")
+    assert dcreplay.replay(words, detail) == 0
+
+
+def test_dc_replay_rejects_altered_notes():
+    factors = (perm("2143"), perm("1342"), perm("1423"))
+    good = "dc-trivial member 1243,1342,4123 after 1 move: s1 1>3"
+    assert dcreplay.replay(factors, good) == 1
+    for bad in (
+        "dc-trivial member 1243,1342,4123 after 0 moves",  # moves missing
+        "dc-trivial member 1243,1342,4123 after 2 moves: s1 1>3",  # wrong count
+        "dc-trivial member 1243,3142,1423 after 1 move: s1 1>2",  # no common ascent
+        "dc-trivial member 2143,3142,1243 after 1 move: s1 2>1",  # giver has no descent
+        "dc-trivial member 1243,1342,4123 after 1 move: s2 1>3",  # wrong position
+        "dc-trivial member 1243,1342,1423 after 1 move: s1 1>3",  # wrong member
+        "dc-trivial member 1243,1342,4123 after 1 move: s1 1>1",  # giver is receiver
+        "class of 12, none dc-trivial",
+    ):
+        with pytest.raises(AssertionError):
+            dcreplay.replay(factors, bad)
+    # two factors with a descent at 1 allow no move there
+    with pytest.raises(AssertionError):
+        dcreplay.replay((perm("2143"), perm("2143"), perm("1234")), "dc-trivial member "
+                        "1243,2143,2134 after 1 move: s1 1>3")
+
+
+def test_dc_rank_7_zeros_vanish_with_a_path():
+    # a walk that stops at the first dc-trivial member catches every zero
+    # among these draws, where enumerating the classes passed DC_CLASS_CAP
+    # on 24 of them; each note replays from its problem line.  The one
+    # nonzero draw is left out: its class has no dc-trivial member, and
+    # walking it whole runs into the cap
+    rng = random.Random(7)
+    draws = [problemgen.symmetric_triple(7, rng) for _ in range(60)]
+    zeros = [factors for factors in draws if sp.intersection_number(factors) == 0]
+    lines = ["sym: " + ", ".join(map(pc.format_permutation, factors)) for factors in zeros]
+    options = cli.Options(tests=("descent_cycling", "oracle"), stable=True)
+    records, code = cli.run_batch(lines, options)
+    assert code == 0 and len(records) == 59
+    lengths = []
+    for line, record in zip(lines, records):
+        assert record["oracle"] == 0
+        assert record["verdicts"]["descent_cycling"] == "VANISHES", line
+        factors = cli.parse_problem_line(line).factors
+        lengths.append(dcreplay.replay(factors, record["details"]["descent_cycling"]))
+    assert max(lengths) > 2
