@@ -127,13 +127,52 @@ def _serialize_certificate(cert) -> dict:
     raise TypeError(f"cannot serialize certificate {cert!r}")
 
 
-def _record_verdict(record: dict, verdict: VanishingVerdict) -> None:
-    key = verdict.method
-    record["verdicts"][key] = verdict.outcome.value
-    if verdict.certificate is not None:
-        record["certificates"][key] = _serialize_certificate(verdict.certificate)
-    if verdict.detail:
-        record["details"][key] = verdict.detail
+def _run_test(
+    key: str, embedded: SchubertProblem, options: Options, index: int, found: dict
+) -> VanishingVerdict | int | str:
+    """Test ``key``'s verdict on the embedded problem, the oracle's value, or
+    a note when the test cannot run on it.  found holds the verdicts found
+    so far by record key; the flexible test starts from the asymmetric one."""
+    symmetric = embedded.target is None
+    if key == "schubitope":
+        if symmetric:
+            return vanishing.symmetric_test(embedded.factors)
+        return vanishing.asymmetric_test(embedded.factors, embedded.target)
+    if key == "flexible":
+        if symmetric:
+            return "only defined for asymmetric problems"
+        if options.flexible_samples <= 0:
+            return "needs --flexible-samples > 0"
+        return vanishing.flexible_test_sampled(
+            embedded.factors, embedded.target, options.flexible_samples,
+            options.seed * 1_000_003 + index, found.get("schubitope_asymmetric"),
+        )
+    if key == "oracle":
+        from . import schubpoly
+
+        try:
+            if symmetric:
+                return schubpoly.intersection_number(embedded.factors)
+            return schubpoly.asymmetric_coefficient(embedded.factors, embedded.target)
+        except schubpoly.StepsExceeded as exc:
+            return str(exc)
+    from . import rivals
+
+    factors = embedded.symmetrized().factors  # the rivals read a symmetric problem
+    if key == "bruhat":
+        return rivals.bruhat_vanishing_test(factors)
+    if key == "root_game":
+        return rivals.root_game_test(factors)
+    if len(factors) != 3:  # the key is descent_cycling
+        return "only defined for three factors"
+    try:
+        triple = rivals.Triple(*factors)
+    except ValueError:  # the lengths do not sum to n(n-1)/2
+        return VanishingVerdict(Outcome.DEGREE_MISMATCH, key)
+    try:
+        return rivals.dc_test(triple)
+    except rivals.ClassSizeExceeded as exc:
+        return str(exc)
 
 
 def run_problem(
@@ -141,81 +180,35 @@ def run_problem(
 ) -> dict:
     """Run the selected tests on one problem and return its record.
 
-    The record is the JSON object printed for the problem.  It always has
-    ``id``, ``n``, ``mode``, ``verdicts`` (test key -> outcome) and
-    ``elapsed_ms``; ``certificates`` and ``details`` (the notes) appear when
-    some test left one, and ``oracle`` when the oracle ran.
+    The tests run once each, in the order of KNOWN_TESTS, however
+    options.tests orders or repeats them.  The record is the JSON object
+    printed for the problem.  It always has ``id``, ``n``, ``mode``,
+    ``verdicts`` (record key -> outcome) and ``elapsed_ms``;
+    ``certificates`` and ``details`` (the notes of verdicts and of tests
+    that could not run) appear when some test left one, and ``oracle``
+    when the oracle ran.
     """
     start = time.perf_counter()
     embedded = problem.embedded()
-    record: dict = {"id": record_id, "n": len(embedded.factors[0]), "mode": problem.mode,
-                    "verdicts": {}, "certificates": {}, "details": {}}
-    details = record["details"]
-
-    asymmetric = None  # the flexible test starts from this verdict on the code
-    if "schubitope" in options.tests:
-        if problem.mode == "symmetric":
-            verdict = vanishing.symmetric_test(embedded.factors)
-        else:
-            verdict = asymmetric = vanishing.asymmetric_test(
-                embedded.factors, embedded.target
-            )
-        _record_verdict(record, verdict)
-
-    if "flexible" in options.tests:
-        if problem.mode == "symmetric":
-            details["flexible"] = "only defined for asymmetric problems"
-        elif options.flexible_samples <= 0:
-            details["flexible"] = "needs --flexible-samples > 0"
-        else:
-            seed = options.seed * 1_000_003 + index
-            verdict = vanishing.flexible_test_sampled(
-                embedded.factors, embedded.target, options.flexible_samples, seed,
-                asymmetric,
-            )
-            _record_verdict(record, verdict)
-
-    # the rival tests read the problem as a symmetric one
-    if {"bruhat", "descent_cycling", "root_game"}.intersection(options.tests):
-        from . import rivals
-
-        factors = embedded.symmetrized().factors
-        if "bruhat" in options.tests:
-            _record_verdict(record, rivals.bruhat_vanishing_test(factors))
-        if "descent_cycling" in options.tests:
-            if len(factors) != 3:
-                details["descent_cycling"] = "only defined for three factors"
+    record: dict = {"id": record_id, "n": len(embedded.factors[0]), "mode": problem.mode}
+    found: dict[str, VanishingVerdict] = {}
+    details: dict[str, str] = {}
+    for key in KNOWN_TESTS:
+        if key in options.tests:
+            result = _run_test(key, embedded, options, index, found)
+            if type(result) is int:  # the oracle's value
+                record["oracle"] = result
+            elif type(result) is str:  # the test could not run
+                details[key] = result
             else:
-                try:
-                    triple = rivals.Triple(*factors)
-                except ValueError:  # the lengths do not sum to n(n-1)/2
-                    _record_verdict(
-                        record, VanishingVerdict(Outcome.DEGREE_MISMATCH, "descent_cycling")
-                    )
-                else:
-                    try:
-                        _record_verdict(record, rivals.dc_test(triple))
-                    except rivals.ClassSizeExceeded as exc:
-                        details["descent_cycling"] = str(exc)
-        if "root_game" in options.tests:
-            _record_verdict(record, rivals.root_game_test(factors))
-
-    if "oracle" in options.tests:
-        from . import schubpoly
-
-        try:
-            if problem.mode == "symmetric":
-                record["oracle"] = schubpoly.intersection_number(embedded.factors)
-            else:
-                record["oracle"] = schubpoly.asymmetric_coefficient(
-                    embedded.factors, embedded.target
-                )
-        except schubpoly.StepsExceeded as exc:
-            details["oracle"] = str(exc)
-
-    for key in ("certificates", "details"):
-        if not record[key]:
-            del record[key]
+                found[result.method] = result
+    record["verdicts"] = {key: v.outcome.value for key, v in found.items()}
+    certificates = {key: _serialize_certificate(v.certificate)
+                    for key, v in found.items() if v.certificate is not None}
+    details.update((key, v.detail) for key, v in found.items() if v.detail)
+    for key, value in (("certificates", certificates), ("details", details)):
+        if value:
+            record[key] = value
     elapsed = time.perf_counter() - start
     record["elapsed_ms"] = 0 if options.stable else int(elapsed * 1000)
     return record

@@ -105,24 +105,11 @@ def descents(w: Perm) -> tuple[int, ...]:
     return tuple(i for i in range(1, len(w)) if w[i - 1] > w[i])
 
 
-def ascents(w: Perm) -> tuple[int, ...]:
-    """Positions i < n with w(i) < w(i+1)."""
-    return tuple(i for i in range(1, len(w)) if w[i - 1] < w[i])
-
-
 def embed(w: Perm, m: int) -> Perm:
     """Image of w under S_n -> S_m, appending fixed points n+1, ..., m."""
     if m < len(w):
         raise ValueError(f"cannot embed a word of length {len(w)} into S_{m}")
     return w + tuple(range(len(w) + 1, m + 1))
-
-
-def trim(w: Perm) -> Perm:
-    """Drop trailing fixed points; the stable representative of w."""
-    n = len(w)
-    while n > 0 and w[n - 1] == n:
-        n -= 1
-    return w[:n]
 
 
 def common_embed(ws: Iterable[Perm]) -> list[Perm]:

@@ -115,9 +115,9 @@ class SchubitopeInequalities:
     """S_D as ``polytope = schubitope_gpermutahedron(d)``, beside its diagram.
 
     ``table[mask]`` is theta_D of the rows in mask (bit i-1 for row i), and
-    ``contains`` is the polytope's.  The package calls
-    ``schubitope_gpermutahedron`` itself; only the tests and the benchmark's
-    tracer use this wrapper.
+    ``contains`` is the polytope's.  In the package only this class calls
+    ``schubitope_gpermutahedron``; only the tests and the benchmark's
+    tracer use the class.
     """
 
     def __init__(self, d: Diagram):

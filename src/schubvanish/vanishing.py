@@ -125,11 +125,6 @@ class SchubertProblem(Frozen):
         return SchubertProblem(p.factors + (comp,))
 
 
-def staircase(n: int) -> tuple[int, ...]:
-    """(n-1, n-2, ..., 1, 0): the content of the symmetric test."""
-    return tuple(range(n - 1, -1, -1))
-
-
 def symmetric_test(factors: Sequence[Perm]) -> VanishingVerdict:
     """Vanishing test for the intersection number of the factor list.
 

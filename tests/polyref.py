@@ -3,7 +3,8 @@
 Only the tests use these.  A polynomial is a dict from exponent tuples, all
 of one length, to nonzero int coefficients.  Schubert polynomials come from
 the staircase monomial of w0 by divided differences, memoised on stable
-representatives; callers receive fresh padded copies.  Also: w * s_i, exhaustive
+representatives; callers receive fresh padded copies.  Also: w * s_i,
+ascents, trailing fixed points trimmed, the staircase content, exhaustive
 submodularity, the standard permutahedron, integer decomposition by
 enumeration, expansion in the Schubert basis by leading exponents, the
 saturated Newton polytope (SNP) property of a Schubert polynomial checked
@@ -57,7 +58,7 @@ def schubert_polynomial(w, nvars=None):
     """
     if nvars is None:
         nvars = len(w)
-    return pad(_schubert(permcore.trim(w)), nvars)
+    return pad(_schubert(trim(w)), nvars)
 
 
 def _schubert(w):
@@ -72,8 +73,8 @@ def _schubert(w):
         if w == permcore.w0(m):
             f = {tuple(range(m - 1, -1, -1)): 1}
         else:
-            i = permcore.ascents(w)[0]
-            up = _schubert(permcore.trim(right_mult_s(w, i)))
+            i = ascents(w)[0]
+            up = _schubert(trim(right_mult_s(w, i)))
             f = divided_difference(pad(up, m), i)
         _schub_cache[w] = f
     return f
@@ -84,6 +85,24 @@ def right_mult_s(w, i):
     if not (1 <= i < len(w)):
         raise IndexError(f"simple reflection index {i} out of range 1..{len(w) - 1}")
     return permcore.apply_transposition(w, i, i + 1)
+
+
+def ascents(w):
+    """Positions i < n with w(i) < w(i+1)."""
+    return tuple(i for i in range(1, len(w)) if w[i - 1] < w[i])
+
+
+def trim(w):
+    """Drop trailing fixed points; the stable representative of w."""
+    n = len(w)
+    while n > 0 and w[n - 1] == n:
+        n -= 1
+    return w[:n]
+
+
+def staircase(n):
+    """(n-1, n-2, ..., 1, 0): the content of the symmetric test."""
+    return tuple(range(n - 1, -1, -1))
 
 
 def staircase_coefficient(ws):
@@ -204,7 +223,7 @@ def expand_in_schubert_basis(f):
         prev = alpha
         w = perm_from_code(alpha)
         c = work[alpha]
-        out[permcore.trim(w)] = c
+        out[trim(w)] = c
         width = max(len(alpha), len(w))
         work = pad(work, width)
         for e, v in schubert_polynomial(w, width).items():

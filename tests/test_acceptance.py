@@ -23,6 +23,7 @@ from polyref import (
     compositions,
     poly_mul,
     schubert_polynomial,
+    staircase,
     verify_snp,
 )
 from schubvanish import permcore as pc
@@ -83,7 +84,7 @@ def _evaluate_triple(u, v, w):
     certificates_ok = True
     if sym.outcome is Outcome.VANISHES:
         d = pc.concat_diagrams([pc.rothe_diagram(x) for x in (u, v, w)])
-        certificates_ok &= _replays(sym.certificate, d, vn.staircase(n))
+        certificates_ok &= _replays(sym.certificate, d, staircase(n))
         cert_count += 1
     if asym.outcome is Outcome.VANISHES:
         d = pc.concat_diagrams([pc.rothe_diagram(x) for x in (u, v)])
@@ -138,7 +139,7 @@ def test_criterion_01_seven_letter_reproduction():
     ok = (
         verdict.outcome is Outcome.VANISHES
         and verdict.certificate is not None
-        and verdict.certificate.validate(d, vn.staircase(7))
+        and verdict.certificate.validate(d, staircase(7))
         and test_elapsed < 1.0
     )
     oracle = sp.intersection_number(ws)
@@ -332,7 +333,7 @@ def test_criterion_09_certificate_integrity(s4_sweep, s5_sweep):
     ws = tuple(pc.parse_permutation(s) for s in ("3256147", "2143657", "4632175"))
     verdict = vn.symmetric_test(ws)
     d = pc.concat_diagrams([pc.rothe_diagram(w) for w in ws])
-    extra_ok = _replays(verdict.certificate, d, vn.staircase(7))
+    extra_ok = _replays(verdict.certificate, d, staircase(7))
     one_cell = pc.diagram([(1, 1)], 23, 1)
     alpha = (0, 1) + (0,) * 21
     extra_ok &= _replays(vn.vanishing_certificate(one_cell, alpha), one_cell, alpha)
@@ -340,7 +341,7 @@ def test_criterion_09_certificate_integrity(s4_sweep, s5_sweep):
     verdict = vn.symmetric_test(big)
     d = pc.concat_diagrams([pc.rothe_diagram(w) for w in big])
     extra_ok &= verdict.outcome is Outcome.VANISHES and _replays(
-        verdict.certificate, d, vn.staircase(23)
+        verdict.certificate, d, staircase(23)
     )
     report(
         "C9 certificate integrity",

@@ -230,6 +230,47 @@ def test_flexible_continues_from_the_asymmetric_verdict(monkeypatch):
     }
 
 
+def test_records_do_not_depend_on_the_order_or_repeats_of_tests(monkeypatch):
+    # the tests run once each, in the order of KNOWN_TESTS: a reordered or
+    # repeated --tests list gives the same records, and the flexible test
+    # still starts from the asymmetric verdict, so the code is flowed once
+    lines = [
+        "asym: 4123, 1342 -> 4312",  # the code vanishes
+        "asym: 1234, 1342 -> 2143",  # a sampled content vanishes
+        "asym: 4123, 1342 -> 4321",  # DEGREE_MISMATCH
+        "asym: 231645, 231645 -> 451623",
+        "sym: 1234, 1234, 4321",
+        "sym: 2143, 1342, 1423",
+        "sym: 1423, 1423, 1423, 2134",
+    ]
+    flows = []
+    real = schubitope.filling_or_cut
+
+    def counting(d, alpha):
+        flows.append(tuple(alpha))
+        return real(d, alpha)
+
+    monkeypatch.setattr(schubitope, "filling_or_cut", counting)
+    shuffled = tuple(reversed(cli.KNOWN_TESTS)) + ("bruhat", "flexible", "schubitope")
+    records = [
+        run(lines, tests=tests, flexible_samples=16, stable=True)[0]
+        for tests in (cli.KNOWN_TESTS, shuffled)
+    ]
+    assert records[0] == records[1]
+    not_run = {key for record in records[0]
+               for key in record.get("details", {}).keys() - record["verdicts"].keys()}
+    assert not_run == {"flexible", "descent_cycling"}
+    assert all("oracle" in record for record in records[0])
+    code = permcore.code(cli.parse_problem_line(lines[0]).embedded().target)
+    for tests in (("schubitope", "flexible"), ("flexible", "schubitope"),
+                  ("flexible", "schubitope", "flexible", "schubitope")):
+        flows.clear()
+        (record,), _, _ = run(lines[:1], tests=tests, flexible_samples=16, stable=True)
+        assert flows.count(code) == 1, tests
+        assert record["verdicts"] == {
+            "schubitope_asymmetric": "VANISHES", "flexible": "VANISHES"}
+
+
 def test_error_records_and_continue():
     records, had_error, _ = run(
         ["sym: 321, 213, 231", "nonsense", "sym: 1234, 1234, 4321"], stable=True

