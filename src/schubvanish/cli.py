@@ -14,8 +14,8 @@ A line that fails to parse (undecodable UTF-8 included), or a problem that
 raises while it is evaluated, becomes an error record
 ``{"id", "line", "error"}`` at its position; every other record still
 prints.  A test that cannot run on a problem (flexible without samples,
-descent cycling on other than three factors or past its class-size cap,
-the oracle past its step cap) leaves a note in place of its verdict,
+descent cycling on other than three factors, the oracle past its step
+cap) leaves a note in place of its verdict,
 and the other verdicts stand.  Exit codes: 0 clean; 2 when any line
 failed to parse or the arguments or input file are bad; otherwise 1 when
 any problem raised while it was evaluated (an internal error), or when
@@ -169,10 +169,7 @@ def _run_test(
         triple = rivals.Triple(*factors)
     except ValueError:  # the lengths do not sum to n(n-1)/2
         return VanishingVerdict(Outcome.DEGREE_MISMATCH, key)
-    try:
-        return rivals.dc_test(triple)
-    except rivals.ClassSizeExceeded as exc:
-        return str(exc)
+    return rivals.dc_test(triple)
 
 
 def run_problem(

@@ -19,7 +19,7 @@ from . import cli, permcore, schubitope
 from .vanishing import Outcome
 
 VANISHES, INCONCLUSIVE = Outcome.VANISHES.value, Outcome.INCONCLUSIVE.value
-CLASS_OF_9 = {"descent_cycling": "class of 9, none dc-trivial"}
+CLASS_OF_9 = {"descent_cycling": "no dc-trivial member in the class's 5 nodes"}
 
 
 class Pin(NamedTuple):
@@ -69,7 +69,8 @@ PINNED: dict[str, tuple[Pin, ...]] = {
              "schubitope_symmetric": INCONCLUSIVE}, 0),
         Pin("asym: 1423, 1423 -> 4213", {"schubitope_asymmetric": INCONCLUSIVE}),
     ),
-    # the polytope test vanishes; the dc closure has 9 members, none trivial
+    # the polytope test vanishes; the dc closure has 9 members on 5 nodes,
+    # none trivial
     "class_of_nine": (
         Pin("sym: 3216547, 3216547, 4261573",
             {"schubitope_symmetric": VANISHES, "descent_cycling": INCONCLUSIVE},

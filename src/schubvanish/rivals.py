@@ -19,10 +19,6 @@ from .vanishing import Outcome, VanishingVerdict
 Factors = tuple[Perm, Perm, Perm]
 
 
-class ClassSizeExceeded(RuntimeError):
-    """Descent-cycling closure grew past DC_CLASS_CAP members."""
-
-
 class Triple(Frozen):
     """An ordered triple (u, v, w) with lengths summing to n(n-1)/2.
 
@@ -100,12 +96,45 @@ def _mask(positions: Iterable[int]) -> int:
     return sum(1 << i for i in positions)
 
 
-# S_3 permutes the factors of a triple.  Element g acts on m as
-# (m[p[0]], m[p[1]], m[p[2]]) with p = _S3[g]; 0 is the identity, and acting
-# by _MUL[6 * g + h] is acting by h and then by g.
+def _moves(factors: Factors) -> Iterator[Factors]:
+    """The triples one descent-cycling move away from factors.
+
+    At a position i where exactly one word has a descent, that word passes
+    s_i to either of the other two: both are multiplied by s_i on the right.
+    """
+    for i in range(1, len(factors[0])):
+        givers = [k for k, x in enumerate(factors) if x[i - 1] > x[i]]
+        if len(givers) == 1:
+            swapped = [x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :] for x in factors]
+            for receiver in range(3):
+                if receiver != givers[0]:
+                    pair = (givers[0], receiver)
+                    yield tuple(swapped[k] if k in pair else factors[k] for k in range(3))
+
+
+def dc_class(t: Triple) -> frozenset[Factors]:
+    """Factor tuples of the closure of t under descent-cycling moves.
+
+    Every move keeps the words in S_n and the total length, so members are
+    never revalidated, and every member has the same intersection number.
+    This breadth-first closure enumerates the whole class, with no cap, and
+    classes grow fast with the rank: only the tests and the benchmark's
+    tracer call it, and ROADMAP item 13 moves it to the tests.  dc_test
+    walks the class by nodes instead, under a cap.
+    """
+    seen = {t.factors}
+    queue = deque(seen)
+    while queue:
+        for nxt in _moves(queue.popleft()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return frozenset(seen)
+
+
+# S_3 permutes the factors of a triple: element g acts on m as
+# (m[p[0]], m[p[1]], m[p[2]]) with p = _S3[g], and 0 is the identity.
 _S3 = tuple(itertools.permutations(range(3)))
-_MUL = tuple(_S3.index(tuple(q[i] for i in p)) for p in _S3 for q in _S3)
-_INV = tuple(_MUL[6 * g : 6 * g + 6].index(0) for g in range(6))
 
 _Node = tuple[int, int, int]
 
@@ -131,52 +160,23 @@ def _act(g: int, node: _Node) -> _Node:
     return node[p[0]], node[p[1]], node[p[2]]
 
 
-def _stabilizer(node: _Node) -> int:
-    """Bitmask of the elements of S_3 that fix a sorted triple."""
-    a, b, c = node
-    if a == c:
-        return (1 << 6) - 1
-    return 1 | (a == b) << 2 | (b == c) << 1
+# Nodes a descent-cycling walk may find before dc_test stops it.  Every zero
+# measured (all of S_5, and 200, 200 and 150 seeded draws at ranks 6, 7 and
+# 8) had a dc-trivial node among the first 19,424 nodes its walk found; a
+# walk stopped here takes 0.12-0.16 s on a 2-core host.  A class with no
+# dc-trivial member can be larger: that of 654231, 123546, 123456 (value 1)
+# has 68,366 nodes.
+DC_NODE_CAP = 50_000
 
 
-def _conjugate(mask: int, tau: int) -> int:
-    """Bitmask of tau * g * tau^-1 over the elements g of mask."""
-    return _mask(_MUL[6 * _MUL[6 * tau + g] + _INV[tau]] for g in range(6) if mask >> g & 1)
+class _PermTable:
+    """The permutations of one descent-cycling walk, numbered as they are met.
 
-
-def _generated(mask: int) -> tuple[int, ...]:
-    """The elements of the subgroup of S_3 that the elements of mask generate."""
-    while True:
-        elements = [g for g in range(6) if mask >> g & 1]
-        grown = mask | _mask({_MUL[6 * g + h] for g in elements for h in elements})
-        if grown == mask:
-            return tuple(elements)
-        mask = grown
-
-
-# Members a descent-cycling class may have; dc_test and dc_class raise
-# ClassSizeExceeded past it.
-DC_CLASS_CAP = 10**6
-
-# Permutations plus nodes of remembered classes that one rank's
-# descent-cycling table may hold; a table past it is dropped and rebuilt on
-# its next use.
-DC_TABLE_BOUND = 1 << 16
-
-
-class _RankTable:
-    """Descent-cycling state of one rank, kept for the life of the process.
-
-    Permutations are numbered as they are met.  Per number the table keeps
-    the permutation, its descent bitmask and a lazily filled row of the
-    numbers of x * s_i.  A node is the sorted triple of the numbers of a
-    triple's factors; classes maps every node of each class walked to the
-    _DcClass record of that walk, which answers for every ordering of the
-    class.  The tables are shared by every caller in the process and take no
-    lock: descent cycling runs on one thread.
+    Per number the table keeps the permutation, its descent bitmask and a
+    lazily filled row of the numbers of x * s_i.
     """
 
-    __slots__ = ("n", "ids", "perms", "descents", "rows", "classes")
+    __slots__ = ("n", "ids", "perms", "descents", "rows")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -184,7 +184,6 @@ class _RankTable:
         self.perms: list[Perm] = []
         self.descents: list[int] = []
         self.rows: list[list[int]] = []  # rows[k][i]: number of perms[k] * s_i, or -1
-        self.classes: dict[_Node, _DcClass] = {}
 
     def number(self, x: Perm) -> int:
         k = self.ids.get(x)
@@ -196,95 +195,45 @@ class _RankTable:
         return k
 
 
-class _DcClass:
-    """A descent-cycling class C, as a walk over its S_3-orbits leaves it.
-
-    transports maps each node of C to its transport tau: tau acting on the
-    node is a member of C.  group lists the stabilizer H of C in S_3, the g
-    with gC = C.  The members of C on a node N are h * tau acting on N for
-    h in H, so size, the number of members, is the sum over the nodes of
-    |H| / |Stab(N)|.  Reordering the factors maps C onto a class gC with the
-    same nodes.
-    """
-
-    __slots__ = ("transports", "group", "size")
-
-    def __init__(self, transports: dict[_Node, int], group: tuple[int, ...], size: int) -> None:
-        self.transports = transports
-        self.group = group
-        self.size = size
-
-
 # A path of descent-cycling moves to a dc-trivial member: the member, and
 # per move (i, giver, receiver), the factor giver (0-based), which has a
 # descent at i, passing s_i to the factor receiver.
 _DcPath = tuple[Factors, list[tuple[int, int, int]]]
 
-_rank_tables: dict[int, _RankTable] = {}
 
+def _dc_walk(t: Triple) -> Union[_DcPath, int]:
+    """Walk t's class breadth first, one node at a time, to a dc-trivial member.
 
-def _rank_table(n: int) -> _RankTable:
-    """The table of rank n, new when there is none or it passed DC_TABLE_BOUND."""
-    table = _rank_tables.get(n)
-    if table is None or len(table.perms) + len(table.classes) > DC_TABLE_BOUND:
-        table = _rank_tables[n] = _RankTable(n)
-    return table
-
-
-def _dc_walk(
-    table: _RankTable, start: _Node, transport: int, whole: bool
-) -> Union[_DcClass, _DcPath]:
-    """Walk the class of the member transport * start breadth first, one node at a time.
-
-    A move treats u, v and w alike, so permuting the factors of a triple
-    permutes its neighbours the same way.  The walk therefore visits each
-    node once, as the member that first reached it: a neighbour (p, q, r)
-    of that member, and rho with rho acting on N' = sorted(p, q, r) as
-    (p, q, r), give N' the transport rho.  When a node is reached again
-    with another transport, the two differ by an element of H, and the
-    start adds its own stabilizer, conjugated by its transport.  These
-    elements generate H: every member is then h * tau_N acting on its node N
-    for some h they generate (induction along a path of moves from the
-    start).  Another node with a repeated factor needs no such step: if g
-    fixes the member m' reached from m = tau * N by a move at i, then g * m
-    is the third triple of the triangle at i (see below).  m and g * m lie
-    on one node, and whichever member expanded that triangle saw both, as
-    itself or as a neighbour, each with a transport; the two transports
-    differ by g, conjugated, so g is recorded.
+    A node is an S_3-orbit of triples, kept as the sorted triple of the
+    numbers of a member's words in a table of the walk's own.  A move
+    treats u, v and w alike, so permuting the factors of a triple permutes
+    its neighbours the same way.  The walk therefore visits each node
+    once, as the member that first reached it: a neighbour (p, q, r) of
+    that member, and rho with rho acting on N' = sorted(p, q, r) as
+    (p, q, r), give N' the transport rho; N' also keeps the node it was
+    reached from.
 
     At a position i where exactly one word has a descent, the three triples
     that pass s_i around among the words form a triangle, and the members
-    of a triangle are pairwise related by moves at i.  Expanding it from one
-    member looks up the other two, which finds their nodes and records
-    every transport discrepancy that expanding it from them would.  So each
-    node carries a mask of the positions whose triangle some member already
-    expanded: expanding at i sets bit i on the two other nodes, new or still
-    queued, and a node dequeued expands only its unset moves.  The moves it
-    skips reach only nodes already found.
+    of a triangle are pairwise related by moves at i.  Expanding it from
+    one member finds the nodes of the other two.  So each node carries a
+    mask of the positions whose triangle some member already expanded:
+    expanding at i sets bit i on the two other nodes, new or still queued,
+    and a node dequeued expands only its unset moves.  The moves it skips
+    reach only nodes already found.
 
     A node's member expands its moves by position ascending, then by
-    receiving factor ascending.  Whether a member's node was reached before
-    depends on the members alone, so the order in which the walk reaches
-    members does not depend on how the table numbered the permutations:
-    it depends only on the start member.  Unless whole, the walk stops at
-    the first dc-trivial node it dequeues and returns its member and the
-    moves that first reached it; being breadth first, no dc-trivial member
-    is fewer moves from the start.  A walk that does not stop returns the
-    _DcClass of the whole class.
-
-    The walk counts the nodes by the order of their stabilizer as it inserts
-    them, which takes no second pass.  The members on a node N are the orbit
-    of tau_N * N under H, and the stabilizer of tau_N * N lies in H (the
-    start's by construction, any other's by the argument above).  So its
-    order divides |H|, and the orbit has exactly |H| / |Stab(N)| members:
-    size is h * n1 + h / 2 * n2 + h / 6 * n6 for |H| = h and n_k nodes of
-    stabilizer order k.
-
-    Raises ClassSizeExceeded when the walk finds more than DC_CLASS_CAP
-    nodes before it stops, or when a whole class has more than
-    DC_CLASS_CAP members.
+    receiving factor ascending.  Whether a member's node was found before
+    depends on the members alone, so the walk, and the path it returns,
+    depend on t alone.  The walk checks each node as it finds it and
+    returns the member of the first dc-trivial one with the moves that
+    reached it; being breadth first, no dc-trivial member is fewer moves
+    from t.  Otherwise it returns the number of nodes it found: all of
+    the class's, or DC_NODE_CAP + 1 when it found one past the cap, which
+    it does not check.
     """
-    cap = DC_CLASS_CAP
+    cap = DC_NODE_CAP
+    table = _PermTable(t.n)
     perms, descents, rows, number = table.perms, table.descents, table.rows, table.number
 
     def swapped(k: int, i: int) -> int:
@@ -292,20 +241,18 @@ def _dc_walk(
         s = rows[k][i] = number(x[: i - 1] + (x[i], x[i - 1]) + x[i + 1 :])
         return s
 
-    every = _mask(range(1, table.n))  # a common ascent is a descent of none
+    every = _mask(range(1, t.n))  # a common ascent is a descent of none
+    a, b, c = member = tuple(map(number, t.factors))
+    start, transport = _sort3(a, b, c)
     transports = {start: transport}
     done = {start: 0}  # per node, the positions whose triangle was expanded
     parents = {start: start}  # per node, the node whose member first reached it
-    stabilizer = _stabilizer(start)
-    found = _conjugate(stabilizer, transport)
-    order = stabilizer.bit_count()
-    n2, n6 = int(order == 2), int(order == 6)  # nodes of stabilizer order 2, 6
-    queue = deque([(start, _act(transport, start))])
+    if every & ~(descents[a] | descents[b] | descents[c]):
+        return _dc_path(table, start, parents, transports)
+    queue = deque([(start, member)])
     while queue:
         node, (a, b, c) = queue.popleft()
         da, db, dc = descents[a], descents[b], descents[c]
-        if not whole and every & ~(da | db | dc):
-            return _dc_path(table, node, parents, transports)
         moves = (da ^ db ^ dc) & ~(da & db & dc) & ~done[node]
         while moves:
             low = moves & -moves
@@ -344,33 +291,22 @@ def _dc_walk(
                     nxt, rho = (q, r, p), 4
                 else:
                     nxt, rho = (r, q, p), 5
-                known = transports.get(nxt)
-                if known is None:
-                    transports[nxt] = rho
-                    done[nxt] = low
-                    parents[nxt] = node
-                    queue.append((nxt, nbr))
-                    if p == q or q == r or p == r:
-                        if p == q == r:
-                            n6 += 1
-                        else:
-                            n2 += 1
-                else:
+                if nxt in done:
                     done[nxt] |= low
-                    if known != rho:
-                        found |= 1 << _MUL[6 * rho + _INV[known]]
-        if len(transports) > cap:
-            raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
-    group = _generated(found)
-    h = len(group)
-    size = h * (len(transports) - n2 - n6) + h // 2 * n2 + h // 6 * n6
-    if size > cap:
-        raise ClassSizeExceeded(f"descent-cycling class exceeds {cap}")
-    return _DcClass(transports, group, size)
+                    continue
+                transports[nxt] = rho
+                parents[nxt] = node
+                if len(transports) > cap:
+                    return len(transports)
+                if every & ~(descents[p] | descents[q] | descents[r]):
+                    return _dc_path(table, nxt, parents, transports)
+                done[nxt] = low
+                queue.append((nxt, nbr))
+    return len(transports)
 
 
 def _dc_path(
-    table: _RankTable, node: _Node, parents: dict[_Node, _Node], transports: dict[_Node, int]
+    table: _PermTable, node: _Node, parents: dict[_Node, _Node], transports: dict[_Node, int]
 ) -> _DcPath:
     """The member on node and the moves from the start that reached it.
 
@@ -395,98 +331,31 @@ def _dc_path(
     return (perms[end[0]], perms[end[1]], perms[end[2]]), moves
 
 
-def _dc_lookup(
-    t: Triple, whole: bool
-) -> tuple[_RankTable, _Node, int, Union[_DcClass, _DcPath]]:
-    """t's rank table, node and transport, and what the walk from t found.
-
-    That is the path to a dc-trivial member, unless whole, or the record of
-    a class C with t in gC for g in S_3.  The record comes from the table,
-    or from a walk started at t.  The table remembers the classes of the
-    walks that did not stop, and so found no dc-trivial member, under every
-    node unless there are more than DC_TABLE_BOUND; a whole walk may have
-    passed dc-trivial nodes and is not remembered.  A closure that
-    overflows DC_CLASS_CAP is not remembered either.
-    """
-    table = _rank_table(t.n)
-    node, rho = _sort3(*map(table.number, t.factors))
-    found = table.classes.get(node)
-    if found is None:
-        found = _dc_walk(table, node, rho, whole)
-        if (not whole and isinstance(found, _DcClass)
-                and len(found.transports) <= DC_TABLE_BOUND):
-            table.classes.update(dict.fromkeys(found.transports, found))
-    elif found.size > DC_CLASS_CAP:
-        raise ClassSizeExceeded(f"descent-cycling class exceeds {DC_CLASS_CAP}")
-    return table, node, rho, found
-
-
-def _members(
-    table: _RankTable, cls: _DcClass, coset: Sequence[int], nodes: Iterable[_Node]
-) -> Iterator[Factors]:
-    """The members of gC on the given nodes, for the coset gH; repeats possible."""
-    perms, transports = table.perms, cls.transports
-    for node in nodes:
-        tau = transports[node]
-        for g in coset:
-            a, b, c = _act(_MUL[6 * g + tau], node)
-            yield perms[a], perms[b], perms[c]
-
-
-def dc_class(t: Triple) -> frozenset[Factors]:
-    """Factor tuples of the closure of t under descent-cycling moves.
-
-    At a position i where exactly one of u, v, w has a descent, the
-    reflection s_i may be shuffled between that word and either of the other
-    two.  Every move keeps the words in S_n and the total length, so members
-    are never revalidated, and every member has the same intersection number.
-
-    The closure is the walk over S_3-orbits of triples that dc_test runs
-    (see _dc_walk), carried on past any dc-trivial node and expanded into
-    its members; a class its rank's table remembers is expanded without a
-    walk.  Raises ClassSizeExceeded when the class has more than
-    DC_CLASS_CAP members.
-    """
-    table, node, rho, cls = _dc_lookup(t, whole=True)
-    assert isinstance(cls, _DcClass)
-    g = _MUL[6 * rho + _INV[cls.transports[node]]]
-    coset = [_MUL[6 * g + h] for h in cls.group]
-    return frozenset(_members(table, cls, coset, cls.transports))
-
-
 def dc_test(t: Triple) -> VanishingVerdict:
-    """Vanishes when some member of the closure has a common ascent.
+    """Vanishes when some member of t's descent-cycling class has a common ascent.
 
     Every member of a class has the same intersection number, so one
     dc-trivial member reached by moves shows that t's intersection number
-    vanishes.  The walk (see _dc_walk) is breadth first over S_3-orbits of
-    triples and stops at the first dc-trivial member; the note names it and
-    the moves from t to it, as in "dc-trivial member U,V,W after 2 moves: s3 1>2, s1 3>2",
-    where "s3 1>2" has factor 1, which has a descent at 3, pass s_3 to
-    factor 2.  No dc-trivial member is fewer moves from t, and the note
-    depends on t alone, not on the triples met before it.  A class with
-    no dc-trivial member is walked whole and gets the note "class of N,
-    none dc-trivial"; its rank's table remembers it under every node, the
-    sorted triple of factor numbers, so its reorderings need no walk.
-    Raises ClassSizeExceeded when the walk finds more than DC_CLASS_CAP
-    nodes before a dc-trivial one, or the class, remembered or not, has
-    more than DC_CLASS_CAP members.
-
-    A nonzero triple's class has no dc-trivial member, so its walk is an
-    enumeration of the whole class.  With fresh tables, 60 nonzero draws
-    of ``symmetric_triple(5, random.Random(5))`` (``perfbench/problemgen.py``) all lie
-    in one class of 8,331 members, walked in 2.5-5 ms each; 60 rank-6
-    draws all lie in one of 409,023, walked in about 0.2 s p50 and 0.32 s
-    at most; and the rank-7 triple 2765143, 2143657, 3125476 (value 1)
-    raises ClassSizeExceeded after 6-9 s (on a 2-core host).  ROADMAP
-    item 7 replaces this whole walk by a bounded one.
+    vanishes.  The walk (see _dc_walk) goes breadth first over the class's
+    nodes, its S_3-orbits of triples, and stops at the first dc-trivial
+    member; the note names it and the moves from t to it, as in
+    "dc-trivial member U,V,W after 2 moves: s3 1>2, s1 3>2", where
+    "s3 1>2" has factor 1, which has a descent at 3, pass s_3 to factor 2.
+    No dc-trivial member is fewer moves from t.  A walk that finds none
+    gives INCONCLUSIVE and names its work: "no dc-trivial member in the
+    class's N nodes" when it found every node of the class, and "no
+    dc-trivial member in the first DC_NODE_CAP nodes" when it found more
+    and stopped.  Each note depends on t alone: dc_test keeps no state
+    between calls.
     """
     method = "descent_cycling"
-    found = _dc_lookup(t, whole=False)[3]
-    if isinstance(found, _DcClass):
-        return VanishingVerdict(
-            Outcome.INCONCLUSIVE, method, detail=f"class of {found.size}, none dc-trivial"
-        )
+    found = _dc_walk(t)
+    if isinstance(found, int):
+        if found > DC_NODE_CAP:
+            detail = f"no dc-trivial member in the first {DC_NODE_CAP} nodes"
+        else:
+            detail = f"no dc-trivial member in the class's {found} nodes"
+        return VanishingVerdict(Outcome.INCONCLUSIVE, method, detail=detail)
     end, moves = found
     detail = "dc-trivial member " + ",".join(map(permcore.format_permutation, end))
     detail += f" after {len(moves)} move" + ("" if len(moves) == 1 else "s")

@@ -1038,25 +1038,34 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
 
 
 def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
-    # the class of 3216547, 3216547, 4261573 has nine members
-    monkeypatch.setattr(rivals, "DC_CLASS_CAP", 5)
+    # the class of 3216547, 3216547, 4261573 has nine members on five nodes,
+    # none dc-trivial: under a cap of three nodes its walk stops with the
+    # cap's note, while 1423, 1423, 1342 is dc-trivial itself
+    monkeypatch.setattr(rivals, "DC_NODE_CAP", 3)
     src = tmp_path / "nine.txt"
-    src.write_text("sym: 3216547, 3216547, 4261573\n", encoding="utf-8")
+    src.write_text("sym: 3216547, 3216547, 4261573\nsym: 1423, 1423, 1342\n", encoding="utf-8")
     args = [str(src), "--stable", "--tests=schubitope,descent_cycling"]
     assert cli.main(args) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert captured.out == (
+    assert captured.out.startswith(
         "L1 mode=symmetric n=7\n"
+        "  descent_cycling: INCONCLUSIVE\n"
+        "    note: no dc-trivial member in the first 3 nodes\n"
         "  schubitope_symmetric: VANISHES\n"
         "    certificate: rows {2,3,4,5,6} give 15 > 14\n"
-        "  descent_cycling not run: descent-cycling class exceeds 5\n"
         "  elapsed_ms: 0\n\n"
     )
     assert cli.main(args + ["--format=jsonlines"]) == 0
-    record = json.loads(capsys.readouterr().out)
-    assert record["verdicts"] == {"schubitope_symmetric": "VANISHES"}
-    assert record["details"] == {"descent_cycling": "descent-cycling class exceeds 5"}
+    nine, trivial = map(json.loads, capsys.readouterr().out.splitlines())
+    assert nine["verdicts"] == {
+        "descent_cycling": "INCONCLUSIVE", "schubitope_symmetric": "VANISHES"
+    }
+    assert nine["details"] == {"descent_cycling": "no dc-trivial member in the first 3 nodes"}
+    assert trivial["verdicts"]["descent_cycling"] == "VANISHES"
+    assert trivial["details"]["descent_cycling"] == (
+        "dc-trivial member 1423,1423,1342 after 0 moves"
+    )
 
 
 def test_descent_cycling_note_shows_in_text():

@@ -71,10 +71,17 @@ def has_common_ascent(member):
 
 
 def reference_dc_detail(cls):
-    """dc_test's note on a class with no dc-trivial member; None when it has one."""
+    """dc_test's note on a class with no dc-trivial member; None when it has one.
+
+    The note counts the class's nodes, the S_3-orbits of its members, up to
+    DC_NODE_CAP.
+    """
     if any(has_common_ascent(member) for member in cls):
         return None
-    return f"class of {len(cls)}, none dc-trivial"
+    nodes = len({tuple(sorted(member)) for member in cls})
+    if nodes > rv.DC_NODE_CAP:
+        return f"no dc-trivial member in the first {rv.DC_NODE_CAP} nodes"
+    return f"no dc-trivial member in the class's {nodes} nodes"
 
 
 def reference_dc_distances(cls):
@@ -129,16 +136,20 @@ def assert_dc_note(factors, detail, reference):
 
 
 def assert_dc_matches_reference(triples, cap=None):
-    """dc_class and dc_test agree with the references on each triple.
+    """dc_test agrees with the references on each triple, and dc_class once per class.
 
     Triples whose reference class has more than cap members are skipped.
     Returns the sizes of the distinct classes checked.
     """
     reference = reference_dc_classes(triples, cap)
+    closed = set()
     for factors in triples:
         t = rv.Triple(*factors)
         if t.factors in reference:
-            assert rv.dc_class(t) == reference[t.factors][0], factors
+            cls = reference[t.factors][0]
+            if id(cls) not in closed:
+                closed.add(id(cls))
+                assert rv.dc_class(t) == cls, factors
             assert_dc_note(factors, rv.dc_test(t).detail, reference[t.factors])
     return list({id(cls): len(cls) for cls, _, _ in reference.values()}.values())
 
@@ -163,12 +174,6 @@ def interleaved_rank_4_and_5_cases():
 def case_of_size(size):
     """The first interleaved case whose class has size members."""
     return next(case for case in interleaved_rank_4_and_5_cases() if len(case[1][0]) == size)
-
-
-@pytest.fixture(autouse=True)
-def fresh_dc_tables(monkeypatch):
-    """Each test starts from empty descent-cycling tables."""
-    monkeypatch.setattr(rv, "_rank_tables", {})
 
 
 def reference_is_doomed(n, tokens):
@@ -277,9 +282,11 @@ def test_dc_test_vanishing_and_cap(monkeypatch):
     verdict = rv.dc_test(t)
     assert verdict.outcome is Outcome.VANISHES
     assert "dc-trivial member" in verdict.detail
-    monkeypatch.setattr(rv, "DC_CLASS_CAP", 3)
-    with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_class(rv.Triple(perm("3216547"), perm("3216547"), perm("4261573")))
+    # the class of nine members has five nodes: a walk that finds a fourth stops
+    monkeypatch.setattr(rv, "DC_NODE_CAP", 3)
+    verdict = rv.dc_test(rv.Triple(perm("3216547"), perm("3216547"), perm("4261573")))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.detail == "no dc-trivial member in the first 3 nodes"
 
 
 @pytest.mark.parametrize(
@@ -287,29 +294,24 @@ def test_dc_test_vanishing_and_cap(monkeypatch):
     [("3216547", "3216547", "4261573"), ("2143", "1342", "1423")],
 )
 def test_dc_cap_boundary(words, monkeypatch):
-    # the cap counts members: a class of exactly DC_CLASS_CAP members is
-    # returned whole, by a fresh walk and from the table alike; dc_test
-    # walks a class with no dc-trivial member whole and raises past the cap,
-    # and stops at the first dc-trivial member of the other long before it
-    assert rv.DC_CLASS_CAP == 10**6
+    # the cap counts the nodes a walk finds: under a cap below the node at
+    # which the walk ends, it stops with the cap's note, and from that cap
+    # on it gives its verdict; a class with no dc-trivial member needs a cap
+    # of all its nodes, and the other ends long before
+    assert rv.DC_NODE_CAP == 50_000
     t = rv.Triple(*(perm(w) for w in words))
-    cls = rv.dc_class(t)
     verdict = rv.dc_test(t)
-    assert len(cls) > 1
-    assert (verdict.outcome is Outcome.VANISHES) == any(map(rv.dc_trivial, cls))
-    for tables in ({}, rv._rank_tables):  # a fresh walk, then the remembered class
-        monkeypatch.setattr(rv, "_rank_tables", tables)
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls) - 1)
-        with pytest.raises(rv.ClassSizeExceeded):
-            rv.dc_class(t)
-        if verdict.outcome is Outcome.VANISHES:
-            assert rv.dc_test(t) == verdict
-        else:
-            with pytest.raises(rv.ClassSizeExceeded):
-                rv.dc_test(t)
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", len(cls))
-        assert rv.dc_class(t) == cls
-        assert rv.dc_test(t) == verdict
+    nodes = len({tuple(sorted(member)) for member in reference_dc_class(t)})
+    verdicts = []
+    for cap in range(1, nodes + 1):
+        monkeypatch.setattr(rv, "DC_NODE_CAP", cap)
+        verdicts.append(rv.dc_test(t))
+    end = verdicts.index(verdict) + 1
+    assert verdicts[end - 1 :] == [verdict] * (nodes + 1 - end)
+    for cap, capped in enumerate(verdicts[: end - 1], start=1):
+        assert capped.outcome is Outcome.INCONCLUSIVE
+        assert capped.detail == f"no dc-trivial member in the first {cap} nodes"
+    assert (end == nodes) == (verdict.outcome is Outcome.INCONCLUSIVE)
 
 
 def test_root_game_initial_positions():
@@ -515,203 +517,132 @@ def test_rival_soundness_sampled_s5():
             assert oracle == 0
 
 
-def test_dc_test_does_not_depend_on_order(monkeypatch):
-    # a note depends on its triple alone: it is the same with a fresh table,
-    # after a shuffled prefix of other triples (which numbers the
-    # permutations in another order), and after dc_class walked the class;
-    # one key space shared across ranks would hand a rank-4 triple the note
-    # of a rank-5 class
+def test_dc_test_does_not_depend_on_order():
+    # a note depends on its triple alone: it is the same after a shuffled
+    # prefix of other triples; a state kept between calls, or one key space
+    # shared across ranks, would show
     cases = interleaved_rank_4_and_5_cases()
-    assert "class of 8331, none dc-trivial" in {detail for _, (_, _, detail) in cases}
+    details = {detail for _, (_, _, detail) in cases}
+    assert "no dc-trivial member in the class's 1417 nodes" in details
     fresh = {}
     for factors, reference in cases:
-        monkeypatch.setattr(rv, "_rank_tables", {})
         fresh[factors] = rv.dc_test(rv.Triple(*factors)).detail
         assert_dc_note(factors, fresh[factors], reference)
     others = random.Random(3).sample(well_posed_triples(5), 200)
     for seed in range(3):
-        monkeypatch.setattr(rv, "_rank_tables", {})
         rng = random.Random(seed)
         for factors in rng.sample(others, 50 * seed):
             rv.dc_test(rv.Triple(*factors))
         for factors, _ in rng.sample(cases, len(cases)):
             assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], (seed, factors)
-    # tables that number every permutation first, in a shuffled order
-    for seed in range(4):
-        rng = random.Random(seed)
-        for n in (4, 5):
-            table = rv._rank_tables[n] = rv._RankTable(n)
-            perms = pc.all_perms(n)
-            for x in rng.sample(perms, len(perms)):
-                table.number(x)
-        for factors, _ in cases:
-            assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], (seed, factors)
-    monkeypatch.setattr(rv, "_rank_tables", {})
-    for factors, _ in cases:
-        t = rv.Triple(*factors)
-        rv.dc_class(t)
-        assert rv.dc_test(t).detail == fresh[factors], factors
-    # only the classes with no dc-trivial member are remembered, and then
-    # walked once: the counter sees walks
-    walked = []
-    walk = rv._dc_walk
-    monkeypatch.setattr(rv, "_dc_walk", lambda *args: walked.append(args[1]) or walk(*args))
-    for factors, _ in cases:
-        assert rv.dc_test(rv.Triple(*factors)).detail == fresh[factors], factors
-    assert len(walked) == sum(1 for _, (_, distances, _) in cases if distances)
-
-
-def test_dc_cap_holds_on_a_remembered_class(monkeypatch):
-    factors, (_, _, detail) = case_of_size(303)
-    assert detail == "class of 303, none dc-trivial"
-    t = rv.Triple(*factors)
-    default = rv.DC_CLASS_CAP
-    monkeypatch.setattr(rv, "DC_CLASS_CAP", 302)
-    with pytest.raises(rv.ClassSizeExceeded):
-        rv.dc_test(t)
-    # the overflow left nothing behind: the full closure still runs
-    monkeypatch.setattr(rv, "DC_CLASS_CAP", default)
-    assert rv.dc_test(t).detail == detail
-    other = rv.Triple(*next(m for m in rv.dc_class(t) if m != factors))
-    for member in (t, other):
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", 302)
-        with pytest.raises(rv.ClassSizeExceeded, match="exceeds 302"):
-            rv.dc_test(member)
-        monkeypatch.setattr(rv, "DC_CLASS_CAP", 303)
-        assert rv.dc_test(member).detail == detail
-
-
-def test_dc_tables_are_rebuilt_past_their_bound(monkeypatch):
-    # the class of 303 members has 55 nodes, and that of 8331 has 1417
-    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 60)
-    cases = interleaved_rank_4_and_5_cases()
-    tables = []
-    for factors, reference in cases + cases[::-1]:
-        assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, reference)
-        tables.append(rv._rank_tables[len(factors[0])])
-    assert len({id(table) for table in tables}) > 2
-    # a class of more nodes than the bound is never remembered
-    remembered = [cls for table in tables for cls in table.classes.values()]
-    assert remembered and all(len(cls.transports) <= 60 for cls in remembered)
 
 
 def test_dc_matches_reference_on_all_of_s4_and_s5_shuffled():
-    # one table serves both ranks and every ordering of each class, met in
-    # a seeded shuffled order
-    # a seeded shuffled order; every note replays from the triple alone,
-    # in the least number of moves to a dc-trivial member
+    # every triple of S_4 and S_5 whose class has a dc-trivial member, met in
+    # a seeded shuffled order: every note replays from the triple alone, in
+    # the least number of moves to a dc-trivial member.  The two classes
+    # with none, of 303 and 8331 members, get a note that counts the class's
+    # nodes; it is checked from a seeded sample of starts in each, as a walk
+    # of the larger class takes milliseconds
     triples = well_posed_triples(4) + well_posed_triples(5)
     assert len(triples) == 1115 + 74199
     random.Random(41).shuffle(triples)
     reference = reference_dc_classes(triples)
-    notes = {}
+    whole = {}  # per class with no dc-trivial member, its reference and triples
     for factors in triples:
-        t = rv.Triple(*factors)
-        notes[factors] = rv.dc_test(t).detail
-        assert_dc_note(factors, notes[factors], reference[t.factors])
+        entry = reference[rv.Triple(*factors).factors]
+        if entry[1]:
+            assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, entry)
+        else:
+            whole.setdefault(id(entry), (entry, []))[1].append(factors)
     assert max(max(distances.values(), default=0) for _, distances, _ in reference.values()) > 2
-    # the notes with moves again, in the reverse order, from tables that
-    # number the permutations in reverse: a walk that expanded a member's
-    # moves in the order of the numbers would print other paths
-    for n in (4, 5):
-        table = rv._rank_tables[n] = rv._RankTable(n)
-        for x in reversed(pc.all_perms(n)):
-            table.number(x)
-    for factors in reversed(triples):
-        if "after 0 moves" not in notes[factors]:
-            assert rv.dc_test(rv.Triple(*factors)).detail == notes[factors], factors
+    assert sorted(len(entry[0]) for entry, _ in whole.values()) == [303, 8331]
+    rng = random.Random(41)
+    for entry, group in whole.values():
+        for factors in rng.sample(group, 40):
+            assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, entry)
 
 
 @pytest.mark.parametrize("size", [8331, 1327, 220])
-def test_dc_all_six_factor_orders_agree(size, monkeypatch):
+def test_dc_all_six_factor_orders_agree(size):
     # the six orders of a triple's factors give classes of one size, and
     # either all have a dc-trivial member, as many moves away, or none has
-    factors, (members, distances, _) = case_of_size(size)
-    orders = list(itertools.permutations(range(3)))
-    shared = [rv.dc_test(rv.Triple(*(factors[i] for i in p))) for p in orders]
-    for p, verdict in zip(orders, shared):
+    # and all give the class's node count
+    factors, (members, distances, detail) = case_of_size(size)
+    for p in itertools.permutations(range(3)):
         reordered = tuple(factors[i] for i in p)
+        t = rv.Triple(*reordered)
+        verdict = rv.dc_test(t)
         if distances:
             assert dcreplay.replay(reordered, verdict.detail) == distances[factors], p
         else:
-            assert verdict.detail == f"class of {size}, none dc-trivial", p
-        # a fresh table walks the class from this ordering
-        monkeypatch.setattr(rv, "_rank_tables", {})
-        t = rv.Triple(*reordered)
-        assert rv.dc_test(t) == verdict, p
+            assert verdict.detail == detail, p
         assert rv.dc_class(t) == {tuple(m[i] for i in p) for m in members}, p
-        assert rv.dc_test(t) == verdict, p
 
 
-def test_dc_counted_size_matches_the_members(monkeypatch):
-    # the walk counts members by the stabilizers of the nodes it inserts;
-    # the (u, u, u) triples and those with two equal factors, in every order
-    # of their factors, give nodes of stabilizer order 6 and 2
-    triples = well_posed_triples(3) + well_posed_triples(4)
-    triples += [factors for factors, _ in interleaved_rank_4_and_5_cases()]
-    reference = {}
-    orders = set()
-    for factors in triples:
-        monkeypatch.setattr(rv, "_rank_tables", {})  # a walk from this triple
-        t = rv.Triple(*factors)
-        cls = rv._dc_lookup(t, whole=True)[3]
-        if t.factors not in reference:
-            members = reference_dc_class(t)
-            reference.update(dict.fromkeys(members, len(members)))
-        assert cls.size == len(rv.dc_class(t)) == reference[t.factors], factors
-        orders.update(rv._stabilizer(node).bit_count() for node in cls.transports)
-    assert orders == {1, 2, 6}
-    assert any(u == v == w for u, v, w in triples)
+def test_dc_counted_size_matches_the_members():
+    # the walk counts nodes, the S_3-orbits of the members.  The classes of
+    # S_3 and S_4 with no dc-trivial member have orbits of six members and of
+    # three (two equal factors); from every member, in every order of its
+    # factors, the note counts the orbits
+    for n, nodes in ((3, 5), (4, 55)):
+        members = reference_dc_class(rv.Triple(pc.identity(n), pc.identity(n), pc.w0(n)))
+        assert {len(set(itertools.permutations(m))) for m in members} == {3, 6}
+        assert len({tuple(sorted(m)) for m in members}) == nodes
+        for start in {reordered for m in members for reordered in itertools.permutations(m)}:
+            detail = rv.dc_test(rv.Triple(*start)).detail
+            assert detail == f"no dc-trivial member in the class's {nodes} nodes", start
+
+
+def test_dc_cap_holds_from_every_member(monkeypatch):
+    # the class of 303 members has 55 nodes and no dc-trivial member: from
+    # every member, in every order of its factors, a cap of 54 stops the walk
+    factors, (members, _, detail) = case_of_size(303)
+    assert detail == "no dc-trivial member in the class's 55 nodes"
+    monkeypatch.setattr(rv, "DC_NODE_CAP", 54)
+    for start in {reordered for m in members for reordered in itertools.permutations(m)}:
+        detail = rv.dc_test(rv.Triple(*start)).detail
+        assert detail == "no dc-trivial member in the first 54 nodes", start
+
+
+def test_dc_walks_keep_no_module_state():
+    # each walk numbers the permutations in a table of its own: after walks
+    # at ranks 4 and 5, no module-level name of rivals was rebound, and no
+    # module-level container grew or shrank
+    def state():
+        return {
+            name: (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+            for name, value in vars(rv).items()
+        }
+
+    before = state()
+    for factors, reference in interleaved_rank_4_and_5_cases():
+        assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, reference)
+    assert state() == before
 
 
 @pytest.mark.parametrize("size", [8331, 1327, 220])
 def test_dc_walk_does_not_depend_on_its_start(size):
-    # each walk numbers the permutations in a table of its own, so nodes are
-    # compared as the sorted words they stand for
-    factors, _ = case_of_size(size)
-    members = rv.dc_class(rv.Triple(*factors))
+    # a walk from a member on each of 20 sampled nodes gives a right note:
+    # the class's node count when it has no dc-trivial member, else a path
+    # of the fewest moves from that member
+    factors, reference = case_of_size(size)
     on_node = {}
-    for member in sorted(members):
+    for member in sorted(reference[0]):
         on_node.setdefault(tuple(sorted(member)), []).append(member)
     rng = random.Random(size)
-    walks = set()
     for key in rng.sample(sorted(on_node), 20):
-        table = rv._RankTable(len(factors[0]))
-        node, rho = rv._sort3(*map(table.number, rng.choice(on_node[key])))
-        cls = rv._dc_walk(table, node, rho, whole=True)
-
-        def words(node):
-            return tuple(sorted(table.perms[k] for k in node))
-
-        walks.add((
-            frozenset(map(words, cls.transports)),
-            cls.group,
-            cls.size,
-        ))
-        assert set(rv._members(table, cls, cls.group, cls.transports)) == members, key
-    assert len(walks) == 1
-    nodes, _, counted = walks.pop()
-    assert counted == size and nodes == set(on_node)
+        start = rng.choice(on_node[key])
+        assert_dc_note(start, rv.dc_test(rv.Triple(*start)).detail, reference)
 
 
-def test_dc_node_keys_stay_exact_past_2_17(monkeypatch):
+def test_dc_node_keys_stay_exact_past_2_17():
     # a key packed into fields of 17 bits would merge (0, 1, 2^17) with
     # (0, 2, 0), since 1 << 17 | 2^17 == 2 << 17
     big = 1 << 17
     assert rv._sort3(0, 1, big)[0] != rv._sort3(0, 2, 0)[0]
     for triple in itertools.permutations((big, big + 1, 1)):
         assert rv._sort3(*triple)[0] == (1, big, big + 1)
-    # a table whose numbers all start past 2^17 gives the same verdicts
-    monkeypatch.setattr(rv, "DC_TABLE_BOUND", 1 << 20)
-    table = rv._rank_tables[5] = rv._RankTable(5)
-    table.perms.extend([None] * big)
-    table.descents.extend([0] * big)
-    table.rows.extend([[]] * big)
-    cases = [c for c in interleaved_rank_4_and_5_cases() if len(c[0][0]) == 5]
-    for factors, reference in cases:
-        assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, reference)
-    assert rv._rank_tables[5] is table
-    assert min(min(node) for node in table.classes) >= big
 
 
 def test_dc_notes_name_the_moves():
@@ -742,7 +673,8 @@ def test_dc_replay_rejects_altered_notes():
         "dc-trivial member 1243,1342,4123 after 1 move: s2 1>3",  # wrong position
         "dc-trivial member 1243,1342,1423 after 1 move: s1 1>3",  # wrong member
         "dc-trivial member 1243,1342,4123 after 1 move: s1 1>1",  # giver is receiver
-        "class of 12, none dc-trivial",
+        "no dc-trivial member in the class's 12 nodes",
+        "no dc-trivial member in the first 50000 nodes",
     ):
         with pytest.raises(AssertionError):
             dcreplay.replay(factors, bad)
@@ -754,32 +686,39 @@ def test_dc_replay_rejects_altered_notes():
 
 def test_dc_rank_7_zeros_vanish_with_a_path():
     # a walk that stops at the first dc-trivial member catches every zero
-    # among these draws, where enumerating the classes passed DC_CLASS_CAP
-    # on 24 of them; each note replays from its problem line.  The one
-    # nonzero draw is left out: its class has no dc-trivial member, and
-    # walking it whole runs into the cap
+    # among these draws, where enumerating the classes ran past a cap of
+    # 10^6 members on 24 of them; each note replays from its problem line.
+    # The nonzero draw, and 1234567, 7654321, 1234567 (value 1), have no
+    # dc-trivial member: their walks stop at the node cap
     rng = random.Random(7)
     draws = [problemgen.symmetric_triple(7, rng) for _ in range(60)]
-    zeros = [factors for factors in draws if sp.intersection_number(factors) == 0]
-    lines = ["sym: " + ", ".join(map(pc.format_permutation, factors)) for factors in zeros]
+    draws.append(tuple(map(perm, ("1234567", "7654321", "1234567"))))
+    lines = ["sym: " + ", ".join(map(pc.format_permutation, factors)) for factors in draws]
     options = cli.Options(tests=("descent_cycling", "oracle"), stable=True)
     records, code = cli.run_batch(lines, options)
-    assert code == 0 and len(records) == 59
+    assert code == 0 and len(records) == 61
     lengths = []
+    capped = f"no dc-trivial member in the first {rv.DC_NODE_CAP} nodes"
     for line, record in zip(lines, records):
-        assert record["oracle"] == 0
+        note = record["details"]["descent_cycling"]
+        if record["oracle"]:
+            assert record["verdicts"]["descent_cycling"] == "INCONCLUSIVE", line
+            assert note == capped, line
+            continue
         assert record["verdicts"]["descent_cycling"] == "VANISHES", line
-        factors = cli.parse_problem_line(line).factors
-        lengths.append(dcreplay.replay(factors, record["details"]["descent_cycling"]))
-    assert max(lengths) > 2
+        lengths.append(dcreplay.replay(cli.parse_problem_line(line).factors, note))
+    assert len(lengths) == 59 and max(lengths) > 2
 
 
-def test_dc_walks_the_whole_class_of_a_nonzero_triple():
-    # a nonzero triple's class has no dc-trivial member, so dc_test walks all
-    # of it; 60 nonzero rank-6 draws of problemgen.symmetric_triple all lie
-    # in this class, whose walk takes about 0.2 s
+def test_dc_walks_the_whole_class_of_a_nonzero_triple(monkeypatch):
+    # a nonzero triple's class has no dc-trivial member; this one has 68,366
+    # nodes, more than DC_NODE_CAP, so the walk stops at the cap, and a cap
+    # of all its nodes lets it walk the whole class
     factors = tuple(map(perm, ("654231", "123546", "123456")))
     assert sp.intersection_number(factors) == 1
-    verdict = rv.dc_test(rv.Triple(*factors))
+    t = rv.Triple(*factors)
+    verdict = rv.dc_test(t)
     assert verdict.outcome is Outcome.INCONCLUSIVE
-    assert verdict.detail == "class of 409023, none dc-trivial"
+    assert verdict.detail == "no dc-trivial member in the first 50000 nodes"
+    monkeypatch.setattr(rv, "DC_NODE_CAP", 68366)
+    assert rv.dc_test(t).detail == "no dc-trivial member in the class's 68366 nodes"
