@@ -88,11 +88,12 @@ PINNED: dict[str, tuple[Pin, ...]] = {
     "inherently_inconclusive": (
         Pin("asym: 231645, 231645 -> 451623", {}, 0),
     ),
-    # everything inconclusive and the number is one
+    # everything inconclusive and the number is one; descent cycling proves it
     "point_class_unit": (
         Pin("sym: 1234, 1234, 4321",
             {"schubitope_symmetric": INCONCLUSIVE, "bruhat": INCONCLUSIVE,
-             "descent_cycling": INCONCLUSIVE, "root_game": INCONCLUSIVE}, 1),
+             "descent_cycling": INCONCLUSIVE, "root_game": INCONCLUSIVE}, 1,
+            {"descent_cycling": "value-1 member 1234,1234,4321 after 0 moves"}),
     ),
 }
 

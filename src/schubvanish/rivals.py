@@ -162,10 +162,11 @@ def _act(g: int, node: _Node) -> _Node:
 
 # Nodes a descent-cycling walk may find before dc_test stops it.  Every zero
 # measured (all of S_5, and 200, 200 and 150 seeded draws at ranks 6, 7 and
-# 8) had a dc-trivial node among the first 19,424 nodes its walk found; a
-# walk stopped here takes 0.12-0.16 s on a 2-core host.  A class with no
-# dc-trivial member can be larger: that of 654231, 123546, 123456 (value 1)
-# has 68,366 nodes.
+# 8) had a dc-trivial node among the first 19,424 nodes its walk found, and
+# every nonzero one a node of value 1 among the first 12,186; a walk
+# stopped here takes 0.12-0.22 s on a 2-core host.  A class with neither
+# can be larger: that of 46138275, 24715386, 21475638 (value 2) runs past
+# the cap.
 DC_NODE_CAP = 50_000
 
 
@@ -195,14 +196,26 @@ class _PermTable:
         return k
 
 
-# A path of descent-cycling moves to a dc-trivial member: the member, and
-# per move (i, giver, receiver), the factor giver (0-based), which has a
-# descent at i, passing s_i to the factor receiver.
-_DcPath = tuple[Factors, list[tuple[int, int, int]]]
+def _value_one(perms: list[Perm], node: _Node) -> bool:
+    """True when node's words are e, x and w0 * x in some order.
+
+    Such a triple has intersection number 1: the identity's class is the
+    unit, and x and w0 * x are Poincare dual.  The identity sorts first.
+    """
+    e, x, y = sorted(perms[k] for k in node)
+    top = len(e) + 1
+    return e == tuple(range(1, top)) and all(a + b == top for a, b in zip(x, y))
+
+
+# A path of descent-cycling moves to the member where a walk stops: the
+# member, whether it is dc-trivial (else it has value 1), and per move
+# (i, giver, receiver), the factor giver (0-based), which has a descent at
+# i, passing s_i to the factor receiver.
+_DcPath = tuple[Factors, bool, list[tuple[int, int, int]]]
 
 
 def _dc_walk(t: Triple) -> Union[_DcPath, int]:
-    """Walk t's class breadth first, one node at a time, to a dc-trivial member.
+    """Walk t's class breadth first, one node at a time, to a member that decides it.
 
     A node is an S_3-orbit of triples, kept as the sorted triple of the
     numbers of a member's words in a table of the walk's own.  A move
@@ -228,9 +241,11 @@ def _dc_walk(t: Triple) -> Union[_DcPath, int]:
     depend on t alone.  The walk checks each node as it finds it and
     returns the member of the first dc-trivial one with the moves that
     reached it; being breadth first, no dc-trivial member is fewer moves
-    from t.  Otherwise it returns the number of nodes it found: all of
-    the class's, or DC_NODE_CAP + 1 when it found one past the cap, which
-    it does not check.
+    from t.  A node that is not dc-trivial but holds the identity and two
+    w0-dual words (see _value_one) ends the walk the same way: the class
+    has value 1, so no member is dc-trivial.  Otherwise it returns the
+    number of nodes it found: all of the class's, or DC_NODE_CAP + 1 when
+    it found one past the cap, which it does not check.
     """
     cap = DC_NODE_CAP
     table = _PermTable(t.n)
@@ -247,7 +262,8 @@ def _dc_walk(t: Triple) -> Union[_DcPath, int]:
     transports = {start: transport}
     done = {start: 0}  # per node, the positions whose triangle was expanded
     parents = {start: start}  # per node, the node whose member first reached it
-    if every & ~(descents[a] | descents[b] | descents[c]):
+    da, db, dc = descents[a], descents[b], descents[c]
+    if every & ~(da | db | dc) or (not (da and db and dc) and _value_one(perms, start)):
         return _dc_path(table, start, parents, transports)
     queue = deque([(start, member)])
     while queue:
@@ -298,7 +314,11 @@ def _dc_walk(t: Triple) -> Union[_DcPath, int]:
                 parents[nxt] = node
                 if len(transports) > cap:
                     return len(transports)
-                if every & ~(descents[p] | descents[q] | descents[r]):
+                dp, dq, dr = descents[p], descents[q], descents[r]
+                # a mask of 0 is the identity's, which _value_one needs
+                if every & ~(dp | dq | dr) or (
+                    not (dp and dq and dr) and _value_one(perms, nxt)
+                ):
                     return _dc_path(table, nxt, parents, transports)
                 done[nxt] = low
                 queue.append((nxt, nbr))
@@ -308,7 +328,7 @@ def _dc_walk(t: Triple) -> Union[_DcPath, int]:
 def _dc_path(
     table: _PermTable, node: _Node, parents: dict[_Node, _Node], transports: dict[_Node, int]
 ) -> _DcPath:
-    """The member on node and the moves from the start that reached it.
+    """The member on node, whether it is dc-trivial, and the moves from the start.
 
     A move changes two factors, the giver and the receiver, each by s_i,
     where i is one more than the first 0-based index at which their words
@@ -317,6 +337,8 @@ def _dc_path(
     perms, descents = table.perms, table.descents
     moves = []
     end = _act(transports[node], node)
+    # a common ascent leaves a position of 1..n-1 out of every descent mask
+    trivial = (descents[end[0]] | descents[end[1]] | descents[end[2]]) != (1 << table.n) - 2
     while parents[node] != node:
         before = _act(transports[parents[node]], parents[node])
         after = _act(transports[node], node)
@@ -328,7 +350,7 @@ def _dc_path(
         moves.append((i, giver, receiver))
         node = parents[node]
     moves.reverse()
-    return (perms[end[0]], perms[end[1]], perms[end[2]]), moves
+    return (perms[end[0]], perms[end[1]], perms[end[2]]), trivial, moves
 
 
 def dc_test(t: Triple) -> VanishingVerdict:
@@ -341,12 +363,15 @@ def dc_test(t: Triple) -> VanishingVerdict:
     member; the note names it and the moves from t to it, as in
     "dc-trivial member U,V,W after 2 moves: s3 1>2, s1 3>2", where
     "s3 1>2" has factor 1, which has a descent at 3, pass s_3 to factor 2.
-    No dc-trivial member is fewer moves from t.  A walk that finds none
-    gives INCONCLUSIVE and names its work: "no dc-trivial member in the
-    class's N nodes" when it found every node of the class, and "no
-    dc-trivial member in the first DC_NODE_CAP nodes" when it found more
-    and stopped.  Each note depends on t alone: dc_test keeps no state
-    between calls.
+    No dc-trivial member is fewer moves from t.  The walk also stops at
+    the first member e, x, w0 * x, in some order, whose value is 1: then
+    no member is dc-trivial, and the verdict is INCONCLUSIVE with the note
+    "value-1 member U,V,W after 2 moves: s1 1>2, s2 3>1", a proof that t
+    has value 1.  A walk that finds neither gives INCONCLUSIVE and names
+    its work: "no dc-trivial member in the class's N nodes" when it found
+    every node of the class, and "no dc-trivial member in the first
+    DC_NODE_CAP nodes" when it found more and stopped.  Each note depends
+    on t alone: dc_test keeps no state between calls.
     """
     method = "descent_cycling"
     found = _dc_walk(t)
@@ -356,12 +381,14 @@ def dc_test(t: Triple) -> VanishingVerdict:
         else:
             detail = f"no dc-trivial member in the class's {found} nodes"
         return VanishingVerdict(Outcome.INCONCLUSIVE, method, detail=detail)
-    end, moves = found
-    detail = "dc-trivial member " + ",".join(map(permcore.format_permutation, end))
+    end, trivial, moves = found
+    detail = ("dc-trivial" if trivial else "value-1") + " member "
+    detail += ",".join(map(permcore.format_permutation, end))
     detail += f" after {len(moves)} move" + ("" if len(moves) == 1 else "s")
     if moves:
         detail += ": " + ", ".join(f"s{i} {g + 1}>{r + 1}" for i, g, r in moves)
-    return VanishingVerdict(Outcome.VANISHES, method, detail=detail)
+    outcome = Outcome.VANISHES if trivial else Outcome.INCONCLUSIVE
+    return VanishingVerdict(outcome, method, detail=detail)
 
 
 def root_game_initial(ws: Sequence[Perm]) -> dict[tuple[int, int], int]:

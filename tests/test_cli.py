@@ -1039,11 +1039,15 @@ def test_flexible_that_cannot_run_leaves_a_note(tmp_path, capsys):
 
 def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatch):
     # the class of 3216547, 3216547, 4261573 has nine members on five nodes,
-    # none dc-trivial: under a cap of three nodes its walk stops with the
-    # cap's note, while 1423, 1423, 1342 is dc-trivial itself
+    # none dc-trivial or of value 1: under a cap of three nodes its walk
+    # stops with the cap's note, while 1423, 1423, 1342 is dc-trivial itself
+    # and 1234, 1234, 4321 has value 1 itself
     monkeypatch.setattr(rivals, "DC_NODE_CAP", 3)
     src = tmp_path / "nine.txt"
-    src.write_text("sym: 3216547, 3216547, 4261573\nsym: 1423, 1423, 1342\n", encoding="utf-8")
+    src.write_text(
+        "sym: 3216547, 3216547, 4261573\nsym: 1423, 1423, 1342\nsym: 1234, 1234, 4321\n",
+        encoding="utf-8",
+    )
     args = [str(src), "--stable", "--tests=schubitope,descent_cycling"]
     assert cli.main(args) == 0
     captured = capsys.readouterr()
@@ -1057,7 +1061,7 @@ def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatc
         "  elapsed_ms: 0\n\n"
     )
     assert cli.main(args + ["--format=jsonlines"]) == 0
-    nine, trivial = map(json.loads, capsys.readouterr().out.splitlines())
+    nine, trivial, unit = map(json.loads, capsys.readouterr().out.splitlines())
     assert nine["verdicts"] == {
         "descent_cycling": "INCONCLUSIVE", "schubitope_symmetric": "VANISHES"
     }
@@ -1066,6 +1070,8 @@ def test_descent_cycling_past_its_cap_leaves_a_note(tmp_path, capsys, monkeypatc
     assert trivial["details"]["descent_cycling"] == (
         "dc-trivial member 1423,1423,1342 after 0 moves"
     )
+    assert unit["verdicts"]["descent_cycling"] == "INCONCLUSIVE"
+    assert unit["details"]["descent_cycling"] == "value-1 member 1234,1234,4321 after 0 moves"
 
 
 def test_descent_cycling_note_shows_in_text():

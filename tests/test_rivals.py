@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import random
 import sys
@@ -70,14 +71,23 @@ def has_common_ascent(member):
     return bool(set.intersection(*(set(ascents(x)) for x in member)))
 
 
-def reference_dc_detail(cls):
-    """dc_test's note on a class with no dc-trivial member; None when it has one.
+def decides(member):
+    """True when dc_test's walk stops at member: dc-trivial, or of value 1."""
+    return has_common_ascent(member) or dcreplay.value_one(member)
 
-    The note counts the class's nodes, the S_3-orbits of its members, up to
+
+def reference_dc_detail(cls):
+    """dc_test's note on cls, or its first words when the walk stops at a member.
+
+    A class with a dc-trivial member gets "dc-trivial member", one with a
+    member of value 1 "value-1 member".  The note on a class with neither
+    counts the class's nodes, the S_3-orbits of its members, up to
     DC_NODE_CAP.
     """
     if any(has_common_ascent(member) for member in cls):
-        return None
+        return "dc-trivial member"
+    if any(dcreplay.value_one(member) for member in cls):
+        return "value-1 member"
     nodes = len({tuple(sorted(member)) for member in cls})
     if nodes > rv.DC_NODE_CAP:
         return f"no dc-trivial member in the first {rv.DC_NODE_CAP} nodes"
@@ -85,13 +95,14 @@ def reference_dc_detail(cls):
 
 
 def reference_dc_distances(cls):
-    """Per member, the least number of moves to a member with a common ascent.
+    """Per member, the least number of moves to a member where the walk stops.
 
-    A breadth-first search over factor tuples from all those members at
-    once: moves are reversible, so a member's distance from them is its
-    distance to them.  Empty when the class has no such member.
+    A breadth-first search over factor tuples from all the members that
+    decide the class at once: moves are reversible, so a member's distance
+    from them is its distance to them.  Empty when the class has no such
+    member.
     """
-    distances = {member: 0 for member in cls if has_common_ascent(member)}
+    distances = {member: 0 for member in cls if decides(member)}
     queue = deque(distances)
     while queue:
         member = queue.popleft()
@@ -110,6 +121,8 @@ def reference_dc_classes(triples, cap=None):
     """
     reference = {}
     for factors in triples:
+        if tuple(factors) in reference:  # a member met before, given embedded
+            continue
         t = rv.Triple(*factors)
         if t.factors not in reference:
             cls = reference_dc_class(t, cap)
@@ -122,15 +135,18 @@ def reference_dc_classes(triples, cap=None):
 def assert_dc_note(factors, detail, reference):
     """detail is a right dc_test note on factors, given their reference.
 
+    The factors are words of one S_n, as the reference's keys are.
     reference is the class, distances and detail of factors, as
     reference_dc_classes gives them.  A note on a class with a dc-trivial
-    member must replay from factors, in as few moves as the reference's;
-    any other note must equal reference_dc_detail.
+    member, or with a member of value 1, must name that kind and replay
+    from factors, in as few moves as the reference's; any other note must
+    equal reference_dc_detail.
     """
     _, distances, expected = reference
     if distances:
+        assert detail.startswith(expected), (factors, detail)
         k = dcreplay.replay(factors, detail)
-        assert k == distances[rv.Triple(*factors).factors], (factors, detail)
+        assert k == distances[tuple(factors)], (factors, detail)
     else:
         assert detail == expected, factors
 
@@ -160,7 +176,8 @@ def interleaved_rank_4_and_5_cases():
 
     The rank-5 triples are (53241, v, w) for every v, w of total length 2:
     they meet 18 classes, up to the one of 8331 members, which has no
-    dc-trivial member.  The rank-4 triples are sampled.
+    dc-trivial member and holds members of value 1.  The rank-4 triples are
+    sampled.
     """
     perms5 = pc.all_perms(5)
     u = perm("53241")
@@ -174,6 +191,46 @@ def interleaved_rank_4_and_5_cases():
 def case_of_size(size):
     """The first interleaved case whose class has size members."""
     return next(case for case in interleaved_rank_4_and_5_cases() if len(case[1][0]) == size)
+
+
+# Classes with neither a dc-trivial member nor one of value 1, which dc_test
+# walks whole: a value-2 class of 927 members on 161 nodes, and the zero
+# class of nine members on 5 nodes
+VALUE_2 = ("135246", "135246", "531642")
+NINE = ("3216547", "3216547", "4261573")
+
+
+@functools.cache
+def dc_case(key):
+    """case_of_size(key) for a size; the case of the words key otherwise."""
+    if isinstance(key, int):
+        return case_of_size(key)
+    factors = rv.Triple(*map(perm, key)).factors
+    return factors, reference_dc_classes([factors])[factors]
+
+
+def assert_dc_sound(verdicts, value, digest):
+    """dc_test's verdicts against the oracle, and its VANISHES notes against a digest.
+
+    verdicts holds (factors, dc_test verdict) pairs, and value gives a
+    triple's intersection number.  Every zero among the triples vanishes,
+    and every value-1 note is on a triple of value 1; the VANISHES notes,
+    one line each in the order of verdicts, hash to digest, that of a walk
+    that stopped at dc-trivial members only.  Returns the number of
+    value-1 notes.
+    """
+    vanishing = hashlib.sha256()
+    ones = 0
+    for factors, verdict in verdicts:
+        number = value(factors)
+        assert (verdict.outcome is Outcome.VANISHES) == (number == 0), factors
+        if verdict.outcome is Outcome.VANISHES:
+            vanishing.update(verdict.detail.encode() + b"\n")
+        elif verdict.detail.startswith("value-1 member"):
+            assert number == 1, factors
+            ones += 1
+    assert vanishing.hexdigest() == digest
+    return ones
 
 
 def reference_is_doomed(n, tokens):
@@ -491,6 +548,9 @@ def test_dc_matches_reference_sampled_s6():
             triples.append((u, v, rng.choice(rest)))
     sizes = assert_dc_matches_reference(triples, cap=2000)
     assert len(sizes) >= 20 and max(sizes) > 300
+    digest = "b626d994f4a3bb0c0453c3a031b654380d82d6ad801b578d42ff2f7d7f227d07"
+    verdicts = [(factors, rv.dc_test(rv.Triple(*factors))) for factors in triples]
+    assert assert_dc_sound(verdicts, sp.intersection_number, digest) > 0
 
 
 def test_rival_soundness_sampled_s5():
@@ -523,7 +583,7 @@ def test_dc_test_does_not_depend_on_order():
     # shared across ranks, would show
     cases = interleaved_rank_4_and_5_cases()
     details = {detail for _, (_, _, detail) in cases}
-    assert "no dc-trivial member in the class's 1417 nodes" in details
+    assert details == {"dc-trivial member", "value-1 member"}
     fresh = {}
     for factors, reference in cases:
         fresh[factors] = rv.dc_test(rv.Triple(*factors)).detail
@@ -538,42 +598,45 @@ def test_dc_test_does_not_depend_on_order():
 
 
 def test_dc_matches_reference_on_all_of_s4_and_s5_shuffled():
-    # every triple of S_4 and S_5 whose class has a dc-trivial member, met in
-    # a seeded shuffled order: every note replays from the triple alone, in
-    # the least number of moves to a dc-trivial member.  The two classes
-    # with none, of 303 and 8331 members, get a note that counts the class's
-    # nodes; it is checked from a seeded sample of starts in each, as a walk
-    # of the larger class takes milliseconds
+    # every triple of S_4 and S_5, met in a seeded shuffled order: every
+    # class has a dc-trivial member or one of value 1, and every note
+    # replays from the triple alone, in the least number of moves to such a
+    # member.  Against the oracle, one value per class: every zero vanishes,
+    # with the notes of a walk that stops at dc-trivial members only, and
+    # the 303 + 8331 triples of the classes of value 1 get value-1 notes
     triples = well_posed_triples(4) + well_posed_triples(5)
     assert len(triples) == 1115 + 74199
     random.Random(41).shuffle(triples)
     reference = reference_dc_classes(triples)
-    whole = {}  # per class with no dc-trivial member, its reference and triples
-    for factors in triples:
-        entry = reference[rv.Triple(*factors).factors]
-        if entry[1]:
-            assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, entry)
-        else:
-            whole.setdefault(id(entry), (entry, []))[1].append(factors)
-    assert max(max(distances.values(), default=0) for _, distances, _ in reference.values()) > 2
-    assert sorted(len(entry[0]) for entry, _ in whole.values()) == [303, 8331]
-    rng = random.Random(41)
-    for entry, group in whole.values():
-        for factors in rng.sample(group, 40):
-            assert_dc_note(factors, rv.dc_test(rv.Triple(*factors)).detail, entry)
+    verdicts = [(factors, rv.dc_test(rv.Triple(*factors))) for factors in triples]
+    for factors, verdict in verdicts:
+        assert_dc_note(factors, verdict.detail, reference[factors])
+    assert all(distances for _, distances, _ in reference.values())
+    assert max(max(distances.values()) for _, distances, _ in reference.values()) > 2
+    values = {}
+
+    def value(factors):
+        cls = reference[factors][0]
+        if id(cls) not in values:
+            values[id(cls)] = sp.intersection_number(factors)
+        return values[id(cls)]
+
+    digest = "751ac79ff2500ce57e306b8e7a6d2b6b00e6c693029b74ab161cf2d8ef7bc15a"
+    assert assert_dc_sound(verdicts, value, digest) == 303 + 8331
 
 
-@pytest.mark.parametrize("size", [8331, 1327, 220])
+@pytest.mark.parametrize("size", [8331, 1327, 220, pytest.param(VALUE_2, id="value2")])
 def test_dc_all_six_factor_orders_agree(size):
     # the six orders of a triple's factors give classes of one size, and
-    # either all have a dc-trivial member, as many moves away, or none has
-    # and all give the class's node count
-    factors, (members, distances, detail) = case_of_size(size)
+    # either all have a dc-trivial member or one of value 1, as many moves
+    # away, or none has and all give the class's node count
+    factors, (members, distances, detail) = dc_case(size)
     for p in itertools.permutations(range(3)):
         reordered = tuple(factors[i] for i in p)
         t = rv.Triple(*reordered)
         verdict = rv.dc_test(t)
         if distances:
+            assert verdict.detail.startswith(detail), p
             assert dcreplay.replay(reordered, verdict.detail) == distances[factors], p
         else:
             assert verdict.detail == detail, p
@@ -581,12 +644,12 @@ def test_dc_all_six_factor_orders_agree(size):
 
 
 def test_dc_counted_size_matches_the_members():
-    # the walk counts nodes, the S_3-orbits of the members.  The classes of
-    # S_3 and S_4 with no dc-trivial member have orbits of six members and of
-    # three (two equal factors); from every member, in every order of its
-    # factors, the note counts the orbits
-    for n, nodes in ((3, 5), (4, 55)):
-        members = reference_dc_class(rv.Triple(pc.identity(n), pc.identity(n), pc.w0(n)))
+    # the walk counts nodes, the S_3-orbits of the members.  The class of
+    # nine and the value-2 class, which it walks whole, have orbits of six
+    # members and of three (two equal factors); from every member, in every
+    # order of its factors, the note counts the orbits
+    for words, nodes in ((NINE, 5), (VALUE_2, 161)):
+        members = reference_dc_class(rv.Triple(*map(perm, words)))
         assert {len(set(itertools.permutations(m))) for m in members} == {3, 6}
         assert len({tuple(sorted(m)) for m in members}) == nodes
         for start in {reordered for m in members for reordered in itertools.permutations(m)}:
@@ -595,14 +658,14 @@ def test_dc_counted_size_matches_the_members():
 
 
 def test_dc_cap_holds_from_every_member(monkeypatch):
-    # the class of 303 members has 55 nodes and no dc-trivial member: from
-    # every member, in every order of its factors, a cap of 54 stops the walk
-    factors, (members, _, detail) = case_of_size(303)
-    assert detail == "no dc-trivial member in the class's 55 nodes"
-    monkeypatch.setattr(rv, "DC_NODE_CAP", 54)
+    # the value-2 class has 161 nodes, none dc-trivial or of value 1: from
+    # every member, in every order of its factors, a cap of 160 stops the walk
+    factors, (members, _, detail) = dc_case(VALUE_2)
+    assert detail == "no dc-trivial member in the class's 161 nodes"
+    monkeypatch.setattr(rv, "DC_NODE_CAP", 160)
     for start in {reordered for m in members for reordered in itertools.permutations(m)}:
         detail = rv.dc_test(rv.Triple(*start)).detail
-        assert detail == "no dc-trivial member in the first 54 nodes", start
+        assert detail == "no dc-trivial member in the first 160 nodes", start
 
 
 def test_dc_walks_keep_no_module_state():
@@ -621,16 +684,16 @@ def test_dc_walks_keep_no_module_state():
     assert state() == before
 
 
-@pytest.mark.parametrize("size", [8331, 1327, 220])
+@pytest.mark.parametrize("size", [8331, 1327, 220, pytest.param(VALUE_2, id="value2")])
 def test_dc_walk_does_not_depend_on_its_start(size):
     # a walk from a member on each of 20 sampled nodes gives a right note:
-    # the class's node count when it has no dc-trivial member, else a path
-    # of the fewest moves from that member
-    factors, reference = case_of_size(size)
+    # the class's node count when it has no dc-trivial member and none of
+    # value 1, else a path of the fewest moves from that member to one
+    factors, reference = dc_case(size)
     on_node = {}
     for member in sorted(reference[0]):
         on_node.setdefault(tuple(sorted(member)), []).append(member)
-    rng = random.Random(size)
+    rng = random.Random(len(reference[0]))
     for key in rng.sample(sorted(on_node), 20):
         start = rng.choice(on_node[key])
         assert_dc_note(start, rv.dc_test(rv.Triple(*start)).detail, reference)
@@ -659,6 +722,11 @@ def test_dc_notes_name_the_moves():
     detail = rv.dc_test(rv.Triple(*words)).detail
     assert detail.startswith("dc-trivial member 2 1 3 4 5 6 7 8 9 10,1 2 3 4 5 6 7 8 9 10,")
     assert dcreplay.replay(words, detail) == 0
+    # 1243, 1243, 4213 has no dc-trivial member; two moves reach 1234 with
+    # the dual pair 1432, 4123, and the walk stops there
+    verdict = rv.dc_test(rv.Triple(perm("1243"), perm("1243"), perm("4213")))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.detail == "value-1 member 1432,1234,4123 after 2 moves: s2 3>1, s3 2>1"
 
 
 def test_dc_replay_rejects_altered_notes():
@@ -682,14 +750,33 @@ def test_dc_replay_rejects_altered_notes():
     with pytest.raises(AssertionError):
         dcreplay.replay((perm("2143"), perm("2143"), perm("1234")), "dc-trivial member "
                         "1243,2143,2134 after 1 move: s1 1>3")
+    unit = (perm("1243"), perm("1243"), perm("4213"))
+    good = "value-1 member 1432,1234,4123 after 2 moves: s2 3>1, s3 2>1"
+    assert dcreplay.replay(unit, good) == 2
+    for factors, bad in (
+        # 1423 and 3412 are not dual: 1423 + 3412 is 4835
+        ((perm("1234"), perm("1423"), perm("3412")), "value-1 member 1234,1423,3412 after 0 moves"),
+        # 1243,1342,4123 is dc-trivial and has no identity word
+        ((perm("2143"), perm("1342"), perm("1423")),
+         "value-1 member 1243,1342,4123 after 1 move: s1 1>3"),
+        # 1243 has no descent at 2
+        (unit, "value-1 member 1432,1234,4123 after 2 moves: s2 1>3, s3 2>1"),
+        # a move missing
+        (unit, "value-1 member 1432,1234,4123 after 1 move: s2 3>1"),
+        # the member has no common ascent
+        (unit, "dc-trivial member 1432,1234,4123 after 2 moves: s2 3>1, s3 2>1"),
+    ):
+        with pytest.raises(AssertionError):
+            dcreplay.replay(factors, bad)
 
 
 def test_dc_rank_7_zeros_vanish_with_a_path():
     # a walk that stops at the first dc-trivial member catches every zero
     # among these draws, where enumerating the classes ran past a cap of
-    # 10^6 members on 24 of them; each note replays from its problem line.
-    # The nonzero draw, and 1234567, 7654321, 1234567 (value 1), have no
-    # dc-trivial member: their walks stop at the node cap
+    # 10^6 members on 24 of them; each note replays from its problem line,
+    # and the notes are those of a walk that stopped at dc-trivial members
+    # only.  The nonzero draw, and 1234567, 7654321, 1234567, have value 1:
+    # their walks stop at a member of value 1, and that note replays too
     rng = random.Random(7)
     draws = [problemgen.symmetric_triple(7, rng) for _ in range(60)]
     draws.append(tuple(map(perm, ("1234567", "7654321", "1234567"))))
@@ -698,27 +785,41 @@ def test_dc_rank_7_zeros_vanish_with_a_path():
     records, code = cli.run_batch(lines, options)
     assert code == 0 and len(records) == 61
     lengths = []
-    capped = f"no dc-trivial member in the first {rv.DC_NODE_CAP} nodes"
+    vanishing = hashlib.sha256()
     for line, record in zip(lines, records):
         note = record["details"]["descent_cycling"]
+        length = dcreplay.replay(cli.parse_problem_line(line).factors, note)
         if record["oracle"]:
+            assert record["oracle"] == 1 and note.startswith("value-1 member"), line
             assert record["verdicts"]["descent_cycling"] == "INCONCLUSIVE", line
-            assert note == capped, line
             continue
         assert record["verdicts"]["descent_cycling"] == "VANISHES", line
-        lengths.append(dcreplay.replay(cli.parse_problem_line(line).factors, note))
+        vanishing.update(note.encode() + b"\n")
+        lengths.append(length)
     assert len(lengths) == 59 and max(lengths) > 2
+    digest = "586f3bd4009381c0c36f1c14ef3ffa7ebd23cb106ce7ee1cad90a016819c1cc0"
+    assert vanishing.hexdigest() == digest
 
 
 def test_dc_walks_the_whole_class_of_a_nonzero_triple(monkeypatch):
-    # a nonzero triple's class has no dc-trivial member; this one has 68,366
-    # nodes, more than DC_NODE_CAP, so the walk stops at the cap, and a cap
-    # of all its nodes lets it walk the whole class
-    factors = tuple(map(perm, ("654231", "123546", "123456")))
-    assert sp.intersection_number(factors) == 1
+    # a class of value 2 has neither a dc-trivial member nor one of value 1:
+    # the walk finds all 161 nodes of VALUE_2's class, and a cap of 160
+    # stops it.  The rank-8 class below, of value 2 too, runs past
+    # DC_NODE_CAP.  654231, 123546, 123456 has a class of 68,366 nodes, but
+    # it has value 1 itself, so its walk stops at its first node
+    factors = tuple(map(perm, VALUE_2))
+    assert sp.intersection_number(factors) == 2
     t = rv.Triple(*factors)
     verdict = rv.dc_test(t)
     assert verdict.outcome is Outcome.INCONCLUSIVE
-    assert verdict.detail == "no dc-trivial member in the first 50000 nodes"
-    monkeypatch.setattr(rv, "DC_NODE_CAP", 68366)
-    assert rv.dc_test(t).detail == "no dc-trivial member in the class's 68366 nodes"
+    assert verdict.detail == "no dc-trivial member in the class's 161 nodes"
+    rank8 = tuple(map(perm, ("46138275", "24715386", "21475638")))
+    assert sp.intersection_number(rank8) == 2
+    assert rv.dc_test(rv.Triple(*rank8)).detail == "no dc-trivial member in the first 50000 nodes"
+    unit = tuple(map(perm, ("654231", "123546", "123456")))
+    assert sp.intersection_number(unit) == 1
+    verdict = rv.dc_test(rv.Triple(*unit))
+    assert verdict.outcome is Outcome.INCONCLUSIVE
+    assert verdict.detail == "value-1 member 654231,123546,123456 after 0 moves"
+    monkeypatch.setattr(rv, "DC_NODE_CAP", 160)
+    assert rv.dc_test(t).detail == "no dc-trivial member in the first 160 nodes"
